@@ -69,6 +69,10 @@ def _coerce(value, default):
     if isinstance(default, bool):
         return bool(value)
     if isinstance(default, int) and not isinstance(value, bool):
+        if isinstance(value, str):
+            value = _parse_token(value)
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
         return int(value)
     if isinstance(default, float):
         return float(value)
@@ -232,15 +236,8 @@ def main(argv=None) -> int:
             print(f"{scenario:20s} {SCENARIO_NOTES[scenario]}")
         return EXIT_OK
     arg_dict = vars(args)
-    defaults = scenario_defaults(args.command)
-    params = {}
-    for name, default in defaults.items():
-        value = arg_dict.get(name)
-        if value is not None:
-            if isinstance(default, int) and not isinstance(default, bool) \
-                    and not isinstance(default, (tuple, list)):
-                value = int(value)
-            params[name] = value
+    # parse_config checks and coerces flag values like config-file values
+    params = {name: arg_dict.get(name) for name in scenario_defaults(args.command)}
     overrides = {
         "scenario": args.command,
         "seed": args.seed,

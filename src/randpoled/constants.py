@@ -9,7 +9,6 @@ class PhysicalConstants:
 
     c: float = 299792458.0          # speed of light in vacuum, m/s (exact)
     hbar: float = 1.054571817e-34   # reduced Planck constant, J*s
-    epsilon0: float = 8.8541878128e-12  # vacuum permittivity, F/m
 
 
 CONSTANTS = PhysicalConstants()

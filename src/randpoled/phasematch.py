@@ -89,13 +89,14 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     return out[0] if scalar else out.reshape(np.shape(dk_total))
 
 
-def _geom_sum(q, m: int):
-    """sum_{j=0}^{m-1} q^j with a series branch near q = 1."""
+def _geom_sum(q, m: int, qm=None):
+    """sum_{j=0}^{m-1} q^j, qm = q**m if known, with a series branch near q = 1."""
     q = np.asarray(q)
+    qm = q ** m if qm is None else qm
     r = q - 1.0
     near = np.abs(r) < SERIES_SWITCH
     qs = np.where(near, 0.5, q)  # dummy away from the pole
-    main = (1.0 - qs ** m) / (1.0 - qs)
+    main = (1.0 - qm) / (1.0 - qs)
     series = m * (1.0 + r * (m - 1) / 2.0 + r ** 2 * (m - 1) * (m - 2) / 6.0)
     return np.where(near, series, main)
 
@@ -256,16 +257,14 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     return complex(out[0]) if scalar else out
 
 
-def _scaled_geom(a, c, m: int):
-    """sum_{j=0}^{m-1} a^{m-j} c^j, stable for |a|, |c| <= 1."""
-    a = np.asarray(a)
-    c = np.asarray(c)
+def _scaled_geom(a, c, m: int, am, cm):
+    """sum_{j=0}^{m-1} a^{m-j} c^j, stable for |a|, |c| <= 1; am = a**m, cm = c**m."""
     diff = c - a
     near = np.abs(diff) < SERIES_SWITCH * np.maximum(np.abs(a), 1e-300)
-    safe = np.where(near, a + 1.0, c)
-    main = a * (safe ** m - a ** m) / (safe - a)
+    safe = np.where(near, a + 1.0, c)  # dummy away from the pole
+    main = a * (cm - am) / (safe - a)
     q = np.where(near, diff / np.where(np.abs(a) > 0, a, 1.0), 0.0)
-    series = a ** m * m * (
+    series = am * m * (
         1.0 + q * (m - 1) / 2.0 + q ** 2 * (m - 1) * (m - 2) / 6.0
     )
     return np.where(near, series, main)
@@ -282,24 +281,23 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
     """
     if dk0 is None:
         dk0 = np.pi / l0
-    dk, dkp = np.broadcast_arrays(
-        np.asarray(delta_k, dtype=float), np.asarray(delta_k_prime, dtype=float)
-    )
-    scalar = dk.ndim == 0
-    dk = np.atleast_1d(dk).astype(float)
-    dkp = np.atleast_1d(dkp).astype(float)
+    scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
+    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
+    dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
     dk_tot = dk0 + dk
     dkp_tot = dk0 + dkp
     big_dk = dk_tot - dkp_tot
+    # powers of a and b on their own shapes; only c is broadcast
     a = h_factor(dk, l0, sigma, dk0)
     b = np.conj(h_factor(dkp, l0, sigma, dk0))
     c = np.exp(1j * big_dk * l0) * characteristic_g(big_dk, sigma)
     m = n_domains + 1
+    am, bm, cm = a ** m, b ** m, c ** m
     bad = (np.abs(1.0 - a) < SERIES_SWITCH) | (np.abs(1.0 - b) < SERIES_SWITCH)
-    g0 = _geom_sum(c, m)
+    g0 = _geom_sum(c, m, cm)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (a * g0 - _scaled_geom(a, c, m)) / np.where(bad, 1.0, 1.0 - a)
-        tb = (b * g0 - _scaled_geom(b, c, m)) / np.where(bad, 1.0, 1.0 - b)
+        ta = (a * g0 - _scaled_geom(a, c, m, am, cm)) / np.where(bad, 1.0, 1.0 - a)
+        tb = (b * g0 - _scaled_geom(b, c, m, bm, cm)) / np.where(bad, 1.0, 1.0 - b)
     s = g0 + ta + tb
     if np.any(bad):
         j = np.arange(m)
@@ -307,8 +305,8 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
         flat_bad = np.nonzero(bad.ravel())[0]
         sf = s.ravel()
         for idx in flat_bad:
-            ai = a.ravel()[idx]
-            bi = b.ravel()[idx]
+            ai = np.broadcast_to(a, s.shape).flat[idx]
+            bi = np.broadcast_to(b, s.shape).flat[idx]
             ci = c.ravel()[idx]
             geo_a = np.concatenate(([0.0], np.cumsum(ai ** lag)))
             geo_b = np.concatenate(([0.0], np.cumsum(bi ** lag)))

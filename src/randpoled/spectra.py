@@ -34,16 +34,14 @@ class ProcessConfig:
     pump_amplitude: float = 1.0         # V*s/m (cw spectral amplitude)
     pump_type: str = "cw"
     chi2_effective: float = 1e-12       # m/V
-    beam_area: float = 1e-8             # m^2
     pump_dx: float = 1e-5               # m, transverse 1/e half-width
     pump_dy: float = 1e-5               # m
-    eta_sum: float = 1.0
     temperature: float = 297.0          # K
 
     def __post_init__(self):
         if self.pump_wavelength <= 0 or self.chi2_effective <= 0:
             raise SpectraError("pump wavelength and chi2 must be positive")
-        if self.pump_dx <= 0 or self.pump_dy <= 0 or self.beam_area <= 0:
+        if self.pump_dx <= 0 or self.pump_dy <= 0:
             raise SpectraError("beam geometry parameters must be positive")
         if self.pump_type != "cw":
             raise SpectraError("only cw pumping is supported")

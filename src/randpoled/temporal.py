@@ -18,14 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.optimize import minimize_scalar
 
 from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, SpectraError,
-                      coupling_g, fwhm, mean_f2, two_photon_amplitude)
+                      _mismatch_slice, coupling_g, fwhm, mean_f2,
+                      two_photon_amplitude)
 from .structures import PolingStructure, RandomSource, StructureSpec
 from .phasematch import xcorr_rps, xcorr_weak
 
 _TAU_CHUNK = 256
+# largest phase error (rad) that grid rounding may cause in the transform
+_PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
 
 
@@ -62,17 +66,47 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
-    """sum_q amp_q exp(-i tau freq_q), chunked over tau.
-
-    Uses explicit pairwise summation so the result is bit-identical
-    regardless of BLAS threading.
-    """
+def _direct_oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
+    """sum_q amp_q exp(-i tau freq_q), chunked over tau."""
     out = np.empty(tau.size, dtype=complex)
     for lo in range(0, tau.size, _TAU_CHUNK):
         hi = min(lo + _TAU_CHUNK, tau.size)
         e = np.exp(-1j * np.outer(tau[lo:hi], freq))
         out[lo:hi] = (e * amp).sum(axis=1)
+    return out
+
+
+def _progression_error(x: np.ndarray) -> float:
+    """Largest deviation of x from the arithmetic progression through its ends."""
+    step = (x[-1] - x[0]) / (x.size - 1)
+    return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
+
+
+def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
+    """sum_q amp_q exp(-i tau_j freq_q) by a Bluestein chirp-z transform.
+
+    On progressions tau_j = tau_0 + j dtau, freq_q = f_0 + q df the
+    kernel exp(-i theta jq), theta = dtau df, is one FFT convolution of
+    chirps exp(-i theta k^2 / 2), evaluated from exact integer k.
+    Grids with fewer than two points, or whose deviation from a
+    progression bounds the phase error above _PHASE_TOL, take the
+    direct sum.  Rows at tau = 0 are amp.sum() exactly.
+    """
+    m, n = tau.size, freq.size
+    if m < 2 or n < 2 or (np.ptp(tau) * _progression_error(freq)
+                          + _progression_error(tau) * np.ptp(freq)) > _PHASE_TOL:
+        return _direct_oscillatory_sum(tau, freq, amp)
+    theta = (tau[-1] - tau[0]) / (m - 1) * (freq[-1] - freq[0]) / (n - 1)
+    k = np.arange(max(m, n), dtype=float)
+    chirp = np.exp(-0.5j * theta * k ** 2)
+    size = sp_fft.next_fast_len(m + n - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
+    x = amp * np.exp(-1j * tau[0] * (freq - freq[0])) * chirp[:n]
+    conv = sp_fft.ifft(sp_fft.fft(x, size) * sp_fft.fft(kernel))[:m]
+    out = np.exp(-1j * tau * freq[0]) * chirp[:m] * conv
+    out[tau == 0] = amp.sum()
     return out
 
 
@@ -154,15 +188,18 @@ def dispersion_cancellation_check(source, cfg: ProcessConfig, model,
     return float(np.max(np.abs(mod.values - base.values)))
 
 
-def _sumfreq_from_amp(amp: np.ndarray, omega_s: np.ndarray, omega_s0: float,
-                      tau: np.ndarray) -> TemporalTrace:
-    wq = _trapezoid_weights(omega_s)
-    field = _oscillatory_sum(tau, omega_s - omega_s0, wq * amp)
-    intensity = np.abs(field) ** 2
+def _area_normalized(tau: np.ndarray, intensity: np.ndarray) -> TemporalTrace:
     area = np.trapezoid(intensity, tau)
     if area <= 0:
         raise TemporalError("sum-frequency trace has zero area")
     return TemporalTrace(tau, intensity / area)
+
+
+def _sumfreq_from_amp(amp: np.ndarray, omega_s: np.ndarray, omega_s0: float,
+                      tau: np.ndarray) -> TemporalTrace:
+    wq = _trapezoid_weights(omega_s)
+    field = _oscillatory_sum(tau, omega_s - omega_s0, wq * amp)
+    return _area_normalized(tau, np.abs(field) ** 2)
 
 
 def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
@@ -199,7 +236,8 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
 
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
                                grid: SpectralGrid, tau: np.ndarray) -> TemporalTrace:
-    from .spectra import _mismatch_slice
+    """I(tau) = Re sum_{q,q'} M_qq' exp(-i tau (omega_q - omega_q')): on the
+    uniform grid, one transform of M's diagonal sums over the lags q - q'."""
     omega_s = grid.omega_s
     omega_i = cfg.omega_p0 - omega_s
     dk_tot, _ = _mismatch_slice(cfg, model, grid)
@@ -211,16 +249,12 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     g = coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
     m = (a[:, None] * np.conj(a[None, :])) * fmat
-    omega_s0 = 0.5 * cfg.omega_p0
-    intensity = np.empty(tau.size)
-    for lo in range(0, tau.size, _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, tau.size)
-        e = np.exp(-1j * np.outer(tau[lo:hi], omega_s - omega_s0))
-        # I(tau) = e^T M conj(e) contracted row by row
-        t = e @ m
-        intensity[lo:hi] = np.real((t * np.conj(e)).sum(axis=1))
-    area = np.trapezoid(intensity, tau)
-    return TemporalTrace(tau, intensity / area)
+    n = omega_s.size
+    lags = np.arange(1 - n, n)
+    diagonals = np.array([np.trace(m, offset=-d) for d in lags])
+    spacing = (omega_s[-1] - omega_s[0]) / (n - 1)
+    intensity = np.real(_oscillatory_sum(tau, lags * spacing, diagonals))
+    return _area_normalized(tau, intensity)
 
 
 def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
@@ -228,6 +262,8 @@ def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
                         tau: np.ndarray | None = None,
                         compensation: str = "none") -> TemporalTrace:
     """Monte Carlo ensemble mean of per-realization sum-frequency traces."""
+    if realizations < 1:
+        raise TemporalError("need at least one realization")
     if tau is None:
         tau = default_tau_grid()
     acc = np.zeros(tau.size)
@@ -235,8 +271,7 @@ def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
         structure = spec.generate(RandomSource(seed, i))
         trace = sumfreq_trace(structure, cfg, model, grid, tau, compensation)
         acc += trace.values
-    area = np.trapezoid(acc, tau)
-    return TemporalTrace(tau, acc / area)
+    return _area_normalized(tau, acc)
 
 
 def spectral_phase(slice_: SpectralSlice) -> PhaseProfile:

@@ -235,6 +235,21 @@ class TestCrossCorrelators:
         off = xcorr_rps(switch * 1.01, 4e4, 300, L0, 0.0, DK0)
         assert near == pytest.approx(off, rel=1e-5)
 
+    def test_outer_call_matches_scalar_calls(self):
+        # an (n,1) x (1,n) call takes its powers on the unbroadcast
+        # factors; each element must equal its own scalar call, including
+        # the sigma = 0 elements on the degenerate lag-sum branch
+        switch = 1e-6 / L0
+        dk = np.array([-2e5, -4e4, -switch * 0.5, 0.0, switch * 0.99,
+                       switch * 1.01, 3e4, 1.5e5])
+        for n, sigma in ((300, 0.0), (700, 2.1e-6)):
+            full = xcorr_rps(dk[:, None], dk[None, :], n, L0, sigma, DK0)
+            assert full.shape == (dk.size, dk.size)
+            for i, a in enumerate(dk):
+                for j, b in enumerate(dk):
+                    want = xcorr_rps(a, b, n, L0, sigma, DK0)
+                    assert abs(full[i, j] - want) <= 1e-13 * abs(want)
+
     def test_rps_mc_agreement_offdiagonal(self):
         n, sigma, reals = 200, 1.5e-6, 500
         pairs = [(3e4, -2e4), (8e4, 8e4 + 5e3), (-1e5, 5e4)]

@@ -196,6 +196,30 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "io"
 
+    def test_non_integral_flag_rejected(self, tmp_path, capsys):
+        code = _run_cli(["rate-vs-NL", "--out-dir", str(tmp_path),
+                         "--grid-points", "257.7"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "grid_points" in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_non_integral_config_value_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL",
+                                       "parameters": {"grid_points": 257.7}}))
+        code = _run_cli(["rate-vs-NL", "--config", str(cfgfile),
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        for value in (257, 257.0, "257"):
+            cfg = cli.parse_config(None, {"scenario": "rate-vs-NL",
+                                          "params": {"grid_points": value}})
+            assert cfg.params["grid_points"] == 257
+            assert isinstance(cfg.params["grid_points"], int)
+
     def test_coercion_of_tuple_flags(self):
         cfg = cli.parse_config(None, {
             "scenario": "rate-vs-NL",

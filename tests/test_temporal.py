@@ -1,12 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpoled import (ProcessConfig, RandomSource, StructureSpec, compensate,
                        dispersion_cancellation_check, entanglement_time, fwhm,
                        hom_trace, spectral_phase, sumfreq_ensemble_mc,
-                       sumfreq_trace, two_photon_amplitude)
-from randpoled.spectra import SpectralGrid, SpectralSlice
-from randpoled.temporal import (TemporalError, default_tau_grid,
+                       sumfreq_trace, two_photon_amplitude, xcorr_rps)
+from randpoled import temporal
+from randpoled.spectra import (SpectralGrid, SpectralSlice, _mismatch_slice,
+                               coupling_g)
+from randpoled.temporal import (TemporalError, _direct_oscillatory_sum,
+                                _hom_weights, _oscillatory_sum,
+                                _trapezoid_weights, default_tau_grid,
                                 fit_quadratic_phase)
 
 TAU = np.linspace(-50e-15, 50e-15, 2001)
@@ -76,6 +84,74 @@ class TestHom:
         assert dev < 1e-8
 
 
+def _transform_only():
+    """Context in which a fallback to the direct sum fails the test."""
+    return mock.patch.object(temporal, "_direct_oscillatory_sum",
+                             side_effect=AssertionError("direct fallback"))
+
+
+def _peak_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@given(m=st.integers(2, 600), n=st.integers(2, 600),
+       tau0=st.floats(-1.0, 1.0), tau_span=st.floats(1e-3, 2.0),
+       f0=st.floats(-1.0, 1.0), f_span=st.floats(1e-3, 2.0),
+       phase=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_transform_matches_direct_sum(m, n, tau0, tau_span, f0, f_span,
+                                      phase, seed):
+    # |tau * freq| reaches `phase` rad (up to 2000) at the far corner
+    tau = np.linspace(tau0, tau0 + tau_span, m) * 1e-13
+    freq = np.linspace(f0, f0 + f_span, n) * (phase / 9.0) * 1e13
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = _direct_oscillatory_sum(tau, freq, amp)
+    with _transform_only():
+        got = _oscillatory_sum(tau, freq, amp)
+    assert _peak_error(got, want) <= 1e-11
+
+
+class TestOscillatorySum:
+    def test_scenario_grids(self, cfg, model, grid, l0):
+        # sum-frequency: 1025 omega x 4096 tau over +-500 fs
+        spec = StructureSpec("chirped", 700, l0, zeta=2.5e6)
+        sl = two_photon_amplitude(spec, cfg, model, grid)
+        freq = grid.omega_s - cfg.omega_s0
+        amp = _trapezoid_weights(grid.omega_s) * sl.values
+        tau = default_tau_grid()
+        with _transform_only():
+            got = _oscillatory_sum(tau, freq, amp)
+        assert _peak_error(got, _direct_oscillatory_sum(tau, freq, amp)) <= 1e-12
+        # HOM: 2049 omega x 2001 tau over +-100 fs, frequency factor 2
+        grid2049 = SpectralGrid.default(cfg.omega_s0, n=2049)
+        rps = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        omega_s, _, interf, _ = _hom_weights(rps, cfg, model, grid2049)
+        freq = 2.0 * (omega_s - cfg.omega_s0)
+        amp = _trapezoid_weights(omega_s) * interf
+        tau = np.linspace(-100e-15, 100e-15, 2001)
+        with _transform_only():
+            got = _oscillatory_sum(tau, freq, amp)
+        assert _peak_error(got, _direct_oscillatory_sum(tau, freq, amp)) <= 1e-12
+
+    def test_non_uniform_tau_is_direct_sum(self):
+        rng = np.random.default_rng(3)
+        freq = np.linspace(-4e14, 4e14, 257)
+        amp = rng.normal(size=257) + 1j * rng.normal(size=257)
+        for tau in (np.sort(rng.uniform(-3e-13, 3e-13, 300)),
+                    np.geomspace(1e-16, 3e-13, 300), np.array([2e-14])):
+            got = _oscillatory_sum(tau, freq, amp)
+            assert np.array_equal(got, _direct_oscillatory_sum(tau, freq, amp))
+
+    def test_zero_delay_rows_are_exact_sums(self):
+        rng = np.random.default_rng(4)
+        freq = np.linspace(-4e14, 4e14, 513)
+        amp = rng.normal(size=513) + 1j * rng.normal(size=513)
+        tau = np.linspace(-3e-13, 3e-13, 2001)
+        assert tau[1000] == 0.0
+        assert _oscillatory_sum(tau, freq, amp)[1000] == amp.sum()
+
+
 class TestSumFrequency:
     def test_frozen_widths_and_compensation(self, cfg, model, grid513, l0):
         spec = StructureSpec("chirped", 700, l0, zeta=2.5e6)
@@ -101,6 +177,39 @@ class TestSumFrequency:
         mc = sumfreq_ensemble_mc(spec, cfg, model, grid, 600, 31, tau)
         scale = ana.values.max()
         assert np.max(np.abs(ana.values - mc.values)) / scale < 0.08
+
+    def test_analytic_ensemble_matches_contraction(self, cfg, model, l0):
+        # oracle: the direct contraction I(tau) = Re e(tau)^T M conj(e(tau))
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        tau = np.linspace(-100e-15, 100e-15, 1001)
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        omega_s = grid.omega_s
+        omega_i = cfg.omega_p0 - omega_s
+        delta_k = _mismatch_slice(cfg, model, grid)[0] - np.pi / l0
+        fmat = xcorr_rps(delta_k[:, None], delta_k[None, :], 700, l0, 2.1e-6)
+        a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
+             * coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude)
+        m = (a[:, None] * np.conj(a[None, :])) * fmat
+        e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
+        want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
+        want /= np.trapezoid(want, tau)
+        with _transform_only():
+            got = sumfreq_trace(spec, cfg, model, grid, tau).values
+        assert _peak_error(got, want) <= 1e-12
+
+    def test_zero_area_rejected(self, model, l0):
+        cfg0 = ProcessConfig(pump_amplitude=0.0)
+        grid = SpectralGrid.default(cfg0.omega_s0, n=257)
+        spec = StructureSpec("rps", 300, l0, sigma=1.5e-6)
+        with pytest.raises(TemporalError, match="zero area"):
+            sumfreq_trace(spec, cfg0, model, grid, TAU)
+
+    def test_mc_needs_a_realization(self, cfg, model, l0):
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        spec = StructureSpec("rps", 300, l0, sigma=1.5e-6)
+        for realizations in (0, -1):
+            with pytest.raises(TemporalError):
+                sumfreq_ensemble_mc(spec, cfg, model, grid, realizations, 0, TAU)
 
     def test_ensemble_compensation_requires_mc(self, cfg, model, grid513, l0):
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
