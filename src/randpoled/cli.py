@@ -79,6 +79,9 @@ def _coerce(value, default):
     if isinstance(default, (tuple, list)):
         if isinstance(value, str):
             value = [_parse_token(v) for v in value.split(",") if v]
+        # numeric lists take their elements' type from the default's
+        if {type(v) for v in default} in ({int}, {float}):
+            return tuple(_coerce(v, default[0]) for v in value)
         return tuple(value)
     return value
 
@@ -141,8 +144,10 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
             raw_params[key] = value
     params = _validate_params(scenario, raw_params)
     seed = overrides.get("seed")
-    if seed is None:
-        seed = data.get("seed", 0)
+    try:
+        seed = _coerce(data.get("seed", 0) if seed is None else seed, 0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid seed: {exc}") from exc
     out_dir = overrides.get("out_dir") or data.get("out_dir") \
         or os.environ.get(OUT_DIR_ENV) or "."
     threads = overrides.get("threads", data.get("threads"))

@@ -18,13 +18,18 @@ data-parallel evaluation).
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import special
 
-from .structures import PolingStructure
+from .structures import PolingStructure, StructureSpec, gen_ideal
 
 # Relative threshold at which removable singularities switch to series
 # or exact-summation branches.
 SERIES_SWITCH = 1e-6
+
+# Chebyshev tail check: the last _TAIL_TERMS coefficients <= _TAIL_TOL * max.
+_TAIL_TERMS = 8
+_TAIL_TOL = 1e-11
 
 # erf(z) overflows double precision for |Im z| beyond ~27.
 ERF_IM_MAX = 26.0
@@ -45,9 +50,50 @@ def h_factor(delta_k, l0: float, sigma: float, dk0: float):
     return np.exp(1j * delta_k * l0) * characteristic_g(dk0 + delta_k, sigma)
 
 
-def _boundary_phases(s: PolingStructure, dk_total):
-    dk = np.atleast_1d(np.asarray(dk_total, dtype=float))
-    return np.exp(1j * dk[..., None] * s.boundaries), dk
+def _direct_boundary_sum(z, w, dk):
+    """S(dk) = sum_n w_n exp(i dk z_n) term by term: fallback and test oracle."""
+    return (np.exp(1j * dk[:, None] * z) * w).sum(axis=-1)
+
+
+def _boundary_sum(z, w, dk):
+    """S(dk) = sum_n w_n exp(i dk z_n) for increasing z, real w and 1-D dk.
+
+    The envelope S exp(-i dk z_c) about the layout center has bandwidth
+    L/2, so a Chebyshev interpolant of degree P = b + 12 b^(1/3) + 10,
+    b = (max dk - min dk) L / 4, resolves it; summed with real cos/sin at
+    the P + 1 Chebyshev points, it is carried to dk barycentrically
+    (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  Grids of at most
+    P + 1 points, non-finite grids and unresolved tails take the direct sum.
+    """
+    lo, hi = (dk.min(), dk.max()) if dk.size else (0.0, 0.0)
+    b = 0.25 * (hi - lo) * (z[-1] - z[0])
+    p = int(np.ceil(b + 12.0 * np.cbrt(b) + 10.0)) if 0 < b < np.inf else dk.size
+    if dk.size <= p + 1:
+        return _direct_boundary_sum(z, w, dk)
+    mid, half, zc = 0.5 * (lo + hi), 0.5 * (hi - lo), 0.5 * (z[0] + z[-1])
+    x = np.sin(0.5 * np.pi * np.arange(-p, p + 1, 2) / p)  # exactly odd
+    m = p // 2 + 1
+    wc = (w * np.exp(1j * mid * (z - zc))).view(float).reshape(-1, 2)  # re, im
+    theta = np.outer(half * x[:m], z - zc)
+    c, s = np.cos(theta) @ wc, np.sin(theta) @ wc
+    # point j takes c + i s, its mirror p - j takes c - i s
+    env = np.empty(p + 1, dtype=complex)
+    env[:m] = (c[:, 0] - s[:, 1]) + 1j * (c[:, 1] + s[:, 0])
+    env[p + 1 - m:] = ((c[:, 0] + s[:, 1]) + 1j * (c[:, 1] - s[:, 0]))[::-1]
+    coef = np.abs(sp_fft.dct(env, type=1))
+    if coef[-_TAIL_TERMS:].max() > _TAIL_TOL * coef.max():
+        return _direct_boundary_sum(z, w, dk)
+    lam = (-1.0) ** np.arange(p + 1)
+    lam[[0, -1]] *= 0.5
+    t = (dk - mid) / half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bary = lam / (t[:, None] - x)
+        bary /= bary.sum(axis=1, keepdims=True)
+    row, col = np.nonzero(t[:, None] == x)
+    bary[row] = 0.0
+    bary[row, col] = 1.0
+    out = bary @ env.view(float).reshape(-1, 2)
+    return (out[:, 0] + 1j * out[:, 1]) * np.exp(1j * dk * zc)
 
 
 def f_exact(s: PolingStructure, dk_total):
@@ -56,22 +102,19 @@ def f_exact(s: PolingStructure, dk_total):
     Sum over domains of the chi(2)-weighted plane-wave integral; valid
     for every mismatch including dk_total = 0 (series limit).
     """
-    scalar = np.isscalar(dk_total) or np.ndim(dk_total) == 0
-    E, dk = _boundary_phases(s, dk_total)
-    signs = (-1.0) ** np.arange(s.n_domains + 1)
-    w = signs.astype(float).copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    dk = np.asarray(dk_total, dtype=float)
+    flat = dk.ravel()
+    w = (-1.0) ** np.arange(s.n_domains + 1)
+    w[[0, -1]] *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 2j / dk * (E * w).sum(axis=-1)
-    tiny = np.abs(dk) * s.length < SERIES_SWITCH
+        out = 2j / flat * _boundary_sum(s.boundaries, w, flat)
+    tiny = np.abs(flat) * s.length < SERIES_SWITCH
     if np.any(tiny):
         # midpoint form, exact to second order in dk * L
         mids = 0.5 * (s.boundaries[1:] + s.boundaries[:-1])
-        dl = s.domain_lengths * s.signs
-        Em = np.exp(1j * dk[tiny][..., None] * mids)
-        out[tiny] = (Em * dl).sum(axis=-1)
-    return out[0] if scalar else out.reshape(np.shape(dk_total))
+        out[tiny] = (np.exp(1j * flat[tiny][:, None] * mids)
+                     * (s.domain_lengths * s.signs)).sum(axis=-1)
+    return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
 
 
 def f_boundary_sum(s: PolingStructure, dk_total):
@@ -80,13 +123,12 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     Differs from f_exact only by end-face terms of relative order
     1/N_L.  Rejects dk_total = 0.
     """
-    scalar = np.isscalar(dk_total) or np.ndim(dk_total) == 0
-    E, dk = _boundary_phases(s, dk_total)
+    dk = np.asarray(dk_total, dtype=float)
     if np.any(dk == 0.0):
         raise PhasematchError("boundary sum undefined at zero mismatch; use f_exact")
-    signs = (-1.0) ** np.arange(s.n_domains + 1)
-    out = 2j / dk * (E * signs).sum(axis=-1)
-    return out[0] if scalar else out.reshape(np.shape(dk_total))
+    w = (-1.0) ** np.arange(s.n_domains + 1)
+    out = 2j / dk.ravel() * _boundary_sum(s.boundaries, w, dk.ravel())
+    return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
 
 
 def _geom_sum(q, m: int, qm=None):
@@ -108,8 +150,7 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
     Closed geometric form in H; where |1 - H| is numerically
     degenerate the exact lag sum over boundary pairs is used instead.
     """
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     delta_k = np.asarray(delta_k, dtype=float)
     scalar = delta_k.ndim == 0
     dk = np.atleast_1d(delta_k)
@@ -147,8 +188,7 @@ def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float,
     dephasing vanishes as dk_tot -> 0, so the pointwise error grows at
     the small-mismatch edge of the band even when v is large.
     """
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     delta_k = np.asarray(delta_k, dtype=float)
     dk_tot = dk0 + delta_k
     g = characteristic_g(dk_tot, sigma)
@@ -189,8 +229,7 @@ def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
     Dirichlet kernels.  Disorder acts as a spectral filter here rather
     than a broadener.
     """
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     delta_k = np.asarray(delta_k, dtype=float)
     scalar = delta_k.ndim == 0
     dk = np.atleast_1d(delta_k)
@@ -236,8 +275,7 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     """
     if zeta_prime == 0.0:
         raise PhasematchError("zeta_prime = 0: use the ideal-structure formulas")
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     delta_k = np.asarray(delta_k, dtype=float)
     scalar = delta_k.ndim == 0
     dk = np.atleast_1d(delta_k)
@@ -279,8 +317,7 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
     the exact lag sum.  Hermitian in (dk, dk') and real nonnegative on
     the diagonal, where it coincides with avg_f2_rps.
     """
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
     dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
     dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
@@ -323,8 +360,7 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
 def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
                dk0: float | None = None):
     """Cross-correlator <F(dk) F*(dk')> for weakly-random structures."""
-    if dk0 is None:
-        dk0 = np.pi / l0
+    dk0 = np.pi / l0 if dk0 is None else dk0
     dk, dkp = np.broadcast_arrays(
         np.asarray(delta_k, dtype=float), np.asarray(delta_k_prime, dtype=float)
     )
@@ -363,3 +399,25 @@ def xcorr_chirp(delta_k, delta_k_prime, n_domains: int, l0: float,
     fa = f_chirp(delta_k, n_domains, l0, zeta_prime, dk0)
     fb = f_chirp(delta_k_prime, n_domains, l0, zeta_prime, dk0)
     return fa * np.conj(fb)
+
+
+def response(source, dk_tot):
+    """Phase-matching response of any source at total mismatch dk_tot.
+
+    Complex F for a PolingStructure, a chirped spec (closed form) or an
+    ideal spec (its gen_ideal layout); real <|F|^2> for the rps and
+    weakly-random specs.  Spec detunings are measured from pi/l0, the
+    fabricated design point, not the dispersion operating point.
+    """
+    if isinstance(source, PolingStructure):
+        return f_exact(source, dk_tot)
+    if not isinstance(source, StructureSpec):
+        raise PhasematchError(f"unsupported source {type(source).__name__}")
+    if source.kind == "ideal":
+        return f_exact(gen_ideal(source.n_domains, source.l0), dk_tot)
+    dk0 = np.pi / source.l0
+    delta_k = np.asarray(dk_tot, dtype=float) - dk0
+    if source.kind == "chirped":
+        return f_chirp(delta_k, source.n_domains, source.l0, source.zeta / dk0, dk0)
+    mean = avg_f2_rps if source.kind == "rps" else avg_f2_weak
+    return mean(delta_k, source.n_domains, source.l0, source.sigma, dk0)

@@ -69,6 +69,13 @@ def _width_and_rate(spec, ws: Workspace):
     return width, pair_rate(density, ws.grid)
 
 
+def _mean_width_and_rate(draw, count: int, ws: Workspace):
+    """Mean width and rate over the layouts draw(0) .. draw(count - 1)."""
+    widths, rates = np.reshape([_width_and_rate(draw(i), ws) for i in range(count)],
+                               (count, 2)).T
+    return widths.mean(), rates.mean()
+
+
 def _meta(seed, **params):
     return {"seed": seed, "parameters": params}
 
@@ -279,7 +286,8 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     )
 
 
-def run_temperature_scan(seed: int = 0, t_values=tuple(range(284, 301, 2)),
+def run_temperature_scan(seed: int = 0,
+                         t_values=tuple(float(t) for t in range(284, 301, 2)),
                          sigma: float = 2.1e-6, zeta: float = 2.5e6,
                          n_domains: int = 700, grid_points: int = 513,
                          design_temperature: float = 297.0) -> ScenarioResult:
@@ -297,11 +305,8 @@ def run_temperature_scan(seed: int = 0, t_values=tuple(range(284, 301, 2)),
     for t in t_values:
         ws = _workspace(float(t), grid_points,
                         design_temperature=design_temperature)
-        widths = []
-        for source in (single, ens, chirp):
-            density = joint_density(source, ws.cfg, ws.model, ws.grid)
-            widths.append(fwhm(ws.grid.omega_s, ws.grid.omega_s * density))
-        rows.append((float(t),) + tuple(widths))
+        rows.append((float(t),) + tuple(_width_and_rate(source, ws)[0]
+                                        for source in (single, ens, chirp)))
     table = Table(("temperature", "width_single", "width_ensemble",
                    "width_cpps"), tuple(rows))
     return ScenarioResult(
@@ -331,21 +336,16 @@ def run_fab_error_scan(seed: int = 0,
     rows = []
     for b, (name, base) in enumerate(base_structures.items()):
         for e, sigma_er in enumerate(sigma_er_values):
-            widths = np.empty(realizations)
-            rates = np.empty(realizations)
-            for i in range(realizations):
-                stream = 1000 + b * 10_000_000 + e * 100_000 + i
-                if sigma_er > 0:
-                    s = apply_fabrication_error(
+            if sigma_er > 0:
+                width, rate = _mean_width_and_rate(
+                    lambda i: apply_fabrication_error(
                         base, float(sigma_er),
-                        RandomSource(seed, stream))
-                else:
-                    s = base
-                density = joint_density(s, ws.cfg, ws.model, ws.grid)
-                widths[i] = fwhm(ws.grid.omega_s, ws.grid.omega_s * density)
-                rates[i] = pair_rate(density, ws.grid)
-            rows.append((name, float(sigma_er), float(widths.mean()),
-                         float(rates.mean())))
+                        RandomSource(seed, 1000 + b * 10_000_000 + e * 100_000 + i)),
+                    realizations, ws)
+            else:
+                # every realization is the base layout: evaluate it once
+                width, rate = _width_and_rate(base, ws)
+            rows.append((name, float(sigma_er), float(width), float(rate)))
     table = Table(("base", "sigma_er", "width_mean", "rate_mean"), tuple(rows))
     return ScenarioResult(
         "fab-error-scan", {"scan": table},
@@ -367,15 +367,12 @@ def run_segment_scan(seed: int = 0,
         .generate(RandomSource(seed, 0))
     rows = []
     for e, d in enumerate(d_values):
-        widths = np.empty(permutations)
-        rates = np.empty(permutations)
-        for i in range(permutations):
-            stream = 1000 + e * 100_000 + i
-            s = shuffle_segments(base, int(d), RandomSource(seed, stream))
-            density = joint_density(s, ws.cfg, ws.model, ws.grid)
-            widths[i] = fwhm(ws.grid.omega_s, ws.grid.omega_s * density)
-            rates[i] = pair_rate(density, ws.grid)
-        rows.append((int(d), float(widths.mean()), float(rates.mean())))
+        # with d = N_L there is one run: every permutation is the same layout
+        width, rate = _mean_width_and_rate(
+            lambda i: shuffle_segments(base, int(d),
+                                       RandomSource(seed, 1000 + e * 100_000 + i)),
+            1 if int(d) == n_domains else permutations, ws)
+        rows.append((int(d), float(width), float(rate)))
     table = Table(("d", "width_mean", "rate_mean"), tuple(rows))
     return ScenarioResult(
         "segment-scan", {"scan": table},

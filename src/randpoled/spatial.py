@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
-from .phasematch import avg_f2_rps, avg_f2_weak, f_chirp, f_exact
-from .spectra import ProcessConfig, SpectraError, coupling_g, fwhm
-from .structures import PolingStructure, StructureSpec
+from .phasematch import response
+from .spectra import ProcessConfig, _f2, coupling_g, fwhm
 
 
 class SpatialError(ValueError):
@@ -77,47 +76,40 @@ def pump_transverse_spectrum(dkx, dky, cfg: ProcessConfig):
     return np.exp(-(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 4.0)
 
 
-def _f2_of_mismatch(source, dkz, dk0: float = None):
-    """|F|^2 (or its ensemble mean) at arbitrary longitudinal mismatch."""
-    if isinstance(source, PolingStructure):
-        return np.abs(f_exact(source, dkz)) ** 2
-    if isinstance(source, StructureSpec):
-        # detuning measured from the structure's own design point pi/l0
-        dk0 = np.pi / source.l0
-        delta_k = dkz - dk0
-        if source.kind == "rps":
-            return avg_f2_rps(delta_k, source.n_domains, source.l0, source.sigma, dk0)
-        if source.kind == "weakly-random":
-            return avg_f2_weak(delta_k, source.n_domains, source.l0, source.sigma, dk0)
-        if source.kind == "chirped":
-            zp = source.zeta / dk0
-            return np.abs(f_chirp(delta_k, source.n_domains, source.l0, zp, dk0)) ** 2
-    raise SpatialError(f"unsupported source {type(source).__name__}")
-
-
 def spatial_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
                       omega_s, omega_i, theta_s, phi_s, theta_i, phi_i):
     """Separable amplitude Phi_z * Phi_xy at the given emission geometry.
 
     Requires a source with a well-defined amplitude (explicit
-    structure or chirped spec).
+    structure, chirped or ideal spec).
     """
     dkx, dky, dkz = model.vector_mismatch(omega_s, omega_i, theta_s, phi_s,
                                           theta_i, phi_i)
-    if isinstance(source, PolingStructure):
-        f = f_exact(source, dkz)
-    elif isinstance(source, StructureSpec) and source.kind == "chirped":
-        dk0 = np.pi / source.l0
-        zp = source.zeta / dk0
-        f = f_chirp(np.asarray(dkz) - dk0, source.n_domains, source.l0, zp, dk0)
-    else:
-        raise SpatialError("amplitude requires an explicit structure or chirped spec")
+    f = response(source, dkz)
+    if not np.iscomplexobj(f):
+        raise SpatialError("amplitude requires an explicit structure or a "
+                           "deterministic spec")
     g = coupling_g(omega_s, omega_i, cfg, model)
     return g * cfg.pump_amplitude * f * pump_transverse_spectrum(dkx, dky, cfg)
 
 
-def _phi2_abs2(source, cfg, model, omega_s, k_s, k_i, k_p, g2,
-               theta_s, theta_i_grid, phi_i_grid, dk0):
+def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
+                 phi_i_grid):
+    """Per idler polar angle: |F|^2 over omega_s and the pump factor over
+    (omega_s, phi_i), for the signal at (theta_s, phi_s)."""
+    a_x = k_s * np.sin(theta_s) * np.sin(phi_s)
+    a_y = k_s * np.sin(theta_s) * np.cos(phi_s)
+    for th_i in theta_i_grid:
+        b = k_i * np.sin(th_i)
+        dkx = a_x[:, None] + b[:, None] * np.sin(phi_i_grid)[None, :]
+        dky = a_y[:, None] + b[:, None] * np.cos(phi_i_grid)[None, :]
+        yield (_f2(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i)),
+               np.exp(-(dkx ** 2 * cfg.pump_dx ** 2
+                        + dky ** 2 * cfg.pump_dy ** 2) / 2.0))
+
+
+def _phi2_abs2(source, cfg, omega_s, k_s, k_i, k_p, g2,
+               theta_s, theta_i_grid, phi_i_grid):
     """|Phi|^2 integrated over idler angles, per signal frequency.
 
     theta_s is scalar; returns an array over omega_s with the
@@ -125,19 +117,11 @@ def _phi2_abs2(source, cfg, model, omega_s, k_s, k_i, k_p, g2,
     """
     dphi = phi_i_grid[1] - phi_i_grid[0] if phi_i_grid.size > 1 else 2 * np.pi
     wt = np.gradient(theta_i_grid) if theta_i_grid.size > 1 else np.array([1.0])
-    a = k_s * np.sin(theta_s)  # signal transverse wavenumber, along y (phi_s = 0)
     out = np.zeros(omega_s.size)
-    cos_ts = np.cos(theta_s)
-    for j, th_i in enumerate(theta_i_grid):
-        dkz = k_p - k_s * cos_ts - k_i * np.cos(th_i)
-        f2 = _f2_of_mismatch(source, dkz, dk0)
-        b = k_i * np.sin(th_i)
-        dkx = b[:, None] * np.sin(phi_i_grid)[None, :]
-        dky = a[:, None] + b[:, None] * np.cos(phi_i_grid)[None, :]
-        trans = np.exp(
-            -(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 2.0
-        ).sum(axis=1) * dphi
-        out += wt[j] * np.sin(th_i) * g2 * f2 * trans
+    terms = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, 0.0,
+                         theta_i_grid, phi_i_grid)
+    for wt_j, th_i, (f2, trans) in zip(wt, theta_i_grid, terms):
+        out += wt_j * np.sin(th_i) * g2 * f2 * (trans.sum(axis=1) * dphi)
     return out
 
 
@@ -150,8 +134,7 @@ def _slice_kinematics(cfg, model, omega_s):
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
     g2 = np.abs(coupling_g(omega_s, omega_i, cfg, model)) ** 2 \
         * abs(cfg.pump_amplitude) ** 2
-    dk0 = model.collinear_mismatch(0.5 * cfg.omega_p0, 0.5 * cfg.omega_p0)
-    return omega_i, k_s, k_i, k_p, g2, dk0
+    return omega_i, k_s, k_i, k_p, g2
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
@@ -165,13 +148,11 @@ def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
     relative deviation recorded in the map metadata (warning above 5%).
     """
     omega_s = grid.omega_s
-    omega_i, k_s, k_i, k_p, g2, dk0 = _slice_kinematics(cfg, model, omega_s)
+    omega_i, k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
     values = np.empty((omega_s.size, grid.theta_s.size))
     for m, th_s in enumerate(grid.theta_s):
         values[:, m] = np.sin(th_s) * _phi2_abs2(
-            source, cfg, model, omega_s, k_s, k_i, k_p, g2,
-            th_s, grid.theta_i, grid.phi_i, dk0,
-        )
+            source, cfg, omega_s, k_s, k_i, k_p, g2, th_s, grid.theta_i, grid.phi_i)
     meta = {}
     if check_convergence:
         fine = AngularGrid(
@@ -216,20 +197,11 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
     is dropped, as only the relative distribution is meaningful.
     """
     omega_s = grid.omega_s
-    omega_i, k_s, k_i, k_p, g2, dk0 = _slice_kinematics(cfg, model, omega_s)
-    a_y = k_s * np.sin(theta_s) * np.cos(phi_s)
-    a_x = k_s * np.sin(theta_s) * np.sin(phi_s)
-    cos_ts = np.cos(theta_s)
+    omega_i, k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
     values = np.empty((grid.theta_i.size, grid.phi_i.size))
-    for j, th_i in enumerate(grid.theta_i):
-        dkz = k_p - k_s * cos_ts - k_i * np.cos(th_i)
-        f2 = _f2_of_mismatch(source, dkz, dk0)
-        b = k_i * np.sin(th_i)
-        dkx = a_x[:, None] + b[:, None] * np.sin(grid.phi_i)[None, :]
-        dky = a_y[:, None] + b[:, None] * np.cos(grid.phi_i)[None, :]
-        trans = np.exp(
-            -(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 2.0
-        )
+    terms = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
+                         grid.theta_i, grid.phi_i)
+    for j, (th_i, (f2, trans)) in enumerate(zip(grid.theta_i, terms)):
         integ = np.trapezoid(g2[:, None] * f2[:, None] * trans, omega_s, axis=0)
         values[j] = np.sin(th_i) * integ
     if theta_s > 0:

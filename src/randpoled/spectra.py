@@ -18,8 +18,8 @@ from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .dispersion import DispersionModel, omega_from_wavelength
-from .phasematch import avg_f2_rps, avg_f2_weak, f_chirp, f_exact
-from .structures import PolingStructure, RandomSource, StructureSpec
+from .phasematch import f_exact, response
+from .structures import RandomSource, StructureSpec
 
 
 class SpectraError(ValueError):
@@ -80,10 +80,6 @@ class SpectralGrid:
     @property
     def n_points(self) -> int:
         return self.omega_s.size
-
-    @property
-    def spacing(self) -> float:
-        return float(self.omega_s[1] - self.omega_s[0])
 
 
 @dataclass(frozen=True)
@@ -147,55 +143,35 @@ def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGr
     return dk_tot, dk0
 
 
+def _f2(source, dk_tot):
+    """|F|^2 of a source with an amplitude, else its ensemble mean <|F|^2>."""
+    r = response(source, dk_tot)
+    return np.abs(r) ** 2 if np.iscomplexobj(r) else r
+
+
 def mean_f2(source, cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
     """<|F|^2> along the cw slice for a structure or an analytic family.
 
     A PolingStructure gives the exact per-realization |F|^2; a
     StructureSpec gives the closed-form ensemble mean of its family
-    (a chirped spec being deterministic, its "mean" is |F_chirp|^2).
+    (a chirped or ideal spec being deterministic, its "mean" is |F|^2).
     """
-    dk_tot, _ = _mismatch_slice(cfg, model, grid)
-    if isinstance(source, PolingStructure):
-        return np.abs(f_exact(source, dk_tot)) ** 2
-    if isinstance(source, StructureSpec):
-        # detuning is measured from the structure's own design point
-        # pi/l0, which tracks the fabricated layout rather than the
-        # (possibly temperature-shifted) dispersion operating point
-        dk0 = np.pi / source.l0
-        delta_k = dk_tot - dk0
-        if source.kind == "rps":
-            return avg_f2_rps(delta_k, source.n_domains, source.l0, source.sigma, dk0)
-        if source.kind == "weakly-random":
-            return avg_f2_weak(delta_k, source.n_domains, source.l0, source.sigma, dk0)
-        if source.kind == "chirped":
-            zp = source.zeta / dk0
-            return np.abs(f_chirp(delta_k, source.n_domains, source.l0, zp, dk0)) ** 2
-        if source.kind == "ideal":
-            from .structures import gen_ideal
-            ideal = gen_ideal(source.n_domains, source.l0)
-            return np.abs(f_exact(ideal, dk_tot)) ** 2
-    raise SpectraError(f"unsupported source {type(source).__name__}")
+    return _f2(source, _mismatch_slice(cfg, model, grid)[0])
 
 
 def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
                          grid: SpectralGrid) -> SpectralSlice:
-    """Complex amplitude slice for one realization or a chirped spec.
+    """Complex amplitude slice for one realization or a deterministic spec.
 
     Random-family StructureSpec objects have no single amplitude (only
     second-order moments); generate a realization first.
     """
     dk_tot, _ = _mismatch_slice(cfg, model, grid)
     omega_i = cfg.omega_p0 - grid.omega_s
-    if isinstance(source, PolingStructure):
-        f = f_exact(source, dk_tot)
-    elif isinstance(source, StructureSpec) and source.kind == "chirped":
-        dk0 = np.pi / source.l0
-        zp = source.zeta / dk0
-        f = f_chirp(dk_tot - dk0, source.n_domains, source.l0, zp, dk0)
-    else:
-        raise SpectraError(
-            "amplitude requires an explicit structure or a chirped spec"
-        )
+    f = response(source, dk_tot)
+    if not np.iscomplexobj(f):
+        raise SpectraError("amplitude requires an explicit structure or a "
+                           "deterministic spec")
     g = coupling_g(grid.omega_s, omega_i, cfg, model)
     return SpectralSlice(grid, g * cfg.pump_amplitude * f, cfg.omega_p0)
 
@@ -316,10 +292,7 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
     return stats
 
 
-def _ensemble_observable(target: str, sigma: float, template: StructureSpec,
-                         cfg, model, grid) -> float:
-    spec = StructureSpec("rps", template.n_domains, template.l0, sigma=sigma)
-    density = joint_density(spec, cfg, model, grid)
+def _observable(target: str, density, grid) -> float:
     if target == "equal-width":
         return fwhm(grid.omega_s, grid.omega_s * density)
     return pair_rate(density, grid)
@@ -346,14 +319,12 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     for zeta in np.asarray(zeta_grid, dtype=float):
         chirp_spec = StructureSpec("chirped", template.n_domains, template.l0,
                                    zeta=zeta)
-        density = joint_density(chirp_spec, cfg, model, grid)
-        if target == "equal-width":
-            goal = fwhm(grid.omega_s, grid.omega_s * density)
-        else:
-            goal = pair_rate(density, grid)
+        goal = _observable(target, joint_density(chirp_spec, cfg, model, grid), grid)
 
         def mismatch(sig, goal=goal):
-            return _ensemble_observable(target, sig, template, cfg, model, grid) - goal
+            spec = StructureSpec("rps", template.n_domains, template.l0, sigma=sig)
+            return _observable(target, joint_density(spec, cfg, model, grid),
+                               grid) - goal
 
         vals = np.full(probes.size, np.nan)
         for k, p in enumerate(probes):

@@ -172,10 +172,8 @@ def dispersion_cancellation_check(source, cfg: ProcessConfig, model,
     the signal and idler arguments of the amplitude; for cw pumping
     the HOM trace is invariant.  Returns the maximal deviation.
     """
-    if isinstance(source, SpectralSlice):
-        slice_ = source
-    else:
-        slice_ = two_photon_amplitude(source, cfg, model, grid)
+    slice_ = source if isinstance(source, SpectralSlice) \
+        else two_photon_amplitude(source, cfg, model, grid)
     base = hom_trace(slice_, cfg, model, slice_.grid, tau)
     omega_s = slice_.grid.omega_s
     omega_i = slice_.omega_p0 - omega_s
@@ -223,10 +221,8 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
                 "use sumfreq_ensemble_mc"
             )
         return _sumfreq_ensemble_analytic(source, cfg, model, grid, tau)
-    if isinstance(source, SpectralSlice):
-        slice_ = source
-    else:
-        slice_ = two_photon_amplitude(source, cfg, model, grid)
+    slice_ = source if isinstance(source, SpectralSlice) \
+        else two_photon_amplitude(source, cfg, model, grid)
     slice_ = compensate(slice_, compensation)
     omega_s = slice_.grid.omega_s
     omega_i = slice_.omega_p0 - omega_s

@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randpoled import (RandomSource, StructureSpec, avg_f2_rps,
-                       avg_f2_rps_asymptotic, avg_f2_weak, complex_erf,
-                       f_boundary_sum, f_chirp, f_exact, gen_chirped,
-                       gen_ideal, xcorr_chirp, xcorr_rps, xcorr_weak)
+from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
+                       avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
+                       complex_erf, f_boundary_sum, f_chirp, f_exact,
+                       gen_chirped, gen_ideal, shuffle_segments, xcorr_chirp,
+                       xcorr_rps, xcorr_weak)
+from randpoled import phasematch
 from randpoled.phasematch import (PhasematchError, _dirichlet, _geom_sum,
-                                  characteristic_g, h_factor)
+                                  characteristic_g, h_factor, response)
+from randpoled.spectra import SpectralGrid, _mismatch_slice
 
 L0 = 9.489154805833549e-06
 DK0 = np.pi / L0
@@ -60,6 +65,115 @@ class TestFExact:
     def test_boundary_sum_rejects_zero(self):
         with pytest.raises(PhasematchError):
             f_boundary_sum(gen_ideal(4, L0), 0.0)
+
+
+def _kernel_only():
+    """Context in which a fallback to the direct boundary sum fails the test."""
+    return mock.patch.object(phasematch, "_direct_boundary_sum",
+                             side_effect=AssertionError("direct fallback"))
+
+
+def _direct(fn, s, dk):
+    """fn(s, dk) with the Chebyshev kernel replaced by the direct sum."""
+    with mock.patch.object(phasematch, "_boundary_sum",
+                           phasematch._direct_boundary_sum):
+        return fn(s, dk)
+
+
+def _peak_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _layout(kind, n_domains, sigma, seed):
+    gen = RandomSource(seed).generator()
+    chirped = gen_chirped(n_domains, L0, 2.5e6)
+    if kind == "ideal":
+        return gen_ideal(n_domains, L0)
+    if kind in ("rps", "weakly-random"):
+        return StructureSpec(kind, n_domains, L0, sigma=sigma).generate(gen)
+    if kind == "chirped":
+        return chirped
+    if kind == "shuffled":
+        return shuffle_segments(chirped, int(gen.integers(1, n_domains + 1)), gen)
+    rps = StructureSpec("rps", n_domains, L0, sigma=sigma).generate(gen)
+    return apply_fabrication_error(rps, 0.5 * sigma, gen)
+
+
+# the scenario grids: (points, span) of the spectral slices
+SCENARIO_GRIDS = ((257, 0.6), (513, 0.35), (1025, 0.35), (2049, 0.35))
+
+
+@pytest.fixture(scope="module")
+def scenario_dk(cfg, model):
+    return {key: _mismatch_slice(cfg, model, SpectralGrid.default(
+        cfg.omega_s0, n=key[0], span=key[1]))[0] for key in SCENARIO_GRIDS}
+
+
+class TestChebyshevKernel:
+    @given(kind=st.sampled_from(["ideal", "rps", "weakly-random", "chirped",
+                                 "shuffled", "perturbed"]),
+           n_domains=st.integers(10, 2000), grid=st.sampled_from(SCENARIO_GRIDS),
+           sigma_um=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_sum(self, scenario_dk, kind, n_domains, grid,
+                                sigma_um, seed):
+        s = _layout(kind, n_domains, sigma_um * 1e-6, seed)
+        dk = scenario_dk[grid]
+        for fn in (f_exact, f_boundary_sum):
+            want = _direct(fn, s, dk)
+            with _kernel_only():
+                got = fn(s, dk)
+            # measured at about 1e-13 of the peak (3.7e-13 at N_L = 2000)
+            assert _peak_error(got, want) <= 1e-12
+
+    def test_failed_tail_check_takes_direct_sum(self, scenario_dk):
+        s = _layout("rps", 700, 2.1e-6, 0)
+        dk = scenario_dk[(257, 0.6)]
+        with mock.patch.object(phasematch, "_TAIL_TOL", -1.0), \
+                mock.patch.object(phasematch, "_direct_boundary_sum",
+                                  wraps=phasematch._direct_boundary_sum) as direct:
+            got = f_exact(s, dk)
+        direct.assert_called_once()
+        assert np.array_equal(got, _direct(f_exact, s, dk))
+
+    def test_shape_and_order_kept(self, scenario_dk):
+        s = _layout("rps", 700, 2.1e-6, 1)
+        dk = scenario_dk[(257, 0.6)]
+        perm = np.random.default_rng(0).permutation(dk.size)
+        want = _direct(f_exact, s, dk)
+        with _kernel_only():
+            column = f_exact(s, dk.reshape(-1, 1))
+            shuffled = f_exact(s, dk[perm])
+        assert column.shape == (dk.size, 1)
+        assert _peak_error(column[:, 0], want) <= 1e-12
+        assert _peak_error(shuffled, want[perm]) <= 1e-12
+
+    def test_zero_mismatch_keeps_series_value(self):
+        s = _layout("rps", 100, 2.1e-6, 2)
+        dk = np.linspace(-2e5, 2e5, 401)
+        assert dk[200] == 0.0
+        with _kernel_only():
+            got = f_exact(s, dk)
+        assert got[200] == f_exact(s, 0.0)
+        assert _peak_error(got, _direct(f_exact, s, dk)) <= 1e-12
+
+
+class TestResponse:
+    def test_maps_every_source(self):
+        dk = DK0 + np.linspace(-2e4, 2e4, 9)
+        s = _layout("rps", 50, 2.1e-6, 3)
+        assert np.array_equal(response(s, dk), f_exact(s, dk))
+        assert np.array_equal(response(StructureSpec("ideal", 50, L0), dk),
+                              f_exact(gen_ideal(50, L0), dk))
+        chirp = StructureSpec("chirped", 50, L0, zeta=2.5e6)
+        assert np.array_equal(response(chirp, dk),
+                              f_chirp(dk - DK0, 50, L0, 2.5e6 / DK0, DK0))
+        for kind, mean in (("rps", avg_f2_rps), ("weakly-random", avg_f2_weak)):
+            spec = StructureSpec(kind, 50, L0, sigma=1e-6)
+            assert np.array_equal(response(spec, dk),
+                                  mean(dk - DK0, 50, L0, 1e-6, DK0))
+        with pytest.raises(PhasematchError):
+            response("rps", dk)
 
 
 class TestEnsembleMeans:

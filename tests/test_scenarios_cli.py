@@ -220,6 +220,43 @@ class TestCli:
             assert cfg.params["grid_points"] == 257
             assert isinstance(cfg.params["grid_points"], int)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_integral_list_element_rejected(self, tmp_path, capsys, via):
+        args = ["rate-vs-NL", "--out-dir", str(tmp_path), "--sigmas", "0",
+                "--grid-points", "257"]
+        if via == "flag":
+            args += ["--nl-values", "100.5,200"]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"nl_values": [100.5, 200]}))
+            args += ["--config", str(cfgfile)]
+        assert _run_cli(args) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "nl_values" in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_real_temperature_list_accepted(self, tmp_path):
+        code = _run_cli(["temperature-scan", "--out-dir", str(tmp_path),
+                         "--t-values", "296.5", "--grid-points", "257"])
+        assert code == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["parameters"]["t_values"] == [296.5]
+
+    def test_non_integral_config_seed_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL", "seed": 2.5}))
+        code = _run_cli(["rate-vs-NL", "--config", str(cfgfile),
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "seed" in err["message"]
+        for seed in (2, 2.0):
+            cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL", "seed": seed}))
+            cfg = cli.parse_config(str(cfgfile), {})
+            assert cfg.seed == 2 and isinstance(cfg.seed, int)
+
     def test_coercion_of_tuple_flags(self):
         cfg = cli.parse_config(None, {
             "scenario": "rate-vs-NL",

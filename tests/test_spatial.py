@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randpoled import ProcessConfig, RandomSource, StructureSpec
+from randpoled import ProcessConfig, RandomSource, StructureSpec, gen_ideal
 from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
                                correlated_width_scan, pump_transverse_spectrum,
@@ -179,3 +179,9 @@ class TestCorrelatedArea:
         area = correlated_area(s, cfg, model, agrid, theta_s=0.0)
         assert np.all(np.isfinite(area.values))
         assert area.values.max() > 0
+
+    def test_ideal_spec_matches_its_layout(self, cfg, model, agrid, l0):
+        spec = correlated_area(StructureSpec("ideal", 700, l0), cfg, model, agrid)
+        layout = correlated_area(gen_ideal(700, l0), cfg, model, agrid)
+        assert np.array_equal(spec.values, layout.values)
+        assert layout.values.max() > 0
