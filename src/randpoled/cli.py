@@ -68,10 +68,11 @@ def _coerce(value, default):
     """Coerce a config/flag value to the type implied by the default."""
     if isinstance(default, bool):
         return bool(value)
-    if isinstance(default, int) and not isinstance(value, bool):
+    if isinstance(default, int):
         if isinstance(value, str):
             value = _parse_token(value)
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
             raise ValueError(f"{value!r} is not an integer")
         return int(value)
     if isinstance(default, float):

@@ -30,6 +30,12 @@ SERIES_SWITCH = 1e-6
 # Chebyshev tail check: the last _TAIL_TERMS coefficients <= _TAIL_TOL * max.
 _TAIL_TERMS = 8
 _TAIL_TOL = 1e-11
+# avg_f2_rps sums the lags term by term where |m log H| < _LAG_SWITCH: there
+# its closed form cancels to (m log H)^2 / 2 and keeps ~1e-16 / |m log H|.
+_LAG_SWITCH = 1e-2
+# Boundary sums take longer dk arrays in blocks of this many points, which
+# bounds their (n_dk x P) and (n_dk x N_L) work arrays.
+_BLOCK = 4096
 
 # erf(z) overflows double precision for |Im z| beyond ~27.
 ERF_IM_MAX = 26.0
@@ -45,7 +51,10 @@ def characteristic_g(dk_total, sigma: float):
 
 
 def h_factor(delta_k, l0: float, sigma: float, dk0: float):
-    """Per-domain transfer factor H = exp(i delta_k l0) G(dk0 + delta_k)."""
+    """Per-domain transfer factor H = exp(i delta_k l0) G(dk0 + delta_k).
+
+    Its m-th power is h_factor(delta_k, m l0, sigma sqrt(m), dk0), exactly.
+    """
     delta_k = np.asarray(delta_k, dtype=float)
     return np.exp(1j * delta_k * l0) * characteristic_g(dk0 + delta_k, sigma)
 
@@ -65,6 +74,9 @@ def _boundary_sum(z, w, dk):
     (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  Grids of at most
     P + 1 points, non-finite grids and unresolved tails take the direct sum.
     """
+    if dk.size > _BLOCK:
+        return np.concatenate([_boundary_sum(z, w, part) for part in
+                               np.array_split(dk, -(-dk.size // _BLOCK))])
     lo, hi = (dk.min(), dk.max()) if dk.size else (0.0, 0.0)
     b = 0.25 * (hi - lo) * (z[-1] - z[0])
     p = int(np.ceil(b + 12.0 * np.cbrt(b) + 10.0)) if 0 < b < np.inf else dk.size
@@ -147,30 +159,28 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
                dk0: float | None = None):
     """Ensemble mean of |F|^2 for randomly poled (random-walk) structures.
 
-    Closed geometric form in H; where |1 - H| is numerically
-    degenerate the exact lag sum over boundary pairs is used instead.
+    Closed geometric form in log H, exact, through expm1, so neither
+    H^(N_L+1) nor 1 - H is rounded; within |(N_L+1) log H| < 1e-2 of
+    H = 1, where it cancels, the exact lag sum over boundary pairs is used.
     """
     dk0 = np.pi / l0 if dk0 is None else dk0
     delta_k = np.asarray(delta_k, dtype=float)
     scalar = delta_k.ndim == 0
     dk = np.atleast_1d(delta_k)
     dk_tot = dk0 + dk
-    h = h_factor(dk, l0, sigma, dk0)
-    one = 1.0 - h
+    m = n_domains + 1
+    u = 1j * dk * l0 - sigma ** 2 * dk_tot ** 2 / 4.0  # log H, so H^l = exp(l u)
     out = np.empty(dk.shape, dtype=float)
-    ok = np.abs(one) > SERIES_SWITCH
-    hh = h[ok]
-    bracket = (
-        (n_domains + 1) * (1.0 - np.abs(hh) ** 2) / np.abs(1.0 - hh) ** 2
-        - 2.0 * np.real(hh * (1.0 - hh ** (n_domains + 1)) / (1.0 - hh) ** 2)
-    )
-    out[ok] = 4.0 / dk_tot[ok] ** 2 * bracket
+    ok = np.abs(m * u) > _LAG_SWITCH
+    # sum_{l=1}^{m-1} (m - l) H^l = H [expm1(m u) - m expm1(u)] / expm1(u)^2
+    uk = u[ok]
+    e1 = np.expm1(uk)
+    t = np.exp(uk) * (np.expm1(m * uk) - m * e1) / e1 ** 2
+    out[ok] = 4.0 / dk_tot[ok] ** 2 * (m + 2.0 * np.real(t))
     if np.any(~ok):
-        lag = np.arange(1, n_domains + 1)
-        weight = n_domains + 1 - lag
-        for i in np.nonzero(~ok)[0]:
-            s = (n_domains + 1) + 2.0 * np.sum(weight * np.real(h[i] ** lag))
-            out[i] = 4.0 / dk_tot[i] ** 2 * s
+        lag = np.arange(1, m)
+        powers = np.exp(np.multiply.outer(u[~ok], lag))
+        out[~ok] = 4.0 / dk_tot[~ok] ** 2 * (m + 2.0 * np.real(powers) @ (m - lag))
     return float(out[0]) if scalar else out
 
 
@@ -324,12 +334,17 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
     dk_tot = dk0 + dk
     dkp_tot = dk0 + dkp
     big_dk = dk_tot - dkp_tot
-    # powers of a and b on their own shapes; only c is broadcast
+    # exact powers (see h_factor): a^m and b^m on their own shapes, c^m
+    # built in place on the broadcast shape
+    m = n_domains + 1
     a = h_factor(dk, l0, sigma, dk0)
     b = np.conj(h_factor(dkp, l0, sigma, dk0))
+    am = h_factor(dk, m * l0, sigma * np.sqrt(m), dk0)
+    bm = np.conj(h_factor(dkp, m * l0, sigma * np.sqrt(m), dk0))
     c = np.exp(1j * big_dk * l0) * characteristic_g(big_dk, sigma)
-    m = n_domains + 1
-    am, bm, cm = a ** m, b ** m, c ** m
+    cm = np.multiply(big_dk, 1j * m * l0)
+    np.exp(cm, out=cm)
+    cm *= characteristic_g(big_dk, sigma * np.sqrt(m))
     bad = (np.abs(1.0 - a) < SERIES_SWITCH) | (np.abs(1.0 - b) < SERIES_SWITCH)
     g0 = _geom_sum(c, m, cm)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -95,34 +95,14 @@ def spatial_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
 
 def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
                  phi_i_grid):
-    """Per idler polar angle: |F|^2 over omega_s and the pump factor over
-    (omega_s, phi_i), for the signal at (theta_s, phi_s)."""
-    a_x = k_s * np.sin(theta_s) * np.sin(phi_s)
-    a_y = k_s * np.sin(theta_s) * np.cos(phi_s)
-    for th_i in theta_i_grid:
-        b = k_i * np.sin(th_i)
-        dkx = a_x[:, None] + b[:, None] * np.sin(phi_i_grid)[None, :]
-        dky = a_y[:, None] + b[:, None] * np.cos(phi_i_grid)[None, :]
-        yield (_f2(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i)),
-               np.exp(-(dkx ** 2 * cfg.pump_dx ** 2
-                        + dky ** 2 * cfg.pump_dy ** 2) / 2.0))
-
-
-def _phi2_abs2(source, cfg, omega_s, k_s, k_i, k_p, g2,
-               theta_s, theta_i_grid, phi_i_grid):
-    """|Phi|^2 integrated over idler angles, per signal frequency.
-
-    theta_s is scalar; returns an array over omega_s with the
-    sin(theta_i) measure and phi_i quadrature applied.
-    """
-    dphi = phi_i_grid[1] - phi_i_grid[0] if phi_i_grid.size > 1 else 2 * np.pi
-    wt = np.gradient(theta_i_grid) if theta_i_grid.size > 1 else np.array([1.0])
-    out = np.zeros(omega_s.size)
-    terms = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, 0.0,
-                         theta_i_grid, phi_i_grid)
-    for wt_j, th_i, (f2, trans) in zip(wt, theta_i_grid, terms):
-        out += wt_j * np.sin(th_i) * g2 * f2 * (trans.sum(axis=1) * dphi)
-    return out
+    """|F|^2 over (theta_i, omega_s), from one response call, and the pump
+    factor over (theta_i, omega_s, phi_i), for the signal at (theta_s, phi_s)."""
+    b = (np.sin(theta_i_grid)[:, None] * k_i)[..., None]
+    dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i_grid)
+    dky = (k_s * np.sin(theta_s) * np.cos(phi_s))[:, None] + b * np.cos(phi_i_grid)
+    dkz = k_p - k_s * np.cos(theta_s) - k_i * np.cos(theta_i_grid)[:, None]
+    return _f2(source, dkz), np.exp(-(dkx ** 2 * cfg.pump_dx ** 2
+                                      + dky ** 2 * cfg.pump_dy ** 2) / 2.0)
 
 
 def _slice_kinematics(cfg, model, omega_s):
@@ -134,7 +114,7 @@ def _slice_kinematics(cfg, model, omega_s):
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
     g2 = np.abs(coupling_g(omega_s, omega_i, cfg, model)) ** 2 \
         * abs(cfg.pump_amplitude) ** 2
-    return omega_i, k_s, k_i, k_p, g2
+    return k_s, k_i, k_p, g2
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
@@ -148,11 +128,16 @@ def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
     relative deviation recorded in the map metadata (warning above 5%).
     """
     omega_s = grid.omega_s
-    omega_i, k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
+    k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
+    # sin(theta_i) measure with the theta_i and phi_i quadrature weights
+    wt = np.gradient(grid.theta_i) if grid.theta_i.size > 1 else np.array([1.0])
+    wt = wt * np.sin(grid.theta_i)
+    dphi = grid.phi_i[1] - grid.phi_i[0] if grid.phi_i.size > 1 else 2 * np.pi
     values = np.empty((omega_s.size, grid.theta_s.size))
     for m, th_s in enumerate(grid.theta_s):
-        values[:, m] = np.sin(th_s) * _phi2_abs2(
-            source, cfg, omega_s, k_s, k_i, k_p, g2, th_s, grid.theta_i, grid.phi_i)
+        f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, th_s, 0.0,
+                                 grid.theta_i, grid.phi_i)
+        values[:, m] = np.sin(th_s) * g2 * (wt @ (f2 * trans.sum(axis=2))) * dphi
     meta = {}
     if check_convergence:
         fine = AngularGrid(
@@ -197,13 +182,11 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
     is dropped, as only the relative distribution is meaningful.
     """
     omega_s = grid.omega_s
-    omega_i, k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
-    values = np.empty((grid.theta_i.size, grid.phi_i.size))
-    terms = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
-                         grid.theta_i, grid.phi_i)
-    for j, (th_i, (f2, trans)) in enumerate(zip(grid.theta_i, terms)):
-        integ = np.trapezoid(g2[:, None] * f2[:, None] * trans, omega_s, axis=0)
-        values[j] = np.sin(th_i) * integ
+    k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
+    f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
+                             grid.theta_i, grid.phi_i)
+    integ = np.trapezoid((g2 * f2)[..., None] * trans, omega_s, axis=1)
+    values = np.sin(grid.theta_i)[:, None] * integ
     if theta_s > 0:
         values = values * np.sin(theta_s)
     return AngularDensityMap(axes=("theta_i", "phi_i"),

@@ -138,9 +138,7 @@ def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGr
     omega_i = cfg.omega_p0 - grid.omega_s
     if np.any(omega_i <= 0):
         raise SpectraError("grid extends past the pump frequency (idler <= 0)")
-    dk_tot = model.collinear_mismatch(grid.omega_s, omega_i)
-    dk0 = model.collinear_mismatch(cfg.omega_s0, cfg.omega_s0)
-    return dk_tot, dk0
+    return model.collinear_mismatch(grid.omega_s, omega_i)
 
 
 def _f2(source, dk_tot):
@@ -156,7 +154,7 @@ def mean_f2(source, cfg: ProcessConfig, model: DispersionModel, grid: SpectralGr
     StructureSpec gives the closed-form ensemble mean of its family
     (a chirped or ideal spec being deterministic, its "mean" is |F|^2).
     """
-    return _f2(source, _mismatch_slice(cfg, model, grid)[0])
+    return _f2(source, _mismatch_slice(cfg, model, grid))
 
 
 def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
@@ -166,7 +164,7 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     Random-family StructureSpec objects have no single amplitude (only
     second-order moments); generate a realization first.
     """
-    dk_tot, _ = _mismatch_slice(cfg, model, grid)
+    dk_tot = _mismatch_slice(cfg, model, grid)
     omega_i = cfg.omega_p0 - grid.omega_s
     f = response(source, dk_tot)
     if not np.iscomplexobj(f):
@@ -255,7 +253,7 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
     omega_i = cfg.omega_p0 - grid.omega_s
     g2 = np.abs(coupling_g(grid.omega_s, omega_i, cfg, model)) ** 2
     g2 = g2 * abs(cfg.pump_amplitude) ** 2
-    dk_tot, _ = _mismatch_slice(cfg, model, grid)
+    dk_tot = _mismatch_slice(cfg, model, grid)
     results = {name: np.full(realizations, np.nan) for name in extractors}
     failures = {name: 0 for name in extractors}
     for i in range(realizations):

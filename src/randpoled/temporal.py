@@ -236,7 +236,7 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     uniform grid, one transform of M's diagonal sums over the lags q - q'."""
     omega_s = grid.omega_s
     omega_i = cfg.omega_p0 - omega_s
-    dk_tot, _ = _mismatch_slice(cfg, model, grid)
+    dk_tot = _mismatch_slice(cfg, model, grid)
     dk0 = np.pi / spec.l0  # detuning from the structure's design point
     delta_k = dk_tot - dk0
     xcorr = xcorr_rps if spec.kind == "rps" else xcorr_weak

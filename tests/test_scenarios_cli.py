@@ -257,6 +257,24 @@ class TestCli:
             cfg = cli.parse_config(str(cfgfile), {})
             assert cfg.seed == 2 and isinstance(cfg.seed, int)
 
+    @pytest.mark.parametrize("config", [
+        {"seed": True},
+        {"parameters": {"grid_points": True}},
+        {"parameters": {"nl_values": [True, 200]}},
+    ])
+    def test_boolean_integer_rejected(self, tmp_path, capsys, config):
+        # JSON true is not an integer, though Python's bool subclasses int
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL", **config}))
+        code = _run_cli(["rate-vs-NL", "--config", str(cfgfile),
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        name = next(iter(config.get("parameters", config)))
+        assert name in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_coercion_of_tuple_flags(self):
         cfg = cli.parse_config(None, {
             "scenario": "rate-vs-NL",

@@ -6,7 +6,8 @@ from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
                                correlated_width_scan, pump_transverse_spectrum,
                                radial_photon_density, spatial_amplitude)
-from randpoled.spectra import fwhm
+from randpoled.phasematch import response
+from randpoled.spectra import coupling_g, fwhm
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +186,67 @@ class TestCorrelatedArea:
         layout = correlated_area(gen_ideal(700, l0), cfg, model, agrid)
         assert np.array_equal(spec.values, layout.values)
         assert layout.values.max() > 0
+
+
+
+def _row_terms(source, cfg, model, om, theta_s, phi_s, th_i, phi_i):
+    """Oracle terms of one theta_i row: g2, |F|^2 over omega_s from its own
+    response call, and the pump factor over (omega_s, phi_i)."""
+    wi = cfg.omega_p0 - om
+    k_s, k_i = model.wavenumber(om), model.wavenumber(wi)
+    k_p = model.wavenumber(np.full_like(om, cfg.omega_p0))
+    g2 = np.abs(coupling_g(om, wi, cfg, model)) ** 2 * abs(cfg.pump_amplitude) ** 2
+    r = response(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i))
+    f2 = np.abs(r) ** 2 if np.iscomplexobj(r) else r
+    b = (k_i * np.sin(th_i))[:, None]
+    dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i)
+    dky = (k_s * np.sin(theta_s) * np.cos(phi_s))[:, None] + b * np.cos(phi_i)
+    trans = np.exp(-(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 2)
+    return g2, f2, trans
+
+
+class TestWholeGridResponse:
+    """The whole-grid spatial layer against per-angle oracles."""
+
+    SPECS = {"rps": dict(sigma=2.1e-6), "weakly-random": dict(sigma=1e-6),
+             "chirped": dict(zeta=2.5e6), "ideal": {}}
+
+    @pytest.fixture(scope="class", params=[*SPECS, "explicit"])
+    def source(self, request, l0):
+        if request.param == "explicit":
+            return StructureSpec("rps", 700, l0, sigma=2.1e-6).generate(
+                RandomSource(7))
+        return StructureSpec(request.param, 700, l0, **self.SPECS[request.param])
+
+    @pytest.mark.parametrize("n_phi", [1, 6])
+    def test_correlated_area_matches_per_angle(self, cfg, model, source, n_phi):
+        grid = AngularGrid.default(cfg.omega_s0, theta_max=0.04, n_theta_i=24,
+                                   n_phi=n_phi, n_omega=61)
+        for theta_s, phi_s in ((0.0, 0.0), (0.015, 0.4)):
+            want = np.empty((grid.theta_i.size, n_phi))
+            for j, th_i in enumerate(grid.theta_i):
+                g2, f2, trans = _row_terms(source, cfg, model, grid.omega_s,
+                                           theta_s, phi_s, th_i, grid.phi_i)
+                want[j] = np.sin(th_i) * np.trapezoid(
+                    (g2 * f2)[:, None] * trans, grid.omega_s, axis=0)
+            if theta_s > 0:
+                want *= np.sin(theta_s)
+            got = correlated_area(source, cfg, model, grid, theta_s, phi_s).values
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @pytest.mark.parametrize("n_phi", [1, 6])
+    def test_angular_density_matches_per_angle(self, cfg, model, source, n_phi):
+        grid = AngularGrid.default(cfg.omega_s0, n_theta_s=4, theta_max=0.04,
+                                   n_theta_i=24, n_phi=n_phi, n_omega=61)
+        wt = np.gradient(grid.theta_i)
+        dphi = 2 * np.pi / n_phi
+        want = np.zeros((grid.omega_s.size, grid.theta_s.size))
+        for m, th_s in enumerate(grid.theta_s):
+            for j, th_i in enumerate(grid.theta_i):
+                g2, f2, trans = _row_terms(source, cfg, model, grid.omega_s,
+                                           th_s, 0.0, th_i, grid.phi_i)
+                want[:, m] += wt[j] * np.sin(th_i) * g2 * f2 * trans.sum(axis=1) * dphi
+            want[:, m] *= np.sin(th_s)
+        got = angular_spectral_density(source, cfg, model, grid).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)

@@ -185,7 +185,7 @@ class TestSumFrequency:
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
         omega_s = grid.omega_s
         omega_i = cfg.omega_p0 - omega_s
-        delta_k = _mismatch_slice(cfg, model, grid)[0] - np.pi / l0
+        delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
         fmat = xcorr_rps(delta_k[:, None], delta_k[None, :], 700, l0, 2.1e-6)
         a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
              * coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude)
