@@ -33,6 +33,8 @@ _TAIL_TOL = 1e-11
 # avg_f2_rps sums the lags term by term where |m log H| < _LAG_SWITCH: there
 # its closed form cancels to (m log H)^2 / 2 and keeps ~1e-16 / |m log H|.
 _LAG_SWITCH = 1e-2
+# lag sums take at most this many (element, lag) terms at a time
+_LAG_TERMS = 1 << 16
 # Boundary sums take longer dk arrays in blocks of this many points, which
 # bounds their (n_dk x P) and (n_dk x N_L) work arrays.
 _BLOCK = 4096
@@ -48,15 +50,6 @@ class PhasematchError(ValueError):
 def characteristic_g(dk_total, sigma: float):
     """Characteristic function G(dk) = exp(-sigma^2 dk^2 / 4)."""
     return np.exp(-sigma ** 2 * np.asarray(dk_total, dtype=float) ** 2 / 4.0)
-
-
-def h_factor(delta_k, l0: float, sigma: float, dk0: float):
-    """Per-domain transfer factor H = exp(i delta_k l0) G(dk0 + delta_k).
-
-    Its m-th power is h_factor(delta_k, m l0, sigma sqrt(m), dk0), exactly.
-    """
-    delta_k = np.asarray(delta_k, dtype=float)
-    return np.exp(1j * delta_k * l0) * characteristic_g(dk0 + delta_k, sigma)
 
 
 def _direct_boundary_sum(z, w, dk):
@@ -141,18 +134,6 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     w = (-1.0) ** np.arange(s.n_domains + 1)
     out = 2j / dk.ravel() * _boundary_sum(s.boundaries, w, dk.ravel())
     return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
-
-
-def _geom_sum(q, m: int, qm=None):
-    """sum_{j=0}^{m-1} q^j, qm = q**m if known, with a series branch near q = 1."""
-    q = np.asarray(q)
-    qm = q ** m if qm is None else qm
-    r = q - 1.0
-    near = np.abs(r) < SERIES_SWITCH
-    qs = np.where(near, 0.5, q)  # dummy away from the pole
-    main = (1.0 - qm) / (1.0 - qs)
-    series = m * (1.0 + r * (m - 1) / 2.0 + r ** 2 * (m - 1) * (m - 2) / 6.0)
-    return np.where(near, series, main)
 
 
 def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
@@ -305,70 +286,77 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     return complex(out[0]) if scalar else out
 
 
-def _scaled_geom(a, c, m: int, am, cm):
-    """sum_{j=0}^{m-1} a^{m-j} c^j, stable for |a|, |c| <= 1; am = a**m, cm = c**m."""
-    diff = c - a
-    near = np.abs(diff) < SERIES_SWITCH * np.maximum(np.abs(a), 1e-300)
-    safe = np.where(near, a + 1.0, c)  # dummy away from the pole
-    main = a * (cm - am) / (safe - a)
-    q = np.where(near, diff / np.where(np.abs(a) > 0, a, 1.0), 0.0)
-    series = am * m * (
-        1.0 + q * (m - 1) / 2.0 + q ** 2 * (m - 1) * (m - 2) / 6.0
-    )
-    return np.where(near, series, main)
+def _geom(z_re, half, sin_half, half_m, sin_half_m, m: int):
+    """sum_{j<m} e^(j z) = expm1(m z) / expm1(z), z = z_re + i th != 0, from
+    e^(i th/2), sin(th/2) and their values at m th, exact however small z is:
+    expm1(z) = e^(i th/2) (expm1(z_re) e^(i th/2) + 2i sin(th/2))."""
+    num = np.expm1(m * z_re) * half_m
+    num.imag += 2.0 * sin_half_m
+    den = np.expm1(z_re) * half
+    den.imag += 2.0 * sin_half
+    return half_m * np.conj(half) * num / den
+
+
+def _lag_sum(u, v, w, m: int):
+    """sum_{j<m} c^j (1 + A_{m-1-j} + B_{m-1-j}), A_k = sum_{l=1}^k a^l and
+    B_k likewise in b, term by term from the logs u, v, w of a, b, c (1-D)."""
+    j = np.arange(m)
+    out = np.empty(u.shape, dtype=complex)
+    step = max(1, _LAG_TERMS // m)
+    for lo in range(0, u.size, step):
+        part = slice(lo, lo + step)
+        geo = np.cumsum(np.exp(np.multiply.outer(u[part], j)), axis=1)
+        geo += np.cumsum(np.exp(np.multiply.outer(v[part], j)), axis=1)
+        geo -= 1.0
+        out[part] = (np.exp(np.multiply.outer(w[part], j)) * geo[:, ::-1]).sum(axis=1)
+    return out
 
 
 def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
               dk0: float | None = None):
     """Cross-correlator <F(dk) F*(dk')> for random-walk structures.
 
-    Exact result of the pairwise boundary average, summed in closed
-    geometric form; elements with degenerate denominators fall back to
-    the exact lag sum.  Hermitian in (dk, dk') and real nonnegative on
-    the diagonal, where it coincides with avg_f2_rps.
+    Exact pairwise boundary average 4 e^(-i D N_L l0) / (dk_tot dk'_tot)
+    sum_{j<m} c^j (1 + A_{m-1-j} + B_{m-1-j}), A_k = sum_{l=1}^k a^l, B_k
+    likewise, for a = H(dk), b = H(dk')*, c = exp(i D l0 - sigma^2 D^2 / 4),
+    D = dk - dk', m = N_L + 1.  Its geometric sums are closed forms in the
+    exact logs u, v of a, b and log c through expm1; the lags are summed
+    term by term where |m u| or |m v| < _LAG_SWITCH, where these cancel,
+    and where they are not finite.  Hermitian; on the diagonal it is
+    avg_f2_rps.
     """
     dk0 = np.pi / l0 if dk0 is None else dk0
     scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
     dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
     dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
-    dk_tot = dk0 + dk
-    dkp_tot = dk0 + dkp
-    big_dk = dk_tot - dkp_tot
-    # exact powers (see h_factor): a^m and b^m on their own shapes, c^m
-    # built in place on the broadcast shape
     m = n_domains + 1
-    a = h_factor(dk, l0, sigma, dk0)
-    b = np.conj(h_factor(dkp, l0, sigma, dk0))
-    am = h_factor(dk, m * l0, sigma * np.sqrt(m), dk0)
-    bm = np.conj(h_factor(dkp, m * l0, sigma * np.sqrt(m), dk0))
-    c = np.exp(1j * big_dk * l0) * characteristic_g(big_dk, sigma)
-    cm = np.multiply(big_dk, 1j * m * l0)
-    np.exp(cm, out=cm)
-    cm *= characteristic_g(big_dk, sigma * np.sqrt(m))
-    bad = (np.abs(1.0 - a) < SERIES_SWITCH) | (np.abs(1.0 - b) < SERIES_SWITCH)
-    g0 = _geom_sum(c, m, cm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (a * g0 - _scaled_geom(a, c, m, am, cm)) / np.where(bad, 1.0, 1.0 - a)
-        tb = (b * g0 - _scaled_geom(b, c, m, bm, cm)) / np.where(bad, 1.0, 1.0 - b)
-    s = g0 + ta + tb
+    u = 1j * dk * l0 - sigma ** 2 * (dk0 + dk) ** 2 / 4.0  # log a
+    v = -1j * dkp * l0 - sigma ** 2 * (dk0 + dkp) ** 2 / 4.0  # log b
+    half, half_m = np.exp(0.5j * l0 * dk), np.exp(0.5j * m * l0 * dk)
+    half_p, half_mp = np.exp(0.5j * l0 * dkp), np.exp(0.5j * m * l0 * dkp)
+    delta = dk - dkp
+    rho = -sigma ** 2 / 4.0 * delta ** 2  # log c = rho + i D l0
+    h = half * np.conj(half_p)  # e^(i D l0 / 2)
+    h_m = half_m * np.conj(half_mp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # sines of D itself: Im h would lose small D
+        g0 = _geom(rho, h, np.sin(0.5 * l0 * delta),
+                   h_m, np.sin(0.5 * m * l0 * delta), m)  # sum_j c^j
+        g0[delta == 0] = m
+        # sum_j c^j a^(m-1-j) = c^(m-1) sum_j (a / c)^j, likewise in b
+        c_m1 = np.exp((m - 1) * rho) * (h_m * np.conj(h)) ** 2
+        ga = c_m1 * _geom(u.real - rho, half_p, half_p.imag, half_mp, half_mp.imag, m)
+        gb = c_m1 * _geom(v.real - rho, np.conj(half), -half.imag,
+                          np.conj(half_m), -half_m.imag, m)
+        # sum_j c^j A_{m-1-j} = (ga - g0) e^u / expm1(u), likewise in b
+        s = g0 - (ga - g0) * (1.0 / np.expm1(-u)) - (gb - g0) * (1.0 / np.expm1(-v))
+    bad = (np.abs(m * u) < _LAG_SWITCH) | (np.abs(m * v) < _LAG_SWITCH) | ~np.isfinite(s)
     if np.any(bad):
-        j = np.arange(m)
-        lag = np.arange(1, m)
-        flat_bad = np.nonzero(bad.ravel())[0]
-        sf = s.ravel()
-        for idx in flat_bad:
-            ai = np.broadcast_to(a, s.shape).flat[idx]
-            bi = np.broadcast_to(b, s.shape).flat[idx]
-            ci = c.ravel()[idx]
-            geo_a = np.concatenate(([0.0], np.cumsum(ai ** lag)))
-            geo_b = np.concatenate(([0.0], np.cumsum(bi ** lag)))
-            sf[idx] = np.sum(ci ** j * (1.0 + geo_a[m - 1 - j] + geo_b[m - 1 - j]))
-        s = sf.reshape(s.shape)
-    out = (
-        4.0 / (dk_tot * dkp_tot)
-        * np.exp(-1j * big_dk * n_domains * l0)
-        * s
-    )
+        s[bad] = _lag_sum(np.broadcast_to(u, s.shape)[bad],
+                          np.broadcast_to(v, s.shape)[bad],
+                          (rho + 1j * l0 * delta)[bad], m)
+    out = (2.0 / (dk0 + dk) * np.exp(-1j * n_domains * l0 * dk)
+           * (2.0 / (dk0 + dkp) * np.exp(1j * n_domains * l0 * dkp)) * s)
     return complex(out[0]) if scalar else out
 
 
@@ -376,12 +364,9 @@ def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
                dk0: float | None = None):
     """Cross-correlator <F(dk) F*(dk')> for weakly-random structures."""
     dk0 = np.pi / l0 if dk0 is None else dk0
-    dk, dkp = np.broadcast_arrays(
-        np.asarray(delta_k, dtype=float), np.asarray(delta_k_prime, dtype=float)
-    )
-    scalar = dk.ndim == 0
-    dk = np.atleast_1d(dk).astype(float)
-    dkp = np.atleast_1d(dkp).astype(float)
+    scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
+    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
+    dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
     dk_tot = dk0 + dk
     dkp_tot = dk0 + dkp
     big_dk = dk_tot - dkp_tot

@@ -215,8 +215,8 @@ def fwhm(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     peak = y.max()
-    if peak <= 0:
-        raise SpectraError("fwhm needs a positive maximum")
+    if not (peak > 0 and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise SpectraError("fwhm needs finite values and a positive maximum")
     half = 0.5 * peak
     above = np.nonzero(y >= half)[0]
     i0, i1 = above[0], above[-1]

@@ -28,6 +28,7 @@ from .structures import PolingStructure, RandomSource, StructureSpec
 from .phasematch import xcorr_rps, xcorr_weak
 
 _TAU_CHUNK = 256
+_ROW_BLOCK = 32
 # largest phase error (rad) that grid rounding may cause in the transform
 _PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
@@ -233,23 +234,27 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
                                grid: SpectralGrid, tau: np.ndarray) -> TemporalTrace:
     """I(tau) = Re sum_{q,q'} M_qq' exp(-i tau (omega_q - omega_q')): on the
-    uniform grid, one transform of M's diagonal sums over the lags q - q'."""
+    uniform grid, one transform of M's sums over the lags q - q' >= 0, as M
+    is Hermitian; its lower triangle is made _ROW_BLOCK rows at a time."""
     omega_s = grid.omega_s
     omega_i = cfg.omega_p0 - omega_s
-    dk_tot = _mismatch_slice(cfg, model, grid)
     dk0 = np.pi / spec.l0  # detuning from the structure's design point
-    delta_k = dk_tot - dk0
+    delta_k = _mismatch_slice(cfg, model, grid) - dk0
     xcorr = xcorr_rps if spec.kind == "rps" else xcorr_weak
-    fmat = xcorr(delta_k[:, None], delta_k[None, :],
-                 spec.n_domains, spec.l0, spec.sigma, dk0)
     g = coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
-    m = (a[:, None] * np.conj(a[None, :])) * fmat
     n = omega_s.size
-    lags = np.arange(1 - n, n)
-    diagonals = np.array([np.trace(m, offset=-d) for d in lags])
+    lag_sums = np.zeros(n, dtype=complex)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        block = xcorr(delta_k[r0:r1, None], delta_k[None, :r1],
+                      spec.n_domains, spec.l0, spec.sigma, dk0)
+        block *= a[r0:r1, None] * np.conj(a[:r1])
+        for i, q in enumerate(range(r0, r1)):
+            lag_sums[:q + 1] += block[i, q::-1]
+    lag_sums[1:] *= 2.0  # Re(D e^(-i phi)) = Re(conj(D) e^(i phi))
     spacing = (omega_s[-1] - omega_s[0]) / (n - 1)
-    intensity = np.real(_oscillatory_sum(tau, lags * spacing, diagonals))
+    intensity = np.real(_oscillatory_sum(tau, np.arange(n) * spacing, lag_sums))
     return _area_normalized(tau, intensity)
 
 

@@ -11,8 +11,8 @@ from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        gen_chirped, gen_ideal, shuffle_segments, xcorr_chirp,
                        xcorr_rps, xcorr_weak)
 from randpoled import phasematch
-from randpoled.phasematch import (PhasematchError, _dirichlet, _geom_sum,
-                                  characteristic_g, h_factor, response)
+from randpoled.phasematch import (PhasematchError, _dirichlet, characteristic_g,
+                                  response)
 from randpoled.spectra import SpectralGrid, _mismatch_slice
 from randpoled.structures import StructureError
 
@@ -176,21 +176,8 @@ class TestChebyshevKernel:
 
 
 class TestExactPowers:
-    """H^m = h_factor(dk, m l0, sigma sqrt(m), dk0), the identity the closed
-    forms use in place of numpy's general complex power."""
-
-    @given(n_domains=st.integers(10, 2000), sigma_um=st.floats(0.0, 3.0),
-           grid=st.sampled_from(SCENARIO_GRIDS))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_numpy_power(self, scenario_dk, n_domains, sigma_um, grid):
-        sigma, m = sigma_um * 1e-6, n_domains + 1
-        delta_k = scenario_dk[grid] - DK0
-        big_dk = delta_k[:, None] - delta_k[None, ::16]  # c = H(Delta k), dk0 = 0
-        for dk, dk0 in ((delta_k, DK0), (big_dk, 0.0)):
-            want = h_factor(dk, L0, sigma, dk0) ** m
-            got = h_factor(dk, m * L0, sigma * np.sqrt(m), dk0)
-            # relative error where H^m is a normal float; measured <= 5.2e-13
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-300)
+    """avg_f2_rps, summed in the exact log H = i dk l0 - sigma^2 dk_tot^2 / 4,
+    against its lag sum."""
 
     @pytest.mark.parametrize("n_domains", [10, 300, 700, 2000])
     @pytest.mark.parametrize("sigma", [0.0, 0.5e-6, 2.1e-6, 3e-6])
@@ -199,7 +186,7 @@ class TestExactPowers:
         lag = np.arange(1, m)
         for grid in ((257, 0.6), (1025, 0.35)):
             dk_tot = scenario_dk[grid]
-            h = h_factor(dk_tot - DK0, L0, sigma, DK0)
+            h = np.exp(1j * (dk_tot - DK0) * L0 - sigma ** 2 * dk_tot ** 2 / 4.0)
             lag_sum = m + 2.0 * (np.real(h[:, None] ** lag) @ (m - lag))
             want = 4.0 / dk_tot ** 2 * lag_sum
             got = avg_f2_rps(dk_tot - DK0, n_domains, L0, sigma, DK0)
@@ -407,6 +394,15 @@ class TestCrossCorrelators:
         assert np.allclose(diag_w.real, avg_f2_weak(dk, 700, L0, 1e-6, DK0),
                            rtol=1e-10)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5e-6, 2.1e-6])
+    def test_diagonal_equals_avg_f2_rps(self, scenario_dk, sigma):
+        # the sum-frequency grids, the sigma = 0 centre rows on the lag sum
+        for key in ((257, 0.6), (1025, 0.35)):
+            delta_k = scenario_dk[key] - DK0
+            diag = xcorr_rps(delta_k, delta_k, 700, L0, sigma, DK0)
+            mean = avg_f2_rps(delta_k, 700, L0, sigma, DK0)
+            assert _peak_error(diag, mean) <= 1e-12
+
     def test_hermitian(self):
         a = xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6, DK0)
         b = xcorr_rps(-3e4, 5e4, 700, L0, 2.1e-6, DK0)
@@ -465,26 +461,89 @@ class TestCrossCorrelators:
         assert val == pytest.approx(want, rel=1e-12)
 
 
+def _xcorr_oracle(mp, dk, dkp, n_domains, sigma):
+    """<F(dk) F*(dk')> of random-walk structures as a 40-digit lag sum:
+    4 e^(-i D N_L l0) / (dk_tot dk'_tot) sum_{j<m} c^j (1 + A_{m-1-j} + B_{m-1-j})."""
+    with mp.workdps(40):
+        dk, dkp, l0, sigma = (mp.mpf(float(x)) for x in (dk, dkp, L0, sigma))
+        dk0 = mp.pi / l0
+        m = n_domains + 1
+
+        def h(x, k0):
+            return mp.exp(1j * x * l0 - sigma ** 2 * (k0 + x) ** 2 / 4)
+
+        a, b, c = h(dk, dk0), mp.conj(h(dkp, dk0)), h(dk - dkp, 0)
+        geo, pa, pb = [mp.mpf(1)], mp.mpf(1), mp.mpf(1)  # 1 + A_k + B_k
+        for _ in range(1, m):
+            pa, pb = pa * a, pb * b
+            geo.append(geo[-1] + pa + pb)
+        s, cj = mp.mpf(0), mp.mpf(1)
+        for j in range(m):
+            s += cj * geo[m - 1 - j]
+            cj *= c
+        return complex(4 / ((dk0 + dk) * (dk0 + dkp))
+                       * mp.exp(-1j * (dk - dkp) * n_domains * l0) * s)
+
+
+class TestXcorrOracle:
+    """xcorr_rps against the 40-digit lag sum, to <= 1e-12 of the peak
+    <|F(0)|^2>: sigma = 0, the former series switch |1 - H| = 1e-6, the
+    present lag-sum switch, and equal arguments off the grid diagonal."""
+
+    OLD_SWITCH = 1.1e-6 / L0
+
+    def _check(self, mp, dk, dkp, n_domains, sigma):
+        got = xcorr_rps(dk, dkp, n_domains, L0, sigma, DK0)
+        dk, dkp = np.broadcast_arrays(dk, dkp)
+        want = np.array([_xcorr_oracle(mp, a, b, n_domains, sigma)
+                         for a, b in zip(dk.ravel(), dkp.ravel())])
+        peak = abs(_xcorr_oracle(mp, 0.0, 0.0, n_domains, sigma))
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("n_domains", [10, 100, 700])
+    def test_old_switch_region(self, n_domains):
+        mp = pytest.importorskip("mpmath")
+        s = self.OLD_SWITCH
+        dk = np.array([s, -s, s, -4e4, s, 0.0, 0.99 * s, 1.01 * s])
+        dkp = np.array([s, s, 4e4, s, 0.0, 0.0, 1.01 * s, -3e4])
+        self._check(mp, dk, dkp, n_domains, 0.0)
+
+    @pytest.mark.parametrize("n_domains, sigma",
+                             [(10, 0.0), (100, 0.0), (700, 0.0), (700, 1e-8)])
+    def test_lag_switch_region(self, n_domains, sigma):
+        # both sides of |m log H| = _LAG_SWITCH, alone and with each other
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.5, 0.99, 1.01, 2.0, 10.0]) * phasematch._LAG_SWITCH / (
+            (n_domains + 1) * L0)
+        dk = np.concatenate([x, x, -x, x])
+        dkp = np.concatenate([x, -x[::-1], np.full(x.size, 2e4), x[::-1]])
+        self._check(mp, dk, dkp, n_domains, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.1e-6])
+    def test_equal_arguments_off_diagonal(self, scenario_dk, sigma):
+        # the mismatch is symmetric about the degenerate point, so mirrored
+        # grid points give D = 0 off the main diagonal: one block call
+        delta_k = scenario_dk[(1025, 0.35)] - DK0
+        mirror = np.nonzero(delta_k[:512] == delta_k[:512:-1])[0]
+        assert mirror.size > 100
+        rows = mirror[np.linspace(0, mirror.size - 1, 4).astype(int)]
+        cols = delta_k.size - 1 - rows
+        mp = pytest.importorskip("mpmath")
+        self._check(mp, delta_k[rows, None], delta_k[None, cols], 700, sigma)
+
+    def test_disordered_pairs(self, scenario_dk):
+        mp = pytest.importorskip("mpmath")
+        delta_k = scenario_dk[(257, 0.6)] - DK0
+        idx = np.array([0, 40, 100, 127, 128, 129, 200, 256])
+        self._check(mp, delta_k[idx, None], delta_k[None, idx[::3]], 300, 0.5e-6)
+
+
 class TestHelpers:
     def test_characteristic_g(self):
         assert characteristic_g(0.0, 2e-6) == 1.0
         dk = 3e5
         assert characteristic_g(dk, 2e-6) == pytest.approx(
             np.exp(-(2e-6) ** 2 * dk ** 2 / 4.0), rel=1e-14)
-
-    def test_h_factor_magnitude(self):
-        h = h_factor(5e4, L0, 2e-6, DK0)
-        assert abs(h) == pytest.approx(characteristic_g(DK0 + 5e4, 2e-6),
-                                       rel=1e-14)
-
-    def test_geom_sum_branches(self):
-        m = 57
-        q = 1.0 + 5e-7  # series branch
-        brute = np.sum(q ** np.arange(m))
-        assert _geom_sum(q, m) == pytest.approx(brute, rel=1e-12)
-        q = 0.9 + 0.1j
-        brute = np.sum(q ** np.arange(m))
-        assert _geom_sum(q, m) == pytest.approx(brute, rel=1e-12)
 
     def test_dirichlet_periods(self):
         m = 41

@@ -152,6 +152,13 @@ class TestSpectrumHelpers:
             fwhm(x, np.exp(-x ** 2))
 
 
+    def test_fwhm_rejects_non_finite(self):
+        # a NaN used to slip past the peak checks and raise IndexError
+        with pytest.raises(SpectraError, match="finite"):
+            fwhm(np.arange(5.0), [0.0, 1.0, np.nan, 1.0, 0.0])
+        with pytest.raises(SpectraError, match="finite"):
+            fwhm([0.0, 1.0, np.inf, 3.0, 4.0], [0.0, 1.0, 2.0, 1.0, 0.0])
+
 class TestEnsemble:
     def test_stats_and_determinism(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)

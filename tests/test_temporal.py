@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from randpoled import (ProcessConfig, RandomSource, StructureSpec, compensate,
                        dispersion_cancellation_check, entanglement_time, fwhm,
                        hom_trace, spectral_phase, sumfreq_ensemble_mc,
-                       sumfreq_trace, two_photon_amplitude, xcorr_rps)
+                       sumfreq_trace, two_photon_amplitude, xcorr_rps,
+                       xcorr_weak)
 from randpoled import temporal
 from randpoled.spectra import (SpectralGrid, SpectralSlice, _mismatch_slice,
                                coupling_g)
@@ -180,22 +182,42 @@ class TestSumFrequency:
 
     def test_analytic_ensemble_matches_contraction(self, cfg, model, l0):
         # oracle: the direct contraction I(tau) = Re e(tau)^T M conj(e(tau))
-        grid = SpectralGrid.default(cfg.omega_s0, n=257)
-        tau = np.linspace(-100e-15, 100e-15, 1001)
+        # of the whole n x n matrix M, for row blocks of one row, of the
+        # default size and of the whole grid
+        tau = np.linspace(-100e-15, 100e-15, 401)
+        specs = ((StructureSpec("rps", 700, l0, sigma=2.1e-6), xcorr_rps),
+                 (StructureSpec("weakly-random", 700, l0, sigma=1e-6), xcorr_weak))
+        for spec, xcorr in specs:
+            for n in (257, 1000, 1025):
+                grid = SpectralGrid.default(cfg.omega_s0, n=n)
+                omega_s = grid.omega_s
+                omega_i = cfg.omega_p0 - omega_s
+                delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
+                fmat = xcorr(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
+                a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
+                     * coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude)
+                m = (a[:, None] * np.conj(a[None, :])) * fmat
+                e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
+                want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
+                want /= np.trapezoid(want, tau)
+                for rows in (1, temporal._ROW_BLOCK, n):
+                    with _transform_only(), \
+                            mock.patch.object(temporal, "_ROW_BLOCK", rows):
+                        got = sumfreq_trace(spec, cfg, model, grid, tau).values
+                    assert _peak_error(got, want) <= 1e-12
+
+    def test_analytic_ensemble_memory(self, cfg, model, grid, l0):
+        # the row blocks never form the n x n correlator (196 MB when they did)
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
-        omega_s = grid.omega_s
-        omega_i = cfg.omega_p0 - omega_s
-        delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
-        fmat = xcorr_rps(delta_k[:, None], delta_k[None, :], 700, l0, 2.1e-6)
-        a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
-             * coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude)
-        m = (a[:, None] * np.conj(a[None, :])) * fmat
-        e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
-        want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
-        want /= np.trapezoid(want, tau)
-        with _transform_only():
-            got = sumfreq_trace(spec, cfg, model, grid, tau).values
-        assert _peak_error(got, want) <= 1e-12
+        tau = np.linspace(-300e-15, 300e-15, 2001)
+        tracemalloc.start()
+        try:
+            sumfreq_trace(spec, cfg, model, grid, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_points == 1025
+        assert peak <= 64 * 2 ** 20
 
     def test_zero_area_rejected(self, model, l0):
         cfg0 = ProcessConfig(pump_amplitude=0.0)
