@@ -23,7 +23,7 @@ from . import __version__
 from .dispersion import DispersionError
 from .io import atomic_write_files, json_text, table_to_csv
 from .phasematch import PhasematchError
-from .scenarios import SCENARIO_NOTES, SCENARIOS, run_rate_vs_nl
+from .scenarios import SCENARIO_NOTES, SCENARIOS
 from .spatial import SpatialError
 from .spectra import SpectraError
 from .structures import StructureError
@@ -51,32 +51,14 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
-def _signature_of(scenario: str):
-    func = SCENARIOS[scenario]
-    if scenario == "width-vs-NL":
-        func = run_rate_vs_nl  # shares the full parameter set
-    return func, inspect.signature(func)
-
-
 def scenario_defaults(scenario: str) -> dict:
-    _, sig = _signature_of(scenario)
+    sig = inspect.signature(SCENARIOS[scenario])
     return {name: p.default for name, p in sig.parameters.items()
             if name != "seed" and p.default is not inspect.Parameter.empty}
 
 
 def _coerce(value, default):
-    """Coerce a config/flag value to the type implied by the default."""
-    if isinstance(default, bool):
-        return bool(value)
-    if isinstance(default, int):
-        if isinstance(value, str):
-            value = _parse_token(value)
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError(f"{value!r} is not an integer")
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+    """Coerce a config value or flag string to the type of the default."""
     if isinstance(default, (tuple, list)):
         if isinstance(value, str):
             value = [_parse_token(v) for v in value.split(",") if v]
@@ -84,7 +66,18 @@ def _coerce(value, default):
         if {type(v) for v in default} in ({int}, {float}):
             return tuple(_coerce(v, default[0]) for v in value)
         return tuple(value)
-    return value
+    if not isinstance(default, (int, float)):
+        return value
+    if isinstance(value, str):
+        value = _parse_token(value)
+    # JSON true is not a number, though Python's bool subclasses int
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    if isinstance(default, float):
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _parse_token(token: str):
@@ -221,16 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int,
                         help="advisory worker-count hint; never affects results")
         for name, default in scenario_defaults(scenario).items():
-            flag = "--" + name.replace("_", "-")
-            if isinstance(default, bool):
-                sp.add_argument(flag, type=lambda v: v.lower() in ("1", "true"),
-                                default=None)
-            elif isinstance(default, (tuple, list)):
-                sp.add_argument(flag, default=None, metavar="V1,V2,...")
-            elif isinstance(default, str):
-                sp.add_argument(flag, default=None)
-            else:
-                sp.add_argument(flag, type=float, default=None)
+            sp.add_argument("--" + name.replace("_", "-"),
+                            metavar="V1,V2,..." if isinstance(default, tuple) else None)
     return parser
 
 

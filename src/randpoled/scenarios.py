@@ -11,6 +11,7 @@ evaluated concurrently without changing results.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,9 +20,9 @@ from scipy import stats as sstats
 from .dispersion import DispersionModel
 from .spectra import (ProcessConfig, SpectralGrid, ensemble_run,
                       extractor_rate, extractor_width, fwhm, joint_density,
-                      match_parameter, pair_rate)
-from .structures import (RandomSource, StructureSpec, apply_fabrication_error,
-                         shuffle_segments)
+                      map_realizations, match_parameter)
+from .structures import (RandomSource, StructureError, StructureSpec,
+                         apply_fabrication_error, shuffle_segments)
 from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
                        sumfreq_trace)
 from .spatial import AngularGrid, correlated_area, correlated_width_scan
@@ -63,21 +64,25 @@ def _workspace(temperature: float = 297.0, grid_points: int = 1025,
     return Workspace(cfg, model, grid, float(l0), float(dk0))
 
 
-def _width_and_rate(spec, ws: Workspace):
-    density = joint_density(spec, ws.cfg, ws.model, ws.grid)
-    width = fwhm(ws.grid.omega_s, ws.grid.omega_s * density)
-    return width, pair_rate(density, ws.grid)
+def _scan_means(draw, count: int, ws: Workspace):
+    """Mean width and rate over the layouts draw(0) .. draw(count - 1);
+    a width that falls off the grid ends the scan."""
+    omega_s = ws.grid.omega_s
 
+    def observe(g, f):
+        density = np.abs(g) ** 2 * np.abs(f) ** 2
+        return extractor_width(omega_s, density), extractor_rate(omega_s, density)
 
-def _mean_width_and_rate(draw, count: int, ws: Workspace):
-    """Mean width and rate over the layouts draw(0) .. draw(count - 1)."""
-    widths, rates = np.reshape([_width_and_rate(draw(i), ws) for i in range(count)],
-                               (count, 2)).T
+    rows = map_realizations(draw, count, ws.cfg, ws.model, ws.grid, observe)
+    widths, rates = np.reshape(rows, (count, 2)).T
     return widths.mean(), rates.mean()
 
 
-def _meta(seed, **params):
-    return {"seed": seed, "parameters": params}
+def _trace_table(tau, traces: dict) -> Table:
+    """One row per delay, one column per named trace."""
+    return Table(("tau",) + tuple(traces), tuple(
+        (float(t),) + tuple(float(tr.values[i]) for tr in traces.values())
+        for i, t in enumerate(tau)))
 
 
 def run_rate_vs_nl(seed: int = 0,
@@ -90,21 +95,20 @@ def run_rate_vs_nl(seed: int = 0,
     for sigma in sigmas:
         for nl in nl_values:
             spec = StructureSpec("rps", int(nl), ws.l0, sigma=float(sigma))
-            width, rate = _width_and_rate(spec, ws)
-            rows.append((float(sigma), int(nl), rate, width))
+            density = joint_density(spec, ws.cfg, ws.model, ws.grid)
+            rows.append((float(sigma), int(nl), extractor_rate(ws.grid.omega_s, density),
+                         extractor_width(ws.grid.omega_s, density)))
     table = Table(("sigma", "n_domains", "rate", "width"), tuple(rows))
-    return ScenarioResult(
-        "rate-vs-NL", {"scan": table},
-        _meta(seed, sigmas=list(map(float, sigmas)),
-              nl_values=list(map(int, nl_values)), grid_points=grid_points,
-              temperature=temperature),
-    )
+    return ScenarioResult("rate-vs-NL", {"scan": table}, {})
 
 
 def run_width_vs_nl(seed: int = 0, **kwargs) -> ScenarioResult:
     """Same scan as rate-vs-NL with the width as the headline column."""
     result = run_rate_vs_nl(seed, **kwargs)
     return ScenarioResult("width-vs-NL", result.tables, result.metadata)
+
+
+run_width_vs_nl.__signature__ = inspect.signature(run_rate_vs_nl)
 
 
 def run_sigma_zeta_match(seed: int = 0,
@@ -122,10 +126,12 @@ def run_sigma_zeta_match(seed: int = 0,
                                  template):
         zeta = entry["zeta"]
         chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
-        _, rate_chirp = _width_and_rate(chirp, ws)
+        rate_chirp = extractor_rate(ws.grid.omega_s,
+                                    joint_density(chirp, ws.cfg, ws.model, ws.grid))
         if entry["matched"]:
             rps = StructureSpec("rps", n_domains, ws.l0, sigma=entry["sigma"])
-            _, rate_rps = _width_and_rate(rps, ws)
+            rate_rps = extractor_rate(ws.grid.omega_s,
+                                      joint_density(rps, ws.cfg, ws.model, ws.grid))
             ratio = rate_rps / rate_chirp
         else:
             rate_rps = float("nan")
@@ -134,12 +140,7 @@ def run_sigma_zeta_match(seed: int = 0,
                      rate_rps, rate_chirp, ratio, int(entry["matched"])))
     table = Table(("zeta", "sigma", "observable_chirp", "rate_rps",
                    "rate_chirp", "rate_ratio", "matched"), tuple(rows))
-    return ScenarioResult(
-        "sigma-zeta-match", {"match": table},
-        _meta(seed, zeta_values=list(map(float, zeta_values)), target=target,
-              n_domains=n_domains, grid_points=grid_points,
-              temperature=temperature),
-    )
+    return ScenarioResult("sigma-zeta-match", {"match": table}, {})
 
 
 def run_histogram_study(seed: int = 0, sigma: float = 2.1e-6,
@@ -176,11 +177,7 @@ def run_histogram_study(seed: int = 0, sigma: float = 2.1e-6,
         tuple((i, float(r), float(w)) for i, (r, w)
               in enumerate(zip(stats["rate"].values, stats["width"].values))),
     )
-    return ScenarioResult(
-        "histogram-study", tables,
-        _meta(seed, sigma=sigma, n_domains=n_domains, realizations=realizations,
-              grid_points=grid_points, temperature=temperature),
-    )
+    return ScenarioResult("histogram-study", tables, {})
 
 
 def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -190,26 +187,17 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     """HOM coincidence traces: one realization, ensemble, chirped."""
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
-    single = StructureSpec("rps", n_domains, ws.l0, sigma=sigma) \
-        .generate(RandomSource(seed, 0))
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
+    single = ens.generate(RandomSource(seed, 0))
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
     traces = {
         "rn_rps_single": hom_trace(single, ws.cfg, ws.model, ws.grid, tau),
         "rn_rps_ensemble": hom_trace(ens, ws.cfg, ws.model, ws.grid, tau),
         "rn_cpps": hom_trace(chirp, ws.cfg, ws.model, ws.grid, tau),
     }
-    rows = tuple(
-        (float(t),) + tuple(float(tr.values[i]) for tr in traces.values())
-        for i, t in enumerate(tau)
-    )
-    table = Table(("tau",) + tuple(traces), rows)
+    table = _trace_table(tau, traces)
     dips = {name: entanglement_time(tr) for name, tr in traces.items()}
-    meta = _meta(seed, sigma=sigma, zeta=zeta, n_domains=n_domains,
-                 grid_points=grid_points, tau_span=tau_span,
-                 tau_points=tau_points, temperature=temperature)
-    meta["dip_fwhm_s"] = dips
-    return ScenarioResult("hom-study", {"traces": table}, meta)
+    return ScenarioResult("hom-study", {"traces": table}, {"dip_fwhm_s": dips})
 
 
 def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -231,18 +219,10 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
         "rps_ensemble_ideal": sumfreq_ensemble_mc(
             ens, ws.cfg, ws.model, ws.grid, realizations, seed, tau, "ideal"),
     }
-    rows = tuple(
-        (float(t),) + tuple(float(tr.values[i]) for tr in traces.values())
-        for i, t in enumerate(tau)
-    )
-    table = Table(("tau",) + tuple(traces), rows)
+    table = _trace_table(tau, traces)
     widths = {name: fwhm(tr.tau, tr.values) for name, tr in traces.items()}
-    meta = _meta(seed, sigma=sigma, zeta=zeta, n_domains=n_domains,
-                 grid_points=grid_points, realizations=realizations,
-                 tau_span=tau_span, tau_points=tau_points,
-                 temperature=temperature)
-    meta["trace_fwhm_s"] = widths
-    return ScenarioResult("sumfreq-study", {"traces": table}, meta)
+    return ScenarioResult("sumfreq-study", {"traces": table},
+                          {"trace_fwhm_s": widths})
 
 
 def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -278,12 +258,7 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
         "width_scan": Table(("source", "pump_width", "delta_theta_i"),
                             tuple(scan_rows)),
     }
-    return ScenarioResult(
-        "spatial-study", tables,
-        _meta(seed, sigma=sigma, zeta=zeta, n_domains=n_domains,
-              pump_width=pump_width, pump_widths=list(map(float, pump_widths)),
-              n_omega=n_omega, n_theta=n_theta, temperature=temperature),
-    )
+    return ScenarioResult("spatial-study", tables, {})
 
 
 def run_temperature_scan(seed: int = 0,
@@ -297,24 +272,19 @@ def run_temperature_scan(seed: int = 0,
     dispersion experienced by the fields follows the scan.
     """
     ws0 = _workspace(design_temperature, grid_points)
-    single = StructureSpec("rps", n_domains, ws0.l0, sigma=sigma) \
-        .generate(RandomSource(seed, 0))
     ens = StructureSpec("rps", n_domains, ws0.l0, sigma=sigma)
+    single = ens.generate(RandomSource(seed, 0))
     chirp = StructureSpec("chirped", n_domains, ws0.l0, zeta=zeta)
     rows = []
     for t in t_values:
         ws = _workspace(float(t), grid_points,
                         design_temperature=design_temperature)
-        rows.append((float(t),) + tuple(_width_and_rate(source, ws)[0]
-                                        for source in (single, ens, chirp)))
+        rows.append((float(t),) + tuple(
+            extractor_width(ws.grid.omega_s, joint_density(s, ws.cfg, ws.model, ws.grid))
+            for s in (single, ens, chirp)))
     table = Table(("temperature", "width_single", "width_ensemble",
                    "width_cpps"), tuple(rows))
-    return ScenarioResult(
-        "temperature-scan", {"scan": table},
-        _meta(seed, t_values=list(map(float, t_values)), sigma=sigma,
-              zeta=zeta, n_domains=n_domains, grid_points=grid_points,
-              design_temperature=design_temperature),
-    )
+    return ScenarioResult("temperature-scan", {"scan": table}, {})
 
 
 def run_fab_error_scan(seed: int = 0,
@@ -326,34 +296,28 @@ def run_fab_error_scan(seed: int = 0,
     """Mean width and rate under random fabrication error of the boundaries."""
     # large error levels broaden spectra past the default span
     ws = _workspace(temperature, grid_points, span=0.6)
-    base_structures = {}
-    if "cpps" in bases:
-        base_structures["cpps"] = StructureSpec(
-            "chirped", n_domains, ws.l0, zeta=zeta).generate(RandomSource(seed, 0))
-    if "rps" in bases:
-        base_structures["rps"] = StructureSpec(
-            "rps", n_domains, ws.l0, sigma=sigma).generate(RandomSource(seed, 1))
+    # rows and streams follow this order, whatever the order of `bases`
+    specs = {"cpps": StructureSpec("chirped", n_domains, ws.l0, zeta=zeta),
+             "rps": StructureSpec("rps", n_domains, ws.l0, sigma=sigma)}
+    unknown = [name for name in bases if name not in specs]
+    if unknown:
+        raise StructureError(f"unknown fab-error base {unknown[0]!r}; "
+                             f"expected one of {', '.join(specs)}")
+    base_structures = {name: spec.generate(RandomSource(seed, k))
+                       for k, (name, spec) in enumerate(specs.items())
+                       if name in bases}
     rows = []
     for b, (name, base) in enumerate(base_structures.items()):
         for e, sigma_er in enumerate(sigma_er_values):
-            if sigma_er > 0:
-                width, rate = _mean_width_and_rate(
-                    lambda i: apply_fabrication_error(
-                        base, float(sigma_er),
-                        RandomSource(seed, 1000 + b * 10_000_000 + e * 100_000 + i)),
-                    realizations, ws)
-            else:
-                # every realization is the base layout: evaluate it once
-                width, rate = _width_and_rate(base, ws)
+            # at sigma_er = 0 every realization is the base layout: one suffices
+            width, rate = _scan_means(
+                lambda i: apply_fabrication_error(
+                    base, float(sigma_er),
+                    RandomSource(seed, 1000 + b * 10_000_000 + e * 100_000 + i)),
+                realizations if sigma_er > 0 else 1, ws)
             rows.append((name, float(sigma_er), float(width), float(rate)))
     table = Table(("base", "sigma_er", "width_mean", "rate_mean"), tuple(rows))
-    return ScenarioResult(
-        "fab-error-scan", {"scan": table},
-        _meta(seed, sigma_er_values=list(map(float, sigma_er_values)),
-              bases=list(bases), sigma=sigma, zeta=zeta, n_domains=n_domains,
-              realizations=realizations, grid_points=grid_points,
-              temperature=temperature),
-    )
+    return ScenarioResult("fab-error-scan", {"scan": table}, {})
 
 
 def run_segment_scan(seed: int = 0,
@@ -368,18 +332,13 @@ def run_segment_scan(seed: int = 0,
     rows = []
     for e, d in enumerate(d_values):
         # with d = N_L there is one run: every permutation is the same layout
-        width, rate = _mean_width_and_rate(
+        width, rate = _scan_means(
             lambda i: shuffle_segments(base, int(d),
                                        RandomSource(seed, 1000 + e * 100_000 + i)),
             1 if int(d) == n_domains else permutations, ws)
         rows.append((int(d), float(width), float(rate)))
     table = Table(("d", "width_mean", "rate_mean"), tuple(rows))
-    return ScenarioResult(
-        "segment-scan", {"scan": table},
-        _meta(seed, d_values=list(map(int, d_values)), zeta=zeta,
-              n_domains=n_domains, permutations=permutations,
-              grid_points=grid_points, temperature=temperature),
-    )
+    return ScenarioResult("segment-scan", {"scan": table}, {})
 
 
 SCENARIOS = {

@@ -32,7 +32,6 @@ class ProcessConfig:
 
     pump_wavelength: float = 775e-9     # m
     pump_amplitude: float = 1.0         # V*s/m (cw spectral amplitude)
-    pump_type: str = "cw"
     chi2_effective: float = 1e-12       # m/V
     pump_dx: float = 1e-5               # m, transverse 1/e half-width
     pump_dy: float = 1e-5               # m
@@ -43,8 +42,6 @@ class ProcessConfig:
             raise SpectraError("pump wavelength and chi2 must be positive")
         if self.pump_dx <= 0 or self.pump_dy <= 0:
             raise SpectraError("beam geometry parameters must be positive")
-        if self.pump_type != "cw":
-            raise SpectraError("only cw pumping is supported")
 
     @property
     def omega_p0(self) -> float:
@@ -203,7 +200,7 @@ def signal_spectrum(density, cfg: ProcessConfig, grid: SpectralGrid,
 
 def pair_rate(density, grid: SpectralGrid) -> float:
     """Photon-pair generation rate (relative units): integral of n."""
-    return float(np.trapezoid(np.asarray(density, dtype=float), grid.omega_s))
+    return extractor_rate(grid.omega_s, density)
 
 
 def fwhm(x, y) -> float:
@@ -228,13 +225,29 @@ def fwhm(x, y) -> float:
 
 
 def extractor_rate(omega_s, density) -> float:
-    """Pair rate of one realization (relative units)."""
-    return float(np.trapezoid(density, omega_s))
+    """Pair rate of a density on omega_s (relative units)."""
+    return float(np.trapezoid(np.asarray(density, dtype=float), omega_s))
 
 
 def extractor_width(omega_s, density) -> float:
-    """FWHM of the signal spectrum of one realization."""
+    """FWHM of the signal spectrum of a density on omega_s."""
     return fwhm(omega_s, omega_s * density)
+
+
+def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionModel,
+                     grid: SpectralGrid, observe) -> list:
+    """The Monte Carlo engine: observe(g, F) for the layouts draw(0) ..
+    draw(count - 1), in index order.
+
+    The per-grid work, the mismatch dk_tot and the pumped coupling
+    g = coupling_g * pump_amplitude, is done once per call; each layout
+    then costs one boundary sum F = f_exact(draw(i), dk_tot).  Failures
+    are the observable's to handle: one that raises ends the run.
+    """
+    dk_tot = _mismatch_slice(cfg, model, grid)
+    omega_i = cfg.omega_p0 - grid.omega_s
+    g = coupling_g(grid.omega_s, omega_i, cfg, model) * cfg.pump_amplitude
+    return [observe(g, f_exact(draw(i), dk_tot)) for i in range(count)]
 
 
 def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
@@ -244,28 +257,31 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
 
     Each realization i is a pure function of (spec, seed, i): the
     structure is drawn from stream i, its exact density evaluated, and
-    every extractor applied.  Failed extractions are recorded and
-    excluded; the run fails above 1% failures.  Reduction order is
-    fixed by index, so results are bit-reproducible.
+    every extractor applied.  Extractions that raise a domain error
+    (ValueError) are recorded and excluded; the run fails above 1%
+    failures.  Reduction order is fixed by index, so results are
+    bit-reproducible.
     """
     if realizations < 2:
         raise SpectraError("need at least two realizations")
-    omega_i = cfg.omega_p0 - grid.omega_s
-    g2 = np.abs(coupling_g(grid.omega_s, omega_i, cfg, model)) ** 2
-    g2 = g2 * abs(cfg.pump_amplitude) ** 2
-    dk_tot = _mismatch_slice(cfg, model, grid)
-    results = {name: np.full(realizations, np.nan) for name in extractors}
-    failures = {name: 0 for name in extractors}
-    for i in range(realizations):
-        structure = spec.generate(RandomSource(seed, i))
-        density = g2 * np.abs(f_exact(structure, dk_tot)) ** 2
+    failures = dict.fromkeys(extractors, 0)
+
+    def observe(g, f):
+        density = np.abs(g) ** 2 * np.abs(f) ** 2
+        row = []
         for name, extract in extractors.items():
             try:
-                results[name][i] = extract(grid.omega_s, density)
-            except Exception:
+                row.append(extract(grid.omega_s, density))
+            except ValueError:
                 failures[name] += 1
+                row.append(np.nan)
+        return row
+
+    rows = map_realizations(lambda i: spec.generate(RandomSource(seed, i)),
+                            realizations, cfg, model, grid, observe)
+    results = np.array(rows, dtype=float).reshape(realizations, len(extractors)).T
     stats = {}
-    for name, vals in results.items():
+    for name, vals in zip(extractors, results):
         good = vals[np.isfinite(vals)]
         if failures[name] > 0.01 * realizations:
             raise SpectraError(
@@ -290,12 +306,6 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
     return stats
 
 
-def _observable(target: str, density, grid) -> float:
-    if target == "equal-width":
-        return fwhm(grid.omega_s, grid.omega_s * density)
-    return pair_rate(density, grid)
-
-
 def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
                     model: DispersionModel, grid: SpectralGrid,
                     template: StructureSpec,
@@ -312,17 +322,18 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     """
     if target not in ("equal-width", "equal-rate"):
         raise SpectraError(f"unknown matching target {target!r}")
+    observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
     probes = np.geomspace(sigma_bracket[0], sigma_bracket[1], 25)
     for zeta in np.asarray(zeta_grid, dtype=float):
         chirp_spec = StructureSpec("chirped", template.n_domains, template.l0,
                                    zeta=zeta)
-        goal = _observable(target, joint_density(chirp_spec, cfg, model, grid), grid)
+        goal = observable(grid.omega_s, joint_density(chirp_spec, cfg, model, grid))
 
         def mismatch(sig, goal=goal):
             spec = StructureSpec("rps", template.n_domains, template.l0, sigma=sig)
-            return _observable(target, joint_density(spec, cfg, model, grid),
-                               grid) - goal
+            return observable(grid.omega_s,
+                              joint_density(spec, cfg, model, grid)) - goal
 
         vals = np.full(probes.size, np.nan)
         for k, p in enumerate(probes):

@@ -102,8 +102,6 @@ class StructureSpec:
     l0: float
     sigma: float = 0.0
     zeta: float = 0.0
-    sigma_er: float = 0.0
-    segment_d: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("ideal", "rps", "weakly-random", "chirped"):
@@ -112,27 +110,19 @@ class StructureSpec:
             raise StructureError("n_domains must be >= 1")
         if self.l0 <= 0:
             raise StructureError("l0 must be positive")
-        if self.sigma < 0 or self.sigma_er < 0:
-            raise StructureError("sigma and sigma_er must be >= 0")
-        if self.segment_d is not None and not 1 <= self.segment_d <= self.n_domains:
-            raise StructureError("segment_d must satisfy 1 <= d <= n_domains")
+        if self.sigma < 0:
+            raise StructureError("sigma must be >= 0")
 
     def generate(self, rng: "RandomSource | np.random.Generator") -> "PolingStructure":
         """Draw one explicit realization of this spec."""
         gen = rng.generator() if isinstance(rng, RandomSource) else rng
         if self.kind == "ideal":
-            s = gen_ideal(self.n_domains, self.l0)
-        elif self.kind == "rps":
-            s = gen_rps(self.n_domains, self.l0, self.sigma, gen)
-        elif self.kind == "weakly-random":
-            s = gen_weakly_random(self.n_domains, self.l0, self.sigma, gen)
-        else:
-            s = gen_chirped(self.n_domains, self.l0, self.zeta)
-        if self.segment_d is not None:
-            s = shuffle_segments(s, self.segment_d, gen)
-        if self.sigma_er > 0.0:
-            s = apply_fabrication_error(s, self.sigma_er, gen)
-        return s
+            return gen_ideal(self.n_domains, self.l0)
+        if self.kind == "rps":
+            return gen_rps(self.n_domains, self.l0, self.sigma, gen)
+        if self.kind == "weakly-random":
+            return gen_weakly_random(self.n_domains, self.l0, self.sigma, gen)
+        return gen_chirped(self.n_domains, self.l0, self.zeta)
 
 
 def _checked_rejections(rejected: int, total: int) -> None:

@@ -22,8 +22,8 @@ from scipy import fft as sp_fft
 from scipy.optimize import minimize_scalar
 
 from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, SpectraError,
-                      _mismatch_slice, coupling_g, fwhm, mean_f2,
-                      two_photon_amplitude)
+                      _mismatch_slice, coupling_g, fwhm, map_realizations,
+                      mean_f2, two_photon_amplitude)
 from .structures import PolingStructure, RandomSource, StructureSpec
 from .phasematch import xcorr_rps, xcorr_weak
 
@@ -194,10 +194,13 @@ def _area_normalized(tau: np.ndarray, intensity: np.ndarray) -> TemporalTrace:
     return TemporalTrace(tau, intensity / area)
 
 
-def _sumfreq_from_amp(amp: np.ndarray, omega_s: np.ndarray, omega_s0: float,
-                      tau: np.ndarray) -> TemporalTrace:
-    wq = _trapezoid_weights(omega_s)
-    field = _oscillatory_sum(tau, omega_s - omega_s0, wq * amp)
+def _slice_trace(slice_: SpectralSlice, omega_s0: float,
+                 tau: np.ndarray) -> TemporalTrace:
+    """Area-normalized sum-frequency trace of an amplitude slice."""
+    omega_s = slice_.grid.omega_s
+    amp = np.sqrt(omega_s * slice_.omega_i) * slice_.values
+    field = _oscillatory_sum(tau, omega_s - omega_s0,
+                             _trapezoid_weights(omega_s) * amp)
     return _area_normalized(tau, np.abs(field) ** 2)
 
 
@@ -224,11 +227,7 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
         return _sumfreq_ensemble_analytic(source, cfg, model, grid, tau)
     slice_ = source if isinstance(source, SpectralSlice) \
         else two_photon_amplitude(source, cfg, model, grid)
-    slice_ = compensate(slice_, compensation)
-    omega_s = slice_.grid.omega_s
-    omega_i = slice_.omega_p0 - omega_s
-    amp = np.sqrt(omega_s * omega_i) * slice_.values
-    return _sumfreq_from_amp(amp, omega_s, omega_s0, tau)
+    return _slice_trace(compensate(slice_, compensation), omega_s0, tau)
 
 
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
@@ -267,12 +266,15 @@ def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
         raise TemporalError("need at least one realization")
     if tau is None:
         tau = default_tau_grid()
-    acc = np.zeros(tau.size)
-    for i in range(realizations):
-        structure = spec.generate(RandomSource(seed, i))
-        trace = sumfreq_trace(structure, cfg, model, grid, tau, compensation)
-        acc += trace.values
-    return _area_normalized(tau, acc)
+    omega_s0 = 0.5 * cfg.omega_p0
+
+    def observe(g, f):
+        slice_ = SpectralSlice(grid, g * f, cfg.omega_p0)
+        return _slice_trace(compensate(slice_, compensation), omega_s0, tau).values
+
+    traces = map_realizations(lambda i: spec.generate(RandomSource(seed, i)),
+                              realizations, cfg, model, grid, observe)
+    return _area_normalized(tau, sum(traces))
 
 
 def spectral_phase(slice_: SpectralSlice) -> PhaseProfile:
@@ -348,13 +350,10 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     c0, c1, c2 = fit_quadratic_phase(slice_)
     omega_s = slice_.grid.omega_s
     omega_s0 = 0.5 * slice_.omega_p0
-    omega_i = slice_.omega_p0 - omega_s
     tau = default_tau_grid()
 
     def width_at(curv: float) -> float:
-        cand = _apply_phase(slice_, c0, c1, curv)
-        amp = np.sqrt(omega_s * omega_i) * cand.values
-        trace = _sumfreq_from_amp(amp, omega_s, omega_s0, tau)
+        trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), omega_s0, tau)
         return fwhm(trace.tau, trace.values)
 
     weights = np.abs(slice_.values) ** 2

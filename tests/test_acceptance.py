@@ -133,7 +133,7 @@ def test_criterion_05_linear_rate_scaling():
     nl_values = (100, 200, 300, 400, 500, 600, 700)
     res = run_rate_vs_nl(sigmas=sigmas, nl_values=nl_values)
     rows = res.tables["scan"].rows
-    dk0 = _workspace(res.metadata["parameters"]["temperature"]).dk0
+    dk0 = _workspace(297.0).dk0
     v, r2, slope = {}, {}, {}
     width_at_max_nl = []
     for sigma in sigmas:

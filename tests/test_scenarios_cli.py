@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from randpoled import cli
-from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, run_fab_error_scan,
-                                 run_histogram_study, run_hom_study,
-                                 run_rate_vs_nl, run_segment_scan,
+from randpoled.dispersion import DispersionModel
+from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _workspace,
+                                 run_fab_error_scan, run_histogram_study,
+                                 run_hom_study, run_rate_vs_nl, run_segment_scan,
                                  run_sumfreq_study, run_temperature_scan,
                                  run_width_vs_nl)
+from randpoled.spectra import fwhm, joint_density, pair_rate
+from randpoled.structures import (RandomSource, StructureSpec,
+                                  apply_fabrication_error, shuffle_segments)
 
 FAST = ["--sigmas", "0,1e-6", "--nl-values", "100,200", "--grid-points", "257"]
 
@@ -88,6 +92,69 @@ class TestScenarios:
         # short segments scramble the chirp away: narrow and bright
         assert rows[1][1] < rows[10][1] < rows[700][1]
         assert rows[1][2] > rows[10][2] > rows[700][2]
+
+
+def _oracle_means(layouts, ws):
+    """Mean width and rate with one joint_density call per layout."""
+    densities = [joint_density(s, ws.cfg, ws.model, ws.grid) for s in layouts]
+    return (np.mean([fwhm(ws.grid.omega_s, ws.grid.omega_s * d) for d in densities]),
+            np.mean([pair_rate(d, ws.grid) for d in densities]))
+
+
+class TestScanEngine:
+    def test_segment_scan_grid_work_once(self, monkeypatch):
+        # n(omega) is per-grid work: the number of permutations must not
+        # change how often it is evaluated
+        calls = []
+        original = DispersionModel.refractive_index
+
+        def counted(self, omega):
+            calls.append(1)
+            return original(self, omega)
+
+        monkeypatch.setattr(DispersionModel, "refractive_index", counted)
+        counts = []
+        for permutations in (2, 20):
+            calls.clear()
+            run_segment_scan(permutations=permutations, d_values=(1, 10))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_segment_scan_matches_oracle(self):
+        d_values, permutations = (2, 35, 700), 3
+        res = run_segment_scan(seed=4, d_values=d_values, permutations=permutations)
+        ws = _workspace(297.0, 257)
+        base = StructureSpec("chirped", 700, ws.l0, zeta=2.5e6) \
+            .generate(RandomSource(4, 0))
+        want = []
+        for e, d in enumerate(d_values):
+            count = 1 if d == 700 else permutations
+            width, rate = _oracle_means(
+                [shuffle_segments(base, d, RandomSource(4, 1000 + e * 100_000 + i))
+                 for i in range(count)], ws)
+            want.append((d, float(width), float(rate)))
+        assert res.tables["scan"].rows == tuple(want)
+
+    def test_fab_error_scan_matches_oracle(self):
+        sigma_er_values, realizations = (0.0, 2.5e-7), 3
+        res = run_fab_error_scan(seed=2, sigma_er_values=sigma_er_values,
+                                 realizations=realizations)
+        ws = _workspace(297.0, 257, span=0.6)
+        bases = {"cpps": StructureSpec("chirped", 700, ws.l0, zeta=2.5e6)
+                 .generate(RandomSource(2, 0)),
+                 "rps": StructureSpec("rps", 700, ws.l0, sigma=2.1e-6)
+                 .generate(RandomSource(2, 1))}
+        want = []
+        for b, (name, base) in enumerate(bases.items()):
+            for e, sigma_er in enumerate(sigma_er_values):
+                layouts = [base] if sigma_er == 0 else [
+                    apply_fabrication_error(
+                        base, sigma_er,
+                        RandomSource(2, 1000 + b * 10_000_000 + e * 100_000 + i))
+                    for i in range(realizations)]
+                width, rate = _oracle_means(layouts, ws)
+                want.append((name, sigma_er, float(width), float(rate)))
+        assert res.tables["scan"].rows == tuple(want)
 
 
 def _run_cli(args):
@@ -273,6 +340,41 @@ class TestCli:
         assert err["error"] == "config"
         name = next(iter(config.get("parameters", config)))
         assert name in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"temperature": True},
+        {"sigmas": [True, 0]},
+    ])
+    def test_boolean_real_rejected(self, tmp_path, capsys, config):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL",
+                                       "sigmas": [0], **config}))
+        code = _run_cli(["rate-vs-NL", "--config", str(cfgfile), "--out-dir",
+                         str(tmp_path), "--nl-values", "100",
+                         "--grid-points", "257"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert next(iter(config)) in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_non_numeric_flag_rejected(self, tmp_path, capsys):
+        code = _run_cli(["hom-study", "--out-dir", str(tmp_path),
+                         "--sigma", "abc"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "sigma" in err["message"]
+
+    @pytest.mark.parametrize("bases", ["xyz", "cpps,xyz"])
+    def test_unknown_base_is_a_domain_error(self, tmp_path, capsys, bases):
+        code = _run_cli(["fab-error-scan", "--out-dir", str(tmp_path),
+                         "--bases", bases, "--realizations", "2"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert "xyz" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
 
     def test_coercion_of_tuple_flags(self):

@@ -18,8 +18,6 @@ class TestConfigAndGrid:
     def test_invalid_config(self):
         with pytest.raises(SpectraError):
             ProcessConfig(pump_wavelength=-1.0)
-        with pytest.raises(SpectraError):
-            ProcessConfig(pump_type="pulsed")
 
     def test_grid_validation(self):
         with pytest.raises(SpectraError):
@@ -200,6 +198,34 @@ class TestEnsemble:
 
         with pytest.raises(SpectraError, match="broken"):
             ensemble_run(spec, {"broken": broken}, 10, 0, cfg, model, grid)
+
+    def test_rare_failure_counted(self, cfg, model, l0):
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
+        calls = []
+
+        def first_fails(omega, density):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SpectraError("off the grid")
+            return extractor_rate(omega, density)
+
+        stats = ensemble_run(spec, {"rate": first_fails}, 100, 0, cfg, model,
+                             grid)["rate"]
+        assert stats.failures == 1
+        assert stats.values.size == 99
+
+    def test_unexpected_error_propagates(self, cfg, model, l0):
+        # only domain errors (ValueError) count as failed extractions
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
+
+        def buggy(omega, density):
+            raise RuntimeError("a bug, not a failed extraction")
+
+        with pytest.raises(RuntimeError, match="a bug"):
+            ensemble_run(spec, {"rate": extractor_rate, "buggy": buggy}, 10, 0,
+                         cfg, model, grid)
 
 
 class TestMatching:

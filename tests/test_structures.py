@@ -119,8 +119,6 @@ class TestGenerators:
             StructureSpec("rps", 10, -1.0)
         with pytest.raises(StructureError):
             StructureSpec("rps", 10, L0, sigma=-1e-6)
-        with pytest.raises(StructureError):
-            StructureSpec("chirped", 10, L0, segment_d=11)
 
 
 class TestFabricationError:

@@ -180,6 +180,18 @@ class TestSumFrequency:
         scale = ana.values.max()
         assert np.max(np.abs(ana.values - mc.values)) / scale < 0.08
 
+    @pytest.mark.parametrize("compensation", ["none", "quadratic", "ideal"])
+    def test_mc_is_mean_of_single_traces(self, cfg, model, l0, compensation):
+        # the engine's ensemble equals the mean of one sumfreq_trace per layout
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        tau = np.linspace(-100e-15, 100e-15, 401)
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        mc = sumfreq_ensemble_mc(spec, cfg, model, grid, 3, 7, tau, compensation)
+        mean = np.mean([sumfreq_trace(spec.generate(RandomSource(7, i)), cfg,
+                                      model, grid, tau, compensation).values
+                        for i in range(3)], axis=0)
+        assert _peak_error(mc.values, mean / np.trapezoid(mean, tau)) <= 1e-12
+
     def test_analytic_ensemble_matches_contraction(self, cfg, model, l0):
         # oracle: the direct contraction I(tau) = Re e(tau)^T M conj(e(tau))
         # of the whole n x n matrix M, for row blocks of one row, of the
