@@ -61,11 +61,15 @@ def _coerce(value, default):
     """Coerce a config value or flag string to the type of the default."""
     if isinstance(default, (tuple, list)):
         if isinstance(value, str):
-            value = [_parse_token(v) for v in value.split(",") if v]
-        # numeric lists take their elements' type from the default's
-        if {type(v) for v in default} in ({int}, {float}):
+            value = [v.strip() for v in value.split(",") if v]
+        # list elements take their type from the default's
+        if {type(v) for v in default} in ({int}, {float}, {str}):
             return tuple(_coerce(v, default[0]) for v in value)
         return tuple(value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{value!r} is not a string")
+        return value
     if not isinstance(default, (int, float)):
         return value
     if isinstance(value, str):

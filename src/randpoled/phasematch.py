@@ -18,7 +18,6 @@ data-parallel evaluation).
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy import special
 
 from .structures import PolingStructure, StructureSpec, gen_ideal
@@ -27,16 +26,21 @@ from .structures import PolingStructure, StructureSpec, gen_ideal
 # or exact-summation branches.
 SERIES_SWITCH = 1e-6
 
-# Chebyshev tail check: the last _TAIL_TERMS coefficients <= _TAIL_TOL * max.
-_TAIL_TERMS = 8
-_TAIL_TOL = 1e-11
+# Boundary sums: Kaiser-Bessel taps per point and node oversampling.  At 18
+# taps the aliases sit below rounding: ~1e-13 of the peak on the scenario
+# grids, and ~3e-13 (up to 3e-12) on a dk grid through 0, where F = 2i S / dk
+# magnifies the absolute error of S.  14 taps leave ~5e-11 there, 16 ~1e-12.
+_TAPS = 18
+_OVERSAMPLE = 2.0
+# plans round layout half-lengths up to steps of 1/_HALF_STEPS octave (2.2 %)
+_HALF_STEPS = 32
 # avg_f2_rps sums the lags term by term where |m log H| < _LAG_SWITCH: there
 # its closed form cancels to (m log H)^2 / 2 and keeps ~1e-16 / |m log H|.
 _LAG_SWITCH = 1e-2
 # lag sums take at most this many (element, lag) terms at a time
 _LAG_TERMS = 1 << 16
 # Boundary sums take longer dk arrays in blocks of this many points, which
-# bounds their (n_dk x P) and (n_dk x N_L) work arrays.
+# bounds their (nodes x N_L) and (n_dk x N_L) work arrays.
 _BLOCK = 4096
 
 # erf(z) overflows double precision for |Im z| beyond ~27.
@@ -57,62 +61,115 @@ def _direct_boundary_sum(z, w, dk):
     return (np.exp(1j * dk[:, None] * z) * w).sum(axis=-1)
 
 
-def _boundary_sum(z, w, dk):
+class BoundaryPlan:
+    """The grid-only data of _boundary_sum on one 1-D dk grid: its nodes and
+    banded matrix B for each length class of layout.
+
+    A layout's half-length is rounded up to X, a step of 1/_HALF_STEPS
+    octave; its nodes t_j = mid + j h, |j| <= m, are spaced h = pi / (2 X),
+    twice the Nyquist rate, and each grid point takes the _TAPS nearest,
+    weighted (h / a) e^-beta psi(dk - t_j) with the Kaiser-Bessel kernel
+    psi(s) = I0(beta sqrt(1 - s^2 / a^2)), a = _TAPS h / 2.  A layout's
+    nodes thus depend on its length alone, not on the layouts the plan
+    served before.  Grids run in blocks of _BLOCK points; a block with no
+    more points than nodes, or with non-finite points, takes the direct sum.
+    """
+
+    def __init__(self, dk):
+        self.dk = dk
+        self._nodes = {}
+
+    def nodes(self, half: float):
+        """(h, a, beta, [(block, (mid, m, cols, B) or None)]) for a layout
+        of half-length ``half``, built on first use."""
+        step = int(np.ceil(_HALF_STEPS * np.log2(half)))
+        if step not in self._nodes:
+            x = 2.0 ** (step / _HALF_STEPS)
+            h = np.pi / (_OVERSAMPLE * x)
+            a = 0.5 * _TAPS * h
+            # the aliases of the sources |y| <= x start at 2 pi / h - x
+            beta = a * (2.0 * _OVERSAMPLE - 1.0) * x
+            parts = np.array_split(self.dk, max(1, -(-self.dk.size // _BLOCK)))
+            self._nodes[step] = h, a, beta, [(p, _banded(p, h, a, beta)) for p in parts]
+        return self._nodes[step]
+
+
+def _banded(dk, h, a, beta):
+    """(mid, m, cols, B) of one block of the grid, or None for the direct sum."""
+    if dk.size == 0 or not np.all(np.isfinite(dk)):
+        return None
+    lo, hi = dk.min(), dk.max()
+    m = int(np.ceil(0.5 * (hi - lo) / h)) + _TAPS // 2
+    if dk.size <= 2 * m + 1:
+        return None
+    mid = 0.5 * (lo + hi)
+    first = np.ceil((dk - a - mid) / h).astype(int)
+    cols = first[:, None] + np.arange(m, m + _TAPS)  # node j sits at m + j
+    s = (dk[:, None] - mid - (cols - m) * h) / a
+    psi = special.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+    return mid, m, cols, psi * (h / a * np.exp(-beta))
+
+
+def _boundary_sum(z, w, dk, plan: BoundaryPlan | None = None):
     """S(dk) = sum_n w_n exp(i dk z_n) for increasing z, real w and 1-D dk.
 
-    The envelope S exp(-i dk z_c) about the layout center has bandwidth
-    L/2, so a Chebyshev interpolant of degree P = b + 12 b^(1/3) + 10,
-    b = (max dk - min dk) L / 4, resolves it; summed with real cos/sin at
-    the P + 1 Chebyshev points, it is carried to dk barycentrically
-    (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  Grids of at most
-    P + 1 points, non-finite grids and unresolved tails take the direct sum.
+    Type-3 NUFFT (Greengard & Lee, SIAM Rev. 46, 443 (2004); Barnett,
+    Magland & af Klinteberg, SIAM J. Sci. Comput. 41, C479 (2019)): about
+    the layout center z_c, y = z - z_c, S = e^(i dk z_c) (psi * g) for
+    g(t) = sum_n w_n e^(i t y_n) / psi^(y_n), psi^(y) = 2 a sinh(q) / q,
+    q = sqrt(beta^2 - a^2 y^2), taken as the trapezoid sum over the nodes
+    of ``plan`` (see BoundaryPlan; without one the call builds its own).
+    The node rows e^(i j h y), j = 0 .. m, serve nodes j and -j and follow
+    from e^(i h y) by doubling, E[k:2k] = E[:k] e^(i k h y).
     """
-    if dk.size > _BLOCK:
-        return np.concatenate([_boundary_sum(z, w, part) for part in
-                               np.array_split(dk, -(-dk.size // _BLOCK))])
-    lo, hi = (dk.min(), dk.max()) if dk.size else (0.0, 0.0)
-    b = 0.25 * (hi - lo) * (z[-1] - z[0])
-    p = int(np.ceil(b + 12.0 * np.cbrt(b) + 10.0)) if 0 < b < np.inf else dk.size
-    if dk.size <= p + 1:
-        return _direct_boundary_sum(z, w, dk)
-    mid, half, zc = 0.5 * (lo + hi), 0.5 * (hi - lo), 0.5 * (z[0] + z[-1])
-    x = np.sin(0.5 * np.pi * np.arange(-p, p + 1, 2) / p)  # exactly odd
-    m = p // 2 + 1
-    wc = (w * np.exp(1j * mid * (z - zc))).view(float).reshape(-1, 2)  # re, im
-    theta = np.outer(half * x[:m], z - zc)
-    c, s = np.cos(theta) @ wc, np.sin(theta) @ wc
-    # point j takes c + i s, its mirror p - j takes c - i s
-    env = np.empty(p + 1, dtype=complex)
-    env[:m] = (c[:, 0] - s[:, 1]) + 1j * (c[:, 1] + s[:, 0])
-    env[p + 1 - m:] = ((c[:, 0] + s[:, 1]) + 1j * (c[:, 1] - s[:, 0]))[::-1]
-    coef = np.abs(sp_fft.dct(env, type=1))
-    if coef[-_TAIL_TERMS:].max() > _TAIL_TOL * coef.max():
-        return _direct_boundary_sum(z, w, dk)
-    lam = (-1.0) ** np.arange(p + 1)
-    lam[[0, -1]] *= 0.5
-    t = (dk - mid) / half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bary = lam / (t[:, None] - x)
-        bary /= bary.sum(axis=1, keepdims=True)
-    row, col = np.nonzero(t[:, None] == x)
-    bary[row] = 0.0
-    bary[row, col] = 1.0
-    out = bary @ env.view(float).reshape(-1, 2)
-    return (out[:, 0] + 1j * out[:, 1]) * np.exp(1j * dk * zc)
+    if plan is None:
+        plan = BoundaryPlan(dk)
+    elif not (np.array_equal(plan.dk, dk)
+              or np.array_equal(plan.dk, dk, equal_nan=True)):
+        raise PhasematchError("boundary-sum plan built on another dk grid")
+    zc, half = 0.5 * (z[0] + z[-1]), 0.5 * (z[-1] - z[0])
+    h, a, beta, blocks = plan.nodes(half)
+    y = z - zc
+    ay2 = (a * y) ** 2
+    q = np.sqrt(beta ** 2 - ay2)
+    # w h / psi^(y) but for the (h / a) e^-beta in B; beta - q without cancelling
+    c = w * q * np.exp(ay2 / (beta + q))
+    step = np.exp(1j * h * y)
+    out = []
+    for part, block in blocks:
+        if block is None:
+            out.append(_direct_boundary_sum(z, w, part))
+            continue
+        mid, m, cols, taps = block
+        rows = np.empty((m + 1, y.size), dtype=complex)
+        rows[0] = 1.0
+        k, rot = 1, step
+        while k <= m:
+            n = min(k, m + 1 - k)
+            np.multiply(rows[:n], rot, out=rows[k:k + n])
+            k, rot = k + n, rot * rot
+        d = c * np.exp(1j * mid * y)
+        g = np.concatenate([np.conj(rows[1:] @ np.conj(d))[::-1], rows @ d])
+        out.append(np.einsum("ij,ij->i", taps, g[cols]) * np.exp(1j * part * zc))
+    return np.concatenate(out)
 
 
-def f_exact(s: PolingStructure, dk_total):
+def f_exact(s: PolingStructure, dk_total, plan: BoundaryPlan | None = None):
     """Exact phase-matching function of one explicit structure.
 
     Sum over domains of the chi(2)-weighted plane-wave integral; valid
-    for every mismatch including dk_total = 0 (series limit).
+    for every mismatch including dk_total = 0 (series limit).  ``plan``,
+    a BoundaryPlan built on the flattened dk_total, carries the grid-only
+    data of the boundary sum across calls; without one the call builds
+    its own.  Either way the result is the same to the last bit.
     """
     dk = np.asarray(dk_total, dtype=float)
     flat = dk.ravel()
-    w = (-1.0) ** np.arange(s.n_domains + 1)
+    w = np.ones(s.n_domains + 1)
+    w[1::2] = -1.0
     w[[0, -1]] *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 2j / flat * _boundary_sum(s.boundaries, w, flat)
+        out = 2j / flat * _boundary_sum(s.boundaries, w, flat, plan)
     tiny = np.abs(flat) * s.length < SERIES_SWITCH
     if np.any(tiny):
         # midpoint form, exact to second order in dk * L
@@ -126,7 +183,7 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     """Boundary-sum approximation F = (2i/dk) sum_n (-1)^n exp(i dk z_n).
 
     Differs from f_exact only by end-face terms of relative order
-    1/N_L.  Rejects dk_total = 0.
+    1/N_L.  Rejects dk_total = 0.  Builds its own BoundaryPlan.
     """
     dk = np.asarray(dk_total, dtype=float)
     if np.any(dk == 0.0):
@@ -198,17 +255,11 @@ def _dirichlet(x, m: int):
     eps = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
     near = np.abs(eps) < SERIES_SWITCH
     half = 0.5 * x
-    s = np.sin(half)
-    main = (
-        np.where(near, 1.0, np.sin(m * half))
-        / np.where(near, 1.0, s)
-        * np.exp(1j * (m - 1) * half)
-    )
-    series = (
-        m * np.exp(1j * (m - 1) * eps / 2.0)
-        * (1.0 - (m * m - 1.0) * eps ** 2 / 24.0)
-    )
-    return np.where(near, series, main)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.sin(m * half) / np.sin(half) * np.exp(1j * (m - 1) * half))
+    e = eps[near]
+    out[near] = m * np.exp(1j * (m - 1) * e / 2.0) * (1.0 - (m * m - 1.0) * e ** 2 / 24.0)
+    return out
 
 
 def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,

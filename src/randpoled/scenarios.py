@@ -18,9 +18,9 @@ import numpy as np
 from scipy import stats as sstats
 
 from .dispersion import DispersionModel
-from .spectra import (ProcessConfig, SpectralGrid, ensemble_run,
-                      extractor_rate, extractor_width, fwhm, joint_density,
-                      map_realizations, match_parameter)
+from .spectra import (ProcessConfig, SpectraError, SpectralGrid,
+                      ensemble_run, extractor_rate, extractor_width, fwhm,
+                      joint_density, map_realizations, match_parameter)
 from .structures import (RandomSource, StructureError, StructureSpec,
                          apply_fabrication_error, shuffle_segments)
 from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
@@ -294,6 +294,8 @@ def run_fab_error_scan(seed: int = 0,
                        realizations: int = 1000, grid_points: int = 257,
                        temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate under random fabrication error of the boundaries."""
+    if realizations < 1:
+        raise SpectraError(f"need at least one realization, got {realizations}")
     # large error levels broaden spectra past the default span
     ws = _workspace(temperature, grid_points, span=0.6)
     # rows and streams follow this order, whatever the order of `bases`
@@ -326,6 +328,8 @@ def run_segment_scan(seed: int = 0,
                      permutations: int = 1000, grid_points: int = 257,
                      temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate after random reordering of chirped segments."""
+    if permutations < 1:
+        raise SpectraError(f"need at least one permutation, got {permutations}")
     ws = _workspace(temperature, grid_points)
     base = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta) \
         .generate(RandomSource(seed, 0))

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .dispersion import DispersionModel, omega_from_wavelength
-from .phasematch import f_exact, response
+from .phasematch import BoundaryPlan, f_exact, response
 from .structures import RandomSource, StructureSpec
 
 
@@ -239,15 +239,19 @@ def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionMode
     """The Monte Carlo engine: observe(g, F) for the layouts draw(0) ..
     draw(count - 1), in index order.
 
-    The per-grid work, the mismatch dk_tot and the pumped coupling
-    g = coupling_g * pump_amplitude, is done once per call; each layout
-    then costs one boundary sum F = f_exact(draw(i), dk_tot).  Failures
-    are the observable's to handle: one that raises ends the run.
+    The per-grid work is done once per call: the mismatch dk_tot, the
+    pumped coupling g = coupling_g * pump_amplitude and the boundary-sum
+    plan (phasematch.BoundaryPlan).  Each layout then costs one boundary
+    sum F = f_exact(draw(i), dk_tot, plan), equal to the last bit to
+    f_exact(draw(i), dk_tot): the plan builds the nodes for each length
+    class of layout once.  Failures are the observable's to handle: one
+    that raises ends the run.
     """
     dk_tot = _mismatch_slice(cfg, model, grid)
     omega_i = cfg.omega_p0 - grid.omega_s
     g = coupling_g(grid.omega_s, omega_i, cfg, model) * cfg.pump_amplitude
-    return [observe(g, f_exact(draw(i), dk_tot)) for i in range(count)]
+    plan = BoundaryPlan(dk_tot)
+    return [observe(g, f_exact(draw(i), dk_tot, plan)) for i in range(count)]
 
 
 def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from randpoled import DispersionModel, ProcessConfig
 from randpoled.spectra import SpectralGrid
+
+# CI passes --hypothesis-profile=ci: the property tests then draw the same
+# examples on every run, and five times as many as locally.
+settings.register_profile("ci", derandomize=True)
+
+
+def examples(n: int) -> int:
+    """max_examples of a property test: n, or 5 n under the ci profile."""
+    return 5 * n if settings.get_current_profile_name() == "ci" else n
 
 
 @pytest.fixture(scope="session")

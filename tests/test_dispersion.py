@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from randpoled import DispersionError, DispersionModel, omega_from_wavelength
 from randpoled.dispersion import BAND_MAX, BAND_MIN, wavelength_from_omega
 
@@ -102,14 +104,14 @@ class TestMismatch:
 
 
 @given(lam=st.floats(min_value=BAND_MIN * 1.01, max_value=BAND_MAX * 0.99))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 def test_wavelength_roundtrip(lam):
     assert wavelength_from_omega(omega_from_wavelength(lam)) == pytest.approx(
         lam, rel=1e-14)
 
 
 @given(lam=st.floats(min_value=0.5e-6, max_value=3.9e-6))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 def test_index_physical_range(lam):
     n = DispersionModel().refractive_index(omega_from_wavelength(lam))
     assert 1.9 < n < 2.5

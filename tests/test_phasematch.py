@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
                        complex_erf, f_boundary_sum, f_chirp, f_exact,
@@ -75,9 +77,10 @@ def _kernel_only():
 
 
 def _direct(fn, s, dk):
-    """fn(s, dk) with the Chebyshev kernel replaced by the direct sum."""
-    with mock.patch.object(phasematch, "_boundary_sum",
-                           phasematch._direct_boundary_sum):
+    """fn(s, dk) with the NUFFT kernel replaced by the direct sum."""
+    def direct(z, w, dk, plan=None):
+        return phasematch._direct_boundary_sum(z, w, dk)
+    with mock.patch.object(phasematch, "_boundary_sum", direct):
         return fn(s, dk)
 
 
@@ -115,7 +118,7 @@ class TestChebyshevKernel:
                                  "shuffled", "perturbed"]),
            n_domains=st.integers(10, 2000), grid=st.sampled_from(SCENARIO_GRIDS),
            sigma_um=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_matches_direct_sum(self, scenario_dk, kind, n_domains, grid,
                                 sigma_um, seed):
         try:
@@ -132,15 +135,52 @@ class TestChebyshevKernel:
             # measured at about 1e-13 of the peak (3.7e-13 at N_L = 2000)
             assert _peak_error(got, want) <= 1e-12
 
-    def test_failed_tail_check_takes_direct_sum(self, scenario_dk):
-        s = _layout("rps", 700, 2.1e-6, 0)
+    def test_plan_nodes_follow_layout_length(self, scenario_dk):
+        # each layout gets the nodes its length selects, whatever the plan
+        # served before, so F is the same to the last bit with or without it
+        short, long = _layout("ideal", 300, 0.0, 0), _layout("rps", 700, 2.1e-6, 4)
         dk = scenario_dk[(257, 0.6)]
-        with mock.patch.object(phasematch, "_TAIL_TOL", -1.0), \
-                mock.patch.object(phasematch, "_direct_boundary_sum",
-                                  wraps=phasematch._direct_boundary_sum) as direct:
-            got = f_exact(s, dk)
+        plan = phasematch.BoundaryPlan(dk)
+        with _kernel_only():
+            got = [f_exact(x, dk, plan) for x in (short, long, short)]
+            alone = [f_exact(x, dk) for x in (short, long)]
+        assert np.array_equal(got[0], alone[0]) and np.array_equal(got[2], alone[0])
+        assert np.array_equal(got[1], alone[1])
+        for x, f in zip((short, long), alone):
+            h = plan.nodes(0.5 * x.length)[0]
+            assert 0.5 * x.length <= np.pi / (2.0 * h) <= 0.5 * x.length * 2 ** (1 / 32)
+            assert _peak_error(f, _direct(f_exact, x, dk)) <= 1e-12
+        assert len(plan._nodes) == 2
+
+    def test_plan_of_another_grid_rejected(self, scenario_dk):
+        s = _layout("rps", 700, 2.1e-6, 0)
+        plan = phasematch.BoundaryPlan(scenario_dk[(257, 0.6)])
+        with pytest.raises(PhasematchError, match="another dk grid"):
+            f_exact(s, scenario_dk[(513, 0.35)], plan)
+
+    @pytest.mark.parametrize("n_points", [11, 41])
+    def test_grid_with_few_points_takes_direct_sum(self, n_points):
+        # no more points than the 2 m + 1 nodes of the plan: the direct sum
+        s = _layout("rps", 700, 2.1e-6, 0)
+        dk = np.linspace(0.8 * DK0, 1.2 * DK0, n_points)
+        plan = phasematch.BoundaryPlan(dk)
+        (part, block), = plan.nodes(0.5 * s.length)[3]
+        assert block is None
+        with mock.patch.object(phasematch, "_direct_boundary_sum",
+                               wraps=phasematch._direct_boundary_sum) as direct:
+            got = f_exact(s, dk, plan)
         direct.assert_called_once()
         assert np.array_equal(got, _direct(f_exact, s, dk))
+
+    def test_non_finite_grid_takes_direct_sum(self, scenario_dk):
+        s = _layout("rps", 700, 2.1e-6, 0)
+        dk = scenario_dk[(257, 0.6)].copy()
+        dk[100] = np.nan
+        with mock.patch.object(phasematch, "_direct_boundary_sum",
+                               wraps=phasematch._direct_boundary_sum) as direct:
+            got = f_exact(s, dk)
+        direct.assert_called_once()
+        np.testing.assert_array_equal(got, _direct(f_exact, s, dk))
 
     def test_shape_and_order_kept(self, scenario_dk):
         s = _layout("rps", 700, 2.1e-6, 1)
@@ -158,11 +198,12 @@ class TestChebyshevKernel:
         s = _layout("rps", 700, 2.1e-6, 3)
         dk = scenario_dk[(1025, 0.35)]
         want = _direct(f_exact, s, dk)
-        with mock.patch.object(phasematch, "_BLOCK", 300), _kernel_only(), \
-                mock.patch.object(phasematch, "_boundary_sum",
-                                  wraps=phasematch._boundary_sum) as kernel:
-            got = f_exact(s, dk)
-        assert kernel.call_count == 1 + 4  # the whole grid, then 4 blocks
+        with mock.patch.object(phasematch, "_BLOCK", 300), _kernel_only():
+            plan = phasematch.BoundaryPlan(dk)
+            got = f_exact(s, dk, plan)
+        blocks = plan.nodes(0.5 * s.length)[3]
+        assert [part.size for part, _ in blocks] == [257, 256, 256, 256]
+        assert all(block is not None for _, block in blocks)
         assert _peak_error(got, want) <= 1e-12
 
     def test_zero_mismatch_keeps_series_value(self):
@@ -557,7 +598,7 @@ class TestHelpers:
 
 
 @given(dk=st.floats(-3e5, 3e5), sigma_um=st.floats(0.0, 3.0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_ensemble_means_nonnegative(dk, sigma_um):
     sigma = sigma_um * 1e-6
     assert avg_f2_rps(dk, 300, L0, sigma, DK0) >= 0.0
@@ -565,7 +606,7 @@ def test_ensemble_means_nonnegative(dk, sigma_um):
 
 
 @given(dk=st.floats(-3e5, 3e5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_disorder_never_raises_peak(dk):
     # disorder redistributes, never exceeds the ordered-structure bound
     bound = 4.0 * 301 ** 2 / (DK0 + dk) ** 2

@@ -377,6 +377,44 @@ class TestCli:
         assert "xyz" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["segment-scan", "--permutations", "0", "--d-values", "1,700"],
+        ["fab-error-scan", "--realizations", "0", "--bases", "rps"],
+    ])
+    def test_empty_ensemble_is_a_domain_error(self, tmp_path, capsys, args):
+        # no layouts to average: an error, not a row of NaN means
+        code = _run_cli(args + ["--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert "at least one" in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("scenario, config", [
+        ("sigma-zeta-match", {"target": 5}),
+        ("fab-error-scan", {"bases": ["cpps", 5]}),
+    ])
+    def test_non_string_rejected(self, tmp_path, capsys, scenario, config):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": scenario, **config}))
+        code = _run_cli([scenario, "--config", str(cfgfile), "--out-dir",
+                         str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert next(iter(config)) in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_coercion_of_string_flags(self):
+        cfg = cli.parse_config(None, {
+            "scenario": "fab-error-scan", "params": {"bases": "cpps, rps"},
+        })
+        assert cfg.params["bases"] == ("cpps", "rps")
+        cfg = cli.parse_config(None, {
+            "scenario": "sigma-zeta-match", "params": {"target": "equal-rate"},
+        })
+        assert cfg.params["target"] == "equal-rate"
+
     def test_coercion_of_tuple_flags(self):
         cfg = cli.parse_config(None, {
             "scenario": "rate-vs-NL",

@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
                        ensemble_run, fwhm, joint_density, match_parameter,
                        pair_rate, signal_spectrum, two_photon_amplitude)
 from randpoled.constants import CONSTANTS
+from randpoled.phasematch import BoundaryPlan, f_exact
 from randpoled.spectra import (SpectraError, SpectralGrid, SpectralSlice,
-                               coupling_g, extractor_rate, extractor_width,
-                               mean_f2)
+                               _mismatch_slice, coupling_g, extractor_rate,
+                               extractor_width, map_realizations, mean_f2)
 
 
 class TestConfigAndGrid:
@@ -214,6 +218,21 @@ class TestEnsemble:
                              grid)["rate"]
         assert stats.failures == 1
         assert stats.values.size == 99
+
+    def test_engine_builds_one_plan(self, cfg, model, l0):
+        # one boundary-sum plan per call, and every F as f_exact gives it
+        grid = SpectralGrid.default(cfg.omega_s0, n=257, span=0.6)
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        layouts = [spec.generate(RandomSource(3, i)) for i in range(20)]
+        with mock.patch.object(spectra, "BoundaryPlan", wraps=BoundaryPlan) as build:
+            got = map_realizations(layouts.__getitem__, len(layouts), cfg, model,
+                                   grid, lambda g, f: f)
+        build.assert_called_once()
+        dk_tot = _mismatch_slice(cfg, model, grid)
+        for s, f in zip(layouts, got):
+            want = f_exact(s, dk_tot)
+            assert np.max(np.abs(f - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(f, want)
 
     def test_unexpected_error_propagates(self, cfg, model, l0):
         # only domain errors (ValueError) count as failed extractions

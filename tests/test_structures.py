@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from randpoled import (PolingStructure, RandomSource, StructureError,
                        StructureSpec, apply_fabrication_error,
                        domain_length_histogram, gen_chirped, gen_ideal,
@@ -212,7 +214,7 @@ class TestHistogramAndIo:
 @given(seed=st.integers(0, 2**32 - 1),
        n=st.integers(2, 300),
        sigma_um=st.floats(0.0, 2.5))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_generated_structures_valid(seed, n, sigma_um):
     for kind in ("rps", "weakly-random"):
         spec = StructureSpec(kind, n, L0, sigma=sigma_um * 1e-6)
@@ -223,7 +225,7 @@ def test_generated_structures_valid(seed, n, sigma_um):
 
 
 @given(seed=st.integers(0, 2**16), d=st.integers(1, 50))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_shuffle_total_length_invariant(seed, d):
     s = gen_chirped(50, L0, 2.5e6)
     t = shuffle_segments(s, d, RandomSource(seed).generator())
@@ -232,7 +234,7 @@ def test_shuffle_total_length_invariant(seed, d):
 
 
 @given(seed=st.integers(0, 2**16))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_generation_deterministic(seed):
     spec = StructureSpec("rps", 100, L0, sigma=1.3e-6)
     a = spec.generate(RandomSource(seed))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from randpoled import (ProcessConfig, RandomSource, StructureSpec, compensate,
                        dispersion_cancellation_check, entanglement_time, fwhm,
                        hom_trace, spectral_phase, sumfreq_ensemble_mc,
@@ -100,7 +102,7 @@ def _peak_error(got, want):
        tau0=st.floats(-1.0, 1.0), tau_span=st.floats(1e-3, 2.0),
        f0=st.floats(-1.0, 1.0), f_span=st.floats(1e-3, 2.0),
        phase=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_transform_matches_direct_sum(m, n, tau0, tau_span, f0, f_span,
                                       phase, seed):
     # |tau * freq| reaches `phase` rad (up to 2000) at the far corner
