@@ -241,17 +241,18 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     agrid = AngularGrid(theta_s=np.array([0.0]),
                         theta_i=np.linspace(0.0, theta_max, n_theta),
                         phi_i=np.array([np.pi]), omega_s=omega)
-    prof_c = correlated_area(chirp, cfg, ws.model, agrid).values[:, 0]
-    prof_r = correlated_area(ens, cfg, ws.model, agrid).values[:, 0]
-    area_rows = tuple(
-        (float(agrid.theta_i[i]), float(prof_c[i]), float(prof_r[i]))
-        for i in range(agrid.theta_i.size)
-    )
-    scan_rows = []
+    scan_rows, profiles = [], []
     for spec_name, spec in (("cpps", chirp), ("rps_ensemble", ens)):
-        for row in correlated_width_scan(spec, ws.cfg, ws.model, pump_widths,
-                                         omega, n_theta=n_theta):
-            scan_rows.append((spec_name, row["pump_width"], row["delta_theta_i"]))
+        scan = correlated_width_scan(spec, ws.cfg, ws.model, pump_widths, omega,
+                                     n_theta=n_theta)
+        scan_rows += [(spec_name, row["pump_width"], row["delta_theta_i"])
+                      for row in scan]
+        # the area at pump_width is the scan's row of that width and theta grid
+        same = [row["profile"] for row in scan if row["pump_width"] == pump_width
+                and np.array_equal(row["theta_i"], agrid.theta_i)]
+        profiles.append(same[0] if same else
+                        correlated_area(spec, cfg, ws.model, agrid).values[:, 0])
+    area_rows = tuple(zip(*(map(float, col) for col in (agrid.theta_i, *profiles))))
     tables = {
         "correlated_area": Table(("theta_i", "g_cpps", "g_rps_ensemble"),
                                  area_rows),

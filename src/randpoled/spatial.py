@@ -16,7 +16,7 @@ import numpy as np
 
 from .dispersion import DispersionModel
 from .phasematch import response
-from .spectra import ProcessConfig, _f2, coupling_g, fwhm
+from .spectra import ProcessConfig, _f2, _pumped_g2, coupling_g, fwhm
 
 
 class SpatialError(ValueError):
@@ -112,9 +112,7 @@ def _slice_kinematics(cfg, model, omega_s):
     k_s = model.wavenumber(omega_s)
     k_i = model.wavenumber(omega_i)
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
-    g2 = np.abs(coupling_g(omega_s, omega_i, cfg, model)) ** 2 \
-        * abs(cfg.pump_amplitude) ** 2
-    return k_s, k_i, k_p, g2
+    return k_s, k_i, k_p, _pumped_g2(cfg, model, omega_s)
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
@@ -200,7 +198,7 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
 
     The pump is radially symmetric (dx = dy = scanned width); the
     theta range adapts to the expected Fourier-limited angular width.
-    Returns a list of dicts (pump_width, delta_theta_i).
+    Returns a list of dicts (pump_width, delta_theta_i, theta_i, profile).
     """
     omega_s = np.asarray(omega_s, dtype=float)
     k_i0 = model.wavenumber(0.5 * cfg.omega_p0)
@@ -219,5 +217,7 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
         rows.append({
             "pump_width": float(width),
             "delta_theta_i": fwhm(grid.theta_i, profile),
+            "theta_i": grid.theta_i,
+            "profile": profile,
         })
     return rows

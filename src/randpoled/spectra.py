@@ -171,13 +171,16 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     return SpectralSlice(grid, g * cfg.pump_amplitude * f, cfg.omega_p0)
 
 
+def _pumped_g2(cfg: ProcessConfig, model: DispersionModel, omega_s):
+    """|g|^2 |pump|^2 at omega_s: the density per unit <|F|^2>."""
+    g = coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model)
+    return np.abs(g) ** 2 * abs(cfg.pump_amplitude) ** 2
+
+
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,
                   grid: SpectralGrid) -> np.ndarray:
     """Spectral density n(omega_s) = |g|^2 |pump|^2 <|F|^2> on the slice."""
-    omega_i = cfg.omega_p0 - grid.omega_s
-    g = coupling_g(grid.omega_s, omega_i, cfg, model)
-    f2 = mean_f2(source, cfg, model, grid)
-    return np.abs(g) ** 2 * abs(cfg.pump_amplitude) ** 2 * f2
+    return _pumped_g2(cfg, model, grid.omega_s) * mean_f2(source, cfg, model, grid)
 
 
 def signal_spectrum(density, cfg: ProcessConfig, grid: SpectralGrid,
@@ -319,7 +322,8 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     For each zeta the ensemble-mean observable of the random family is
     root-found (bisection within a bracket located on a log grid) to
     match the chirped structure's value.  Unbracketed entries are
-    returned with sigma = nan and matched = False.
+    returned with sigma = nan and matched = False.  The slice mismatch
+    and |g|^2 |pump|^2 are computed once per call.
 
     Returns a list of dicts with keys zeta, sigma, observable_chirp,
     observable_rps, matched.
@@ -329,15 +333,16 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
     probes = np.geomspace(sigma_bracket[0], sigma_bracket[1], 25)
+    dk_tot = _mismatch_slice(cfg, model, grid)
+    weight = _pumped_g2(cfg, model, grid.omega_s)
     for zeta in np.asarray(zeta_grid, dtype=float):
         chirp_spec = StructureSpec("chirped", template.n_domains, template.l0,
                                    zeta=zeta)
-        goal = observable(grid.omega_s, joint_density(chirp_spec, cfg, model, grid))
+        goal = observable(grid.omega_s, weight * _f2(chirp_spec, dk_tot))
 
         def mismatch(sig, goal=goal):
             spec = StructureSpec("rps", template.n_domains, template.l0, sigma=sig)
-            return observable(grid.omega_s,
-                              joint_density(spec, cfg, model, grid)) - goal
+            return observable(grid.omega_s, weight * _f2(spec, dk_tot)) - goal
 
         vals = np.full(probes.size, np.nan)
         for k, p in enumerate(probes):

@@ -292,10 +292,10 @@ def shuffle_segments(s: PolingStructure, d: int,
     if not 1 <= d <= s.n_domains:
         raise StructureError("segment size d must satisfy 1 <= d <= n_domains")
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    lengths = s.domain_lengths
-    runs = [lengths[i:i + d] for i in range(0, s.n_domains, d)]
-    order = gen.permutation(len(runs))
-    shuffled = np.concatenate([runs[i] for i in order])
+    order = gen.permutation(-(-s.n_domains // d))
+    # domain indices run by run in the new order; a short final run is cut
+    idx = (order[:, None] * d + np.arange(d)).ravel()
+    shuffled = s.domain_lengths[idx[idx < s.n_domains]]
     z = np.concatenate(([s.boundaries[0]], s.boundaries[0] + np.cumsum(shuffled)))
     return PolingStructure(z, kind="shuffled")
 

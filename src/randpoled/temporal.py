@@ -148,7 +148,8 @@ def hom_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
         tau = default_tau_grid()
     omega_s, _, interf, base = _hom_weights(source, cfg, model, grid)
     wq = _trapezoid_weights(omega_s)
-    r0 = float(np.real((wq * base).sum()))
+    # summed as the complex tau = 0 row is, so that R_n(0) is exactly 0
+    r0 = float(np.real((wq * base).astype(complex).sum()))
     if r0 <= 0:
         raise TemporalError("empty spectrum: R0 = 0")
     omega_s0 = 0.5 * cfg.omega_p0

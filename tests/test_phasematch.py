@@ -391,6 +391,75 @@ class TestChirp:
         assert v1 / v2 == pytest.approx(2.0, rel=0.15)
 
 
+def _chirp_erf_form(delta_k, n, zp):
+    """The erf form of f_chirp: (2i/dk_tot) e^(i phi) sqrt(pi) / (2a)
+    [erf(a (N_L/2 + beta)) - erf(a (-N_L/2 + beta))]."""
+    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
+    dk_tot = DK0 + dk
+    a = np.sqrt(-1j * dk_tot * zp + 0j) * L0
+    beta = dk / (2.0 * dk_tot * zp * L0)
+    pre = (2j / dk_tot * np.exp(-1j * dk_tot * n * L0)
+           * np.exp(1j * dk * L0 * n / 2.0)
+           * np.exp(-1j * dk ** 2 / (4.0 * dk_tot * zp)))
+    return pre * np.sqrt(np.pi) / (2.0 * a) * (
+        complex_erf(a * (n / 2.0 + beta)) - complex_erf(a * (-n / 2.0 + beta)))
+
+
+def _chirp_mpmath(delta_k, n, zp):
+    """The erf form at 50 digits from the double inputs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        dk, l0, zp = mp.mpf(float(delta_k)), mp.mpf(L0), mp.mpf(zp)
+        dk_tot = mp.mpf(DK0) + dk
+        a = mp.sqrt(-1j * dk_tot * zp) * l0
+        beta = dk / (2 * dk_tot * zp * l0)
+        phi = -dk_tot * n * l0 + dk * l0 * n / 2 - dk ** 2 / (4 * dk_tot * zp)
+        half = mp.mpf(n) / 2
+        return complex(2j / dk_tot * mp.expj(phi) * mp.sqrt(mp.pi) / (2 * a)
+                       * (mp.erf(a * (half + beta)) - mp.erf(a * (beta - half))))
+
+
+class TestChirpFresnelForm:
+    BAND = np.linspace(-0.5 * DK0, 0.5 * DK0, 2001)  # dk_tot in [0.5, 1.5] dk0
+    CASES = [(n, sign * zeta) for n in (10, 50, 200, 700, 2000)
+             for zeta in (0.5e6, 2.5e6) for sign in (1, -1)]
+
+    @pytest.mark.parametrize("n,zeta", CASES)
+    def test_matches_erf_form(self, n, zeta):
+        want = _chirp_erf_form(self.BAND, n, zeta / DK0)
+        got = f_chirp(self.BAND, n, L0, zeta / DK0, DK0)
+        assert _peak_error(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("n,zeta", CASES)
+    def test_against_mpmath(self, n, zeta):
+        peak = np.abs(f_chirp(self.BAND, n, L0, zeta / DK0, DK0)).max()
+        idx = np.random.default_rng(n).choice(self.BAND.size, 8, replace=False)
+        for dk in self.BAND[idx]:
+            want = _chirp_mpmath(dk, n, zeta / DK0)
+            assert abs(f_chirp(dk, n, L0, zeta / DK0, DK0) - want) <= 1e-11 * peak
+
+    def test_near_zero_mismatch_no_worse_than_erf_form(self):
+        # as dk_tot -> 0 both forms cancel phases of dk^2 / (4 dk_tot zeta')
+        # rad, ~1e9 at dk_tot ~ 1e-4 dk0: both keep ~1e-7 of the peak in the
+        # median and a few 1e-6 at worst.  Which form is ahead at a point is
+        # rounding luck (and may change with the platform's libm), so "no
+        # worse" allows a factor 2 on the median and on the worst point
+        rng = np.random.default_rng(3)
+        err_fresnel, err_erf = [], []
+        for n in (10, 100, 700, 2000):
+            for zeta in (2.5e6, -2.5e6):
+                zp = zeta / DK0
+                peak = np.abs(f_chirp(self.BAND, n, L0, zp, DK0)).max()
+                rel = np.geomspace(1e-4, 1e-3, 5) * rng.choice([-1, 1], 5)
+                dk = -DK0 * (1.0 - rel)
+                want = np.array([_chirp_mpmath(x, n, zp) for x in dk])
+                err_fresnel.append(np.abs(f_chirp(dk, n, L0, zp, DK0) - want) / peak)
+                err_erf.append(np.abs(_chirp_erf_form(dk, n, zp) - want) / peak)
+        assert np.median(err_fresnel) <= 2.0 * np.median(err_erf)
+        assert np.max(err_fresnel) <= 2.0 * np.max(err_erf)
+        assert np.max(err_fresnel) < 1e-5
+
+
 class TestComplexErf:
     # oracle: mpmath.erf at 30 digits
     ORACLE = {

@@ -1,15 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from randpoled import cli
+from randpoled import cli, scenarios, spatial
 from randpoled.dispersion import DispersionModel
 from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _workspace,
                                  run_fab_error_scan, run_histogram_study,
                                  run_hom_study, run_rate_vs_nl, run_segment_scan,
-                                 run_sumfreq_study, run_temperature_scan,
-                                 run_width_vs_nl)
+                                 run_spatial_study, run_sumfreq_study,
+                                 run_temperature_scan, run_width_vs_nl)
+from randpoled.spatial import AngularGrid, correlated_area
 from randpoled.spectra import fwhm, joint_density, pair_rate
 from randpoled.structures import (RandomSource, StructureSpec,
                                   apply_fabrication_error, shuffle_segments)
@@ -134,6 +136,38 @@ class TestScanEngine:
                  for i in range(count)], ws)
             want.append((d, float(width), float(rate)))
         assert res.tables["scan"].rows == tuple(want)
+
+    @pytest.mark.parametrize("pump_width,calls", [(1e-5, 10), (2e-5, 12)])
+    def test_spatial_study_evaluates_each_area_once(self, monkeypatch,
+                                                    pump_width, calls):
+        # the area profile at pump_width is the width scan's row when that
+        # row has the same width and theta grid (1e-5); otherwise its own call
+        counted = []
+        original = spatial.correlated_area
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "correlated_area", counting)
+        monkeypatch.setattr(scenarios, "correlated_area", counting)
+        res = run_spatial_study(pump_width=pump_width)
+        assert len(counted) == calls
+        monkeypatch.undo()
+        ws = _workspace()
+        cfg = replace(ws.cfg, pump_dx=pump_width, pump_dy=pump_width)
+        omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, 201)
+        theta_max = float(np.clip(14.0 / (ws.model.wavenumber(ws.cfg.omega_s0)
+                                          * pump_width), 0.01, 0.35))
+        agrid = AngularGrid(theta_s=np.array([0.0]),
+                            theta_i=np.linspace(0.0, theta_max, 320),
+                            phi_i=np.array([np.pi]), omega_s=omega)
+        want = [agrid.theta_i] + [
+            correlated_area(spec, cfg, ws.model, agrid).values[:, 0]
+            for spec in (StructureSpec("chirped", 700, ws.l0, zeta=2.5e6),
+                         StructureSpec("rps", 700, ws.l0, sigma=2.1e-6))]
+        got = np.array(res.tables["correlated_area"].rows).T
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_fab_error_scan_matches_oracle(self):
         sigma_er_values, realizations = (0.0, 2.5e-7), 3

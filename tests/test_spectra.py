@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
@@ -258,6 +259,44 @@ class TestMatching:
         assert 1.7e-6 < rows[0]["sigma"] < 3.0e-6
         assert rows[0]["observable_rps"] == pytest.approx(
             rows[0]["observable_chirp"], rel=0.02)
+
+    @pytest.mark.parametrize("target", ["equal-width", "equal-rate"])
+    def test_rows_equal_per_probe_joint_density(self, cfg, model, l0, target):
+        # oracle: the same probe and root search on full joint_density calls
+        grid = SpectralGrid.default(cfg.omega_s0, n=257, span=0.6)
+        template = StructureSpec("rps", 700, l0)
+        zetas = (0.5e6, 2.5e6)
+        with mock.patch.object(spectra, "_mismatch_slice",
+                               wraps=spectra._mismatch_slice) as mismatch:
+            rows = match_parameter(target, zetas, cfg, model, grid, template)
+        assert mismatch.call_count == 1
+        observable = extractor_width if target == "equal-width" else extractor_rate
+
+        def measure(spec):
+            return observable(grid.omega_s, joint_density(spec, cfg, model, grid))
+
+        want = []
+        for zeta in zetas:
+            goal = measure(StructureSpec("chirped", 700, l0, zeta=zeta))
+
+            def gap(sig, goal=goal):
+                return measure(StructureSpec("rps", 700, l0, sigma=sig)) - goal
+
+            probes = np.geomspace(5e-8, 8e-6, 25)
+            vals = []
+            for p in probes:
+                try:
+                    vals.append(gap(p))
+                except SpectraError:
+                    vals.append(np.nan)
+            vals = np.array(vals)
+            ok = np.nonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+                            & (np.sign(vals[:-1]) != np.sign(vals[1:])))[0]
+            assert ok.size
+            sigma = brentq(gap, probes[ok[0]], probes[ok[0] + 1], rtol=1e-2)
+            want.append({"zeta": zeta, "sigma": sigma, "observable_chirp": goal,
+                         "observable_rps": gap(sigma) + goal, "matched": True})
+        assert rows == want
 
     def test_unknown_target(self, cfg, model, grid, l0):
         with pytest.raises(SpectraError):

@@ -169,6 +169,20 @@ class TestShuffle:
         t = shuffle_segments(s, 100, RandomSource(0).generator())
         assert np.allclose(t.boundaries, s.boundaries)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 69, 70, 350, 699, 700])
+    def test_matches_run_list_form(self, d):
+        # oracle: the runs as a list of slices, concatenated in the drawn order
+        s = gen_chirped(700, L0, 2.5e6)
+        for seed in range(20):
+            gen = RandomSource(seed).generator()
+            runs = [s.domain_lengths[i:i + d] for i in range(0, 700, d)]
+            order = gen.permutation(len(runs))
+            lengths = np.concatenate([runs[i] for i in order])
+            want = np.concatenate(([s.boundaries[0]],
+                                   s.boundaries[0] + np.cumsum(lengths)))
+            got = shuffle_segments(s, d, RandomSource(seed).generator())
+            assert np.array_equal(got.boundaries, want)
+
     def test_short_final_run_participates(self):
         s = gen_chirped(10, L0, 2.5e6)
         t = shuffle_segments(s, 3, RandomSource(4).generator())

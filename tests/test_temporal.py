@@ -37,6 +37,25 @@ class TestHom:
             tr = hom_trace(spec, cfg, model, grid, TAU)
             assert tr.values[np.argmin(np.abs(TAU))] == 0.0
 
+    @pytest.mark.parametrize("n", [257, 513, 1025, 1537, 2049, 3073, 4097])
+    @pytest.mark.parametrize("source", ["rps", "weakly-random", "chirped", "ideal",
+                                        "layout0", "layout3", "layout7"])
+    def test_zero_delay_is_exact_on_every_grid(self, cfg, model, l0, n, source):
+        # the normaliser is summed as the tau = 0 row is: R_n(0) is 0.0, not
+        # a rounding residue of either summation order
+        rps = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        sources = {"rps": rps,
+                   "weakly-random": StructureSpec("weakly-random", 700, l0,
+                                                  sigma=2.1e-6),
+                   "chirped": StructureSpec("chirped", 700, l0, zeta=2.5e6),
+                   "ideal": StructureSpec("ideal", 700, l0)}
+        src = (sources[source] if source in sources
+               else rps.generate(RandomSource(int(source[-1]), 0)))
+        tau = np.linspace(-100e-15, 100e-15, 201)
+        assert tau[100] == 0.0
+        grid = SpectralGrid.default(cfg.omega_s0, n=n)
+        assert hom_trace(src, cfg, model, grid, tau).values[100] == 0.0
+
     def test_edges_approach_unity(self, cfg, model, grid, l0):
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
         tr = hom_trace(spec, cfg, model, grid, TAU)
