@@ -18,8 +18,8 @@ from .structures import (PolingStructure, RandomSource, StructureError,
                          gen_rps, gen_weakly_random, load_structure,
                          save_structure, shuffle_segments)
 from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
-                         complex_erf, f_boundary_sum, f_chirp, f_exact,
-                         xcorr_chirp, xcorr_rps, xcorr_weak)
+                         f_boundary_sum, f_chirp, f_exact, xcorr_chirp,
+                         xcorr_rps, xcorr_weak)
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,
                       SpectralSlice, ensemble_run, fwhm, joint_density,
                       match_parameter, pair_rate, signal_spectrum,

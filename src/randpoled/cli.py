@@ -47,7 +47,6 @@ class RunConfig:
     scenario: str
     seed: int = 0
     out_dir: str = "."
-    threads: int | None = None
     params: dict = field(default_factory=dict)
 
 
@@ -148,9 +147,8 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"invalid seed: {exc}") from exc
     out_dir = overrides.get("out_dir") or data.get("out_dir") \
         or os.environ.get(OUT_DIR_ENV) or "."
-    threads = overrides.get("threads", data.get("threads"))
     return RunConfig(scenario=scenario, seed=int(seed), out_dir=str(out_dir),
-                     threads=threads, params=params)
+                     params=params)
 
 
 def run(config: RunConfig) -> int:
@@ -167,8 +165,6 @@ def run(config: RunConfig) -> int:
         return EXIT_NUMERIC
     files = {f"{name}.csv": table_to_csv(table)
              for name, table in result.tables.items()}
-    # the threads hint is advisory and deliberately left out of the
-    # metadata so outputs stay byte-identical across worker counts
     metadata = {
         "scenario": config.scenario,
         "seed": config.seed,
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", help="output directory "
                         f"(default: ${OUT_DIR_ENV} or '.')")
         sp.add_argument("--threads", type=int,
-                        help="advisory worker-count hint; never affects results")
+                        help="accepted and ignored: runs are single-threaded")
         for name, default in scenario_defaults(scenario).items():
             sp.add_argument("--" + name.replace("_", "-"),
                             metavar="V1,V2,..." if isinstance(default, tuple) else None)
@@ -237,7 +233,6 @@ def main(argv=None) -> int:
         "scenario": args.command,
         "seed": args.seed,
         "out_dir": args.out_dir,
-        "threads": args.threads,
         "params": params,
     }
     try:

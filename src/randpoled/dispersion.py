@@ -11,7 +11,7 @@ convert to and from vacuum wavelengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +57,10 @@ class DispersionModel:
 
     material: str = "cln-e"
     temperature: float = 297.0  # kelvin
-    sellmeier_a: tuple = field(default=None)
-    sellmeier_b: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.sellmeier_a is None or self.sellmeier_b is None:
-            try:
-                a, b = MATERIALS[self.material]
-            except KeyError:
-                raise DispersionError(f"unknown material {self.material!r}")
-            if self.sellmeier_a is None:
-                object.__setattr__(self, "sellmeier_a", a)
-            if self.sellmeier_b is None:
-                object.__setattr__(self, "sellmeier_b", b)
+        if self.material not in MATERIALS:
+            raise DispersionError(f"unknown material {self.material!r}")
 
     def refractive_index(self, omega):
         """Extraordinary refractive index at angular frequency omega.
@@ -84,8 +75,7 @@ class DispersionModel:
                 "wavelength outside supported band "
                 f"[{BAND_MIN * 1e6:.1f}, {BAND_MAX * 1e6:.1f}] um"
             )
-        a = self.sellmeier_a
-        b = self.sellmeier_b
+        a, b = MATERIALS[self.material]
         t_c = self.temperature - 273.15
         f = (t_c - 24.5) * (t_c + 570.82)
         l2 = (lam * 1e6) ** 2

@@ -43,9 +43,6 @@ _LAG_TERMS = 1 << 16
 # bounds their (nodes x N_L) and (n_dk x N_L) work arrays.
 _BLOCK = 4096
 
-# erf(z) overflows double precision for |Im z| beyond ~27.
-ERF_IM_MAX = 26.0
-
 
 class PhasematchError(ValueError):
     """Raised for invalid phase-matching arguments."""
@@ -54,6 +51,14 @@ class PhasematchError(ValueError):
 def characteristic_g(dk_total, sigma: float):
     """Characteristic function G(dk) = exp(-sigma^2 dk^2 / 4)."""
     return np.exp(-sigma ** 2 * np.asarray(dk_total, dtype=float) ** 2 / 4.0)
+
+
+def _detuned(delta_k, l0: float, dk0):
+    """(scalar?, dk, dk_tot) of a detuning argument: dk as a 1-D array and
+    dk_tot = dk0 + dk, where dk0 defaults to pi / l0."""
+    delta_k = np.asarray(delta_k, dtype=float)
+    dk = np.atleast_1d(delta_k)
+    return delta_k.ndim == 0, dk, (np.pi / l0 if dk0 is None else dk0) + dk
 
 
 def _direct_boundary_sum(z, w, dk):
@@ -201,11 +206,7 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
     H^(N_L+1) nor 1 - H is rounded; within |(N_L+1) log H| < 1e-2 of
     H = 1, where it cancels, the exact lag sum over boundary pairs is used.
     """
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    delta_k = np.asarray(delta_k, dtype=float)
-    scalar = delta_k.ndim == 0
-    dk = np.atleast_1d(delta_k)
-    dk_tot = dk0 + dk
+    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
     m = n_domains + 1
     u = 1j * dk * l0 - sigma ** 2 * dk_tot ** 2 / 4.0  # log H, so H^l = exp(l u)
     out = np.empty(dk.shape, dtype=float)
@@ -271,11 +272,7 @@ def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
     Dirichlet kernels.  Disorder acts as a spectral filter here rather
     than a broadener.
     """
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    delta_k = np.asarray(delta_k, dtype=float)
-    scalar = delta_k.ndim == 0
-    dk = np.atleast_1d(delta_k)
-    dk_tot = dk0 + dk
+    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
     g = characteristic_g(dk_tot, sigma)
     d = _dirichlet(dk * l0, n_domains + 1)
     re_d = np.real(d)
@@ -288,22 +285,6 @@ def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
     )
     out = 4.0 / dk_tot ** 2 * s
     return float(out[0]) if scalar else out
-
-
-def complex_erf(z):
-    """Error function for complex argument, >= 10 significant digits.
-
-    Delegates to the Faddeeva-based scaled complementary error
-    function; rejects the overflow region Im(z)^2 - Re(z)^2 > 676,
-    where |erf z| itself exceeds double range.  The tests' oracle of
-    f_chirp's erf form; f_chirp itself takes Fresnel integrals.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag ** 2 - z.real ** 2 > ERF_IM_MAX ** 2):
-        raise PhasematchError(
-            f"complex_erf overflow: Im(z)^2 - Re(z)^2 > {ERF_IM_MAX ** 2}")
-    out = special.erf(z)
-    return complex(out) if out.ndim == 0 else out
 
 
 def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
@@ -324,11 +305,7 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     """
     if zeta_prime == 0.0:
         raise PhasematchError("zeta_prime = 0: use the ideal-structure formulas")
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    delta_k = np.asarray(delta_k, dtype=float)
-    scalar = delta_k.ndim == 0
-    dk = np.atleast_1d(delta_k)
-    dk_tot = dk0 + dk
+    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
     rate = dk_tot * zeta_prime
     r = np.sqrt(np.abs(rate)) * l0
     beta = dk / (2.0 * rate * l0)

@@ -54,7 +54,7 @@ class Workspace:
 
 def _workspace(temperature: float = 297.0, grid_points: int = 1025,
                span: float = 0.35, design_temperature: float = 297.0) -> Workspace:
-    cfg = ProcessConfig(temperature=temperature)
+    cfg = ProcessConfig()
     model = DispersionModel(temperature=temperature)
     design = (model if temperature == design_temperature
               else DispersionModel(temperature=design_temperature))
@@ -121,25 +121,13 @@ def run_sigma_zeta_match(seed: int = 0,
     # beyond the default span, so use a wider one
     ws = _workspace(temperature, grid_points, span=0.6)
     template = StructureSpec("rps", n_domains, ws.l0)
-    rows = []
-    for entry in match_parameter(target, zeta_values, ws.cfg, ws.model, ws.grid,
-                                 template):
-        zeta = entry["zeta"]
-        chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
-        rate_chirp = extractor_rate(ws.grid.omega_s,
-                                    joint_density(chirp, ws.cfg, ws.model, ws.grid))
-        if entry["matched"]:
-            rps = StructureSpec("rps", n_domains, ws.l0, sigma=entry["sigma"])
-            rate_rps = extractor_rate(ws.grid.omega_s,
-                                      joint_density(rps, ws.cfg, ws.model, ws.grid))
-            ratio = rate_rps / rate_chirp
-        else:
-            rate_rps = float("nan")
-            ratio = float("nan")
-        rows.append((zeta, entry["sigma"], entry["observable_chirp"],
-                     rate_rps, rate_chirp, ratio, int(entry["matched"])))
+    # an unmatched row's nan rate_rps makes its ratio nan
+    rows = tuple((e["zeta"], e["sigma"], e["observable_chirp"], e["rate_rps"],
+                  e["rate_chirp"], e["rate_rps"] / e["rate_chirp"], int(e["matched"]))
+                 for e in match_parameter(target, zeta_values, ws.cfg, ws.model,
+                                          ws.grid, template))
     table = Table(("zeta", "sigma", "observable_chirp", "rate_rps",
-                   "rate_chirp", "rate_ratio", "matched"), tuple(rows))
+                   "rate_chirp", "rate_ratio", "matched"), rows)
     return ScenarioResult("sigma-zeta-match", {"match": table}, {})
 
 
@@ -236,20 +224,16 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, n_omega)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
-    k_i0 = ws.model.wavenumber(ws.cfg.omega_s0)
-    theta_max = float(np.clip(14.0 / (k_i0 * pump_width), 0.01, 0.35))
-    agrid = AngularGrid(theta_s=np.array([0.0]),
-                        theta_i=np.linspace(0.0, theta_max, n_theta),
-                        phi_i=np.array([np.pi]), omega_s=omega)
+    agrid = AngularGrid.on_axis(ws.cfg, ws.model, pump_width, omega, n_theta)
     scan_rows, profiles = [], []
     for spec_name, spec in (("cpps", chirp), ("rps_ensemble", ens)):
         scan = correlated_width_scan(spec, ws.cfg, ws.model, pump_widths, omega,
                                      n_theta=n_theta)
         scan_rows += [(spec_name, row["pump_width"], row["delta_theta_i"])
                       for row in scan]
-        # the area at pump_width is the scan's row of that width and theta grid
-        same = [row["profile"] for row in scan if row["pump_width"] == pump_width
-                and np.array_equal(row["theta_i"], agrid.theta_i)]
+        # the area at pump_width is the scan's row of that width, whose
+        # theta grid is agrid's
+        same = [row["profile"] for row in scan if row["pump_width"] == pump_width]
         profiles.append(same[0] if same else
                         correlated_area(spec, cfg, ws.model, agrid).values[:, 0])
     area_rows = tuple(zip(*(map(float, col) for col in (agrid.theta_i, *profiles))))

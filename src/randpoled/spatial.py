@@ -16,7 +16,7 @@ import numpy as np
 
 from .dispersion import DispersionModel
 from .phasematch import response
-from .spectra import ProcessConfig, _f2, _pumped_g2, coupling_g, fwhm
+from .spectra import ProcessConfig, _f2, _pumped_g, coupling_g, fwhm
 
 
 class SpatialError(ValueError):
@@ -51,6 +51,17 @@ class AngularGrid:
             phi_i=np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
             omega_s=np.linspace(omega_s0 * (1 - span), omega_s0 * (1 + span), n_omega),
         )
+
+    @classmethod
+    def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, pump_width: float,
+                omega_s, n_theta: int):
+        """On-axis signal, one idler azimuth, and theta_i out to 14 / (k_i0 w)
+        for a pump of 1/e half-width w, clipped to [0.01, 0.35] rad."""
+        k_i0 = model.wavenumber(cfg.omega_s0)
+        theta_max = float(np.clip(14.0 / (k_i0 * pump_width), 0.01, 0.35))
+        return cls(theta_s=np.array([0.0]),
+                   theta_i=np.linspace(0.0, theta_max, n_theta),
+                   phi_i=np.array([np.pi]), omega_s=omega_s)
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,7 @@ def _slice_kinematics(cfg, model, omega_s):
     k_s = model.wavenumber(omega_s)
     k_i = model.wavenumber(omega_i)
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
-    return k_s, k_i, k_p, _pumped_g2(cfg, model, omega_s)
+    return k_s, k_i, k_p, np.abs(_pumped_g(cfg, model, omega_s)) ** 2
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
@@ -201,17 +212,10 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
     Returns a list of dicts (pump_width, delta_theta_i, theta_i, profile).
     """
     omega_s = np.asarray(omega_s, dtype=float)
-    k_i0 = model.wavenumber(0.5 * cfg.omega_p0)
     rows = []
     for width in np.asarray(pump_widths, dtype=float):
         cfg_w = replace(cfg, pump_dx=float(width), pump_dy=float(width))
-        theta_max = float(np.clip(14.0 / (k_i0 * width), 0.01, 0.35))
-        grid = AngularGrid(
-            theta_s=np.array([0.0]),
-            theta_i=np.linspace(0.0, theta_max, n_theta),
-            phi_i=np.array([np.pi]),
-            omega_s=omega_s,
-        )
+        grid = AngularGrid.on_axis(cfg, model, width, omega_s, n_theta)
         area = correlated_area(source, cfg_w, model, grid)
         profile = area.values[:, 0]
         rows.append({

@@ -35,7 +35,6 @@ class ProcessConfig:
     chi2_effective: float = 1e-12       # m/V
     pump_dx: float = 1e-5               # m, transverse 1/e half-width
     pump_dy: float = 1e-5               # m
-    temperature: float = 297.0          # K
 
     def __post_init__(self):
         if self.pump_wavelength <= 0 or self.chi2_effective <= 0:
@@ -131,6 +130,11 @@ def coupling_g(omega_s, omega_i, cfg: ProcessConfig, model: DispersionModel):
     )
 
 
+def _pumped_g(cfg: ProcessConfig, model: DispersionModel, omega_s):
+    """g * pump_amplitude on the cw slice: the amplitude per unit F."""
+    return coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model) * cfg.pump_amplitude
+
+
 def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
     omega_i = cfg.omega_p0 - grid.omega_s
     if np.any(omega_i <= 0):
@@ -161,26 +165,18 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     Random-family StructureSpec objects have no single amplitude (only
     second-order moments); generate a realization first.
     """
-    dk_tot = _mismatch_slice(cfg, model, grid)
-    omega_i = cfg.omega_p0 - grid.omega_s
-    f = response(source, dk_tot)
+    f = response(source, _mismatch_slice(cfg, model, grid))
     if not np.iscomplexobj(f):
         raise SpectraError("amplitude requires an explicit structure or a "
                            "deterministic spec")
-    g = coupling_g(grid.omega_s, omega_i, cfg, model)
-    return SpectralSlice(grid, g * cfg.pump_amplitude * f, cfg.omega_p0)
-
-
-def _pumped_g2(cfg: ProcessConfig, model: DispersionModel, omega_s):
-    """|g|^2 |pump|^2 at omega_s: the density per unit <|F|^2>."""
-    g = coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model)
-    return np.abs(g) ** 2 * abs(cfg.pump_amplitude) ** 2
+    return SpectralSlice(grid, _pumped_g(cfg, model, grid.omega_s) * f, cfg.omega_p0)
 
 
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,
                   grid: SpectralGrid) -> np.ndarray:
     """Spectral density n(omega_s) = |g|^2 |pump|^2 <|F|^2> on the slice."""
-    return _pumped_g2(cfg, model, grid.omega_s) * mean_f2(source, cfg, model, grid)
+    return np.abs(_pumped_g(cfg, model, grid.omega_s)) ** 2 \
+        * mean_f2(source, cfg, model, grid)
 
 
 def signal_spectrum(density, cfg: ProcessConfig, grid: SpectralGrid,
@@ -251,15 +247,14 @@ def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionMode
     that raises ends the run.
     """
     dk_tot = _mismatch_slice(cfg, model, grid)
-    omega_i = cfg.omega_p0 - grid.omega_s
-    g = coupling_g(grid.omega_s, omega_i, cfg, model) * cfg.pump_amplitude
+    g = _pumped_g(cfg, model, grid.omega_s)
     plan = BoundaryPlan(dk_tot)
     return [observe(g, f_exact(draw(i), dk_tot, plan)) for i in range(count)]
 
 
 def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
                  seed: int, cfg: ProcessConfig, model: DispersionModel,
-                 grid: SpectralGrid, hist_bins: int = 40) -> dict:
+                 grid: SpectralGrid) -> dict:
     """Monte Carlo ensemble of per-realization scalar observables.
 
     Each realization i is a pure function of (spec, seed, i): the
@@ -297,7 +292,7 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
             )
         mean = float(good.mean())
         var = float(good.var(ddof=1))
-        counts, edges = np.histogram(good, bins=hist_bins)
+        counts, edges = np.histogram(good, bins=40)
         stats[name] = EnsembleStats(
             name=name,
             mean=mean,
@@ -315,34 +310,37 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
 
 def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
                     model: DispersionModel, grid: SpectralGrid,
-                    template: StructureSpec,
-                    sigma_bracket=(5e-8, 8e-6), rtol: float = 1e-2):
+                    template: StructureSpec):
     """Map chirp values to the disorder sigma giving equal width or rate.
 
     For each zeta the ensemble-mean observable of the random family is
-    root-found (bisection within a bracket located on a log grid) to
-    match the chirped structure's value.  Unbracketed entries are
-    returned with sigma = nan and matched = False.  The slice mismatch
-    and |g|^2 |pump|^2 are computed once per call.
+    root-found (bisection within a bracket located on a log grid from
+    5e-8 to 8e-6 m) to match the chirped structure's value.  Unbracketed
+    entries are returned with sigma = nan and matched = False.  The
+    slice mismatch and |g|^2 |pump|^2 are computed once per call.
 
     Returns a list of dicts with keys zeta, sigma, observable_chirp,
-    observable_rps, matched.
+    observable_rps, rate_chirp, rate_rps (the pair rates of the chirped
+    and the matched densities) and matched.
     """
     if target not in ("equal-width", "equal-rate"):
         raise SpectraError(f"unknown matching target {target!r}")
     observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
-    probes = np.geomspace(sigma_bracket[0], sigma_bracket[1], 25)
+    probes = np.geomspace(5e-8, 8e-6, 25)
     dk_tot = _mismatch_slice(cfg, model, grid)
-    weight = _pumped_g2(cfg, model, grid.omega_s)
+    weight = np.abs(_pumped_g(cfg, model, grid.omega_s)) ** 2
+
+    def density(kind, **value):
+        spec = StructureSpec(kind, template.n_domains, template.l0, **value)
+        return weight * _f2(spec, dk_tot)
+
     for zeta in np.asarray(zeta_grid, dtype=float):
-        chirp_spec = StructureSpec("chirped", template.n_domains, template.l0,
-                                   zeta=zeta)
-        goal = observable(grid.omega_s, weight * _f2(chirp_spec, dk_tot))
+        chirp = density("chirped", zeta=zeta)
+        goal = observable(grid.omega_s, chirp)
 
         def mismatch(sig, goal=goal):
-            spec = StructureSpec("rps", template.n_domains, template.l0, sigma=sig)
-            return observable(grid.omega_s, weight * _f2(spec, dk_tot)) - goal
+            return observable(grid.omega_s, density("rps", sigma=sig)) - goal
 
         vals = np.full(probes.size, np.nan)
         for k, p in enumerate(probes):
@@ -355,15 +353,15 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
         finite = np.isfinite(vals)
         usable = np.nonzero(finite[:-1] & finite[1:]
                             & (np.sign(vals[:-1]) != np.sign(vals[1:])))[0]
+        row = {"zeta": float(zeta), "sigma": float("nan"),
+               "observable_chirp": goal, "observable_rps": float("nan"),
+               "rate_chirp": extractor_rate(grid.omega_s, chirp),
+               "rate_rps": float("nan"), "matched": False}
         if usable.size:
             lo, hi = probes[usable[0]], probes[usable[0] + 1]
-            sigma = brentq(mismatch, lo, hi, rtol=rtol)
-            obs_rps = mismatch(sigma) + goal
-            rows.append({"zeta": float(zeta), "sigma": float(sigma),
-                         "observable_chirp": goal, "observable_rps": obs_rps,
-                         "matched": True})
-        else:
-            rows.append({"zeta": float(zeta), "sigma": float("nan"),
-                         "observable_chirp": goal, "observable_rps": float("nan"),
-                         "matched": False})
+            sigma = brentq(mismatch, lo, hi, rtol=1e-2)
+            row.update(sigma=float(sigma), observable_rps=mismatch(sigma) + goal,
+                       rate_rps=extractor_rate(grid.omega_s, density("rps", sigma=sigma)),
+                       matched=True)
+        rows.append(row)
     return rows

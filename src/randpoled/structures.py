@@ -21,9 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 # Monotonicity repair must stay rare or the boundary law is distorted.
 MAX_REJECTION_RATE = 1e-3
@@ -125,11 +126,29 @@ class StructureSpec:
         return gen_chirped(self.n_domains, self.l0, self.zeta)
 
 
-def _checked_rejections(rejected: int, total: int) -> None:
-    if total and rejected / total > MAX_REJECTION_RATE:
+def _check_redraw_rate(gap, scale: float) -> None:
+    """Refuse, before any draw, a N(0, scale) error on domains of length gap
+    whose expected redraw share, mean Phi(-gap / scale), exceeds the cap."""
+    rate = float(np.mean(ndtr(-np.asarray(gap) / scale)))
+    if rate > MAX_REJECTION_RATE:
         raise StructureError(
-            f"rejection rate {rejected}/{total} exceeds {MAX_REJECTION_RATE}"
+            f"expected redraw rate {rate:.3g} exceeds {MAX_REJECTION_RATE}"
         )
+
+
+def _jittered_lengths(base: np.ndarray, scale: float, gen) -> np.ndarray:
+    """base + N(0, scale) per domain, nonpositive lengths redrawn."""
+    lengths = base + gen.normal(0.0, scale, base.size)
+    bad = np.nonzero(lengths <= 0.0)[0]
+    while bad.size:
+        lengths[bad] = base[bad] + gen.normal(0.0, scale, bad.size)
+        bad = bad[lengths[bad] <= 0.0]
+    return lengths
+
+
+def _from_lengths(z0: float, lengths: np.ndarray, kind: str) -> PolingStructure:
+    """Boundaries rebuilt cumulatively from the entrance face z0."""
+    return PolingStructure(np.concatenate(([z0], z0 + np.cumsum(lengths))), kind=kind)
 
 
 def _warn_large_sigma(sigma: float, l0: float) -> None:
@@ -156,27 +175,19 @@ def gen_rps(n_domains: int, l0: float, sigma: float,
     """Randomly poled structure: boundaries follow a cumulative walk.
 
     Each domain length is l0 + dl with dl ~ N(0, sigma/sqrt(2)).
-    Nonpositive lengths are rejected and redrawn; the run fails if the
-    rejection rate exceeds MAX_REJECTION_RATE.
+    Nonpositive lengths are rejected and redrawn; a law whose expected
+    rejection rate exceeds MAX_REJECTION_RATE is refused.
     """
     if sigma < 0:
         raise StructureError("sigma must be >= 0")
     if sigma == 0.0:
         return replace(gen_ideal(n_domains, l0), kind="rps")
     _warn_large_sigma(sigma, l0)
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
     scale = sigma / np.sqrt(2.0)
-    lengths = l0 + gen.normal(0.0, scale, n_domains)
-    rejected = 0
-    bad = np.nonzero(lengths <= 0.0)[0]
-    while bad.size:
-        rejected += bad.size
-        lengths[bad] = l0 + gen.normal(0.0, scale, bad.size)
-        bad = bad[lengths[bad] <= 0.0]
-    _checked_rejections(rejected, n_domains + rejected)
-    length = n_domains * l0
-    z = np.concatenate(([-length], -length + np.cumsum(lengths)))
-    return PolingStructure(z, kind="rps")
+    _check_redraw_rate(l0, scale)
+    gen = rng.generator() if isinstance(rng, RandomSource) else rng
+    lengths = _jittered_lengths(np.full(n_domains, l0), scale, gen)
+    return _from_lengths(-(n_domains * l0), lengths, "rps")
 
 
 def gen_weakly_random(n_domains: int, l0: float, sigma: float,
@@ -185,45 +196,40 @@ def gen_weakly_random(n_domains: int, l0: float, sigma: float,
 
     z_n = -L + n*l0 + dl_n with dl_n ~ N(0, sigma/sqrt(2)) for
     n = 1..N_L; the entrance face z_0 = -L stays fixed.  Boundary
-    ordering is enforced by redrawing offending jitters.
+    ordering is enforced by redrawing offending jitters; a law whose
+    expected rejection rate exceeds MAX_REJECTION_RATE is refused.
     """
     if sigma < 0:
         raise StructureError("sigma must be >= 0")
     if sigma == 0.0:
         return replace(gen_ideal(n_domains, l0), kind="weakly-random")
     _warn_large_sigma(sigma, l0)
+    _check_redraw_rate(l0, sigma)  # l0 + dl_n+1 - dl_n has std sigma
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
     scale = sigma / np.sqrt(2.0)
-    length = n_domains * l0
-    ideal = -length + np.arange(n_domains + 1) * l0
+    ideal = gen_ideal(n_domains, l0).boundaries
     dl = np.concatenate(([0.0], gen.normal(0.0, scale, n_domains)))
-    rejected = 0
     while True:
         z = ideal + dl
         bad = np.nonzero(np.diff(z) <= 0.0)[0] + 1
         if not bad.size:
             break
-        rejected += bad.size
         dl[bad] = gen.normal(0.0, scale, bad.size)
-    _checked_rejections(rejected, n_domains + rejected)
     return PolingStructure(z, kind="weakly-random")
 
 
-def gen_chirped(n_domains: int, l0: float, zeta: float,
-                dk0: float | None = None) -> PolingStructure:
+def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
     """Chirped structure: z_n = -L + n*l0 + zeta'*(n - N_L/2)^2*l0^2.
 
-    The reduced chirp is zeta' = zeta / dk0; by the design relation
-    l0 = pi/dk0 the default dk0 is pi/l0.
+    The reduced chirp is zeta' = zeta / dk0, with dk0 = pi/l0 by the
+    design relation.
     """
     if zeta == 0.0:
         return replace(gen_ideal(n_domains, l0), kind="chirped")
-    if dk0 is None:
-        dk0 = np.pi / l0
-    zeta_prime = zeta / dk0
-    length = n_domains * l0
+    zeta_prime = zeta / (np.pi / l0)
     n = np.arange(n_domains + 1)
-    z = -length + n * l0 + zeta_prime * (n - n_domains / 2.0) ** 2 * l0 ** 2
+    z = gen_ideal(n_domains, l0).boundaries \
+        + zeta_prime * (n - n_domains / 2.0) ** 2 * l0 ** 2
     bad = np.nonzero(np.diff(z) <= 0.0)[0]
     if bad.size:
         raise StructureError(
@@ -246,36 +252,32 @@ def apply_fabrication_error(s: PolingStructure, sigma_er: float,
     by N(0, sigma_er) with both end faces fixed.
 
     Nonpositive lengths / ordering violations are redrawn in either
-    mode.
+    mode.  A law whose expected rejection rate exceeds
+    MAX_REJECTION_RATE is refused.
     """
     if sigma_er < 0:
         raise StructureError("sigma_er must be >= 0")
     if sigma_er == 0.0:
         return s
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    rejected = 0
-    if mode == "length":
-        lengths = s.domain_lengths + gen.normal(0.0, sigma_er, s.n_domains)
-        bad = np.nonzero(lengths <= 0.0)[0]
-        while bad.size:
-            rejected += bad.size
-            lengths[bad] = s.domain_lengths[bad] + gen.normal(0.0, sigma_er, bad.size)
-            bad = bad[lengths[bad] <= 0.0]
-        z = np.concatenate(([s.boundaries[0]], s.boundaries[0] + np.cumsum(lengths)))
-    elif mode == "boundary":
-        z = s.boundaries.copy()
-        err = gen.normal(0.0, sigma_er, s.n_domains - 1)
-        while True:
-            z[1:-1] = s.boundaries[1:-1] + err
-            bad = np.nonzero(np.diff(z) <= 0.0)[0]
-            if not bad.size:
-                break
-            idx = np.unique(np.clip(bad, 0, s.n_domains - 2))
-            rejected += idx.size
-            err[idx] = gen.normal(0.0, sigma_er, idx.size)
-    else:
+    if mode not in ("length", "boundary"):
         raise StructureError(f"unknown fabrication-error mode {mode!r}")
-    _checked_rejections(rejected, s.n_domains + rejected)
+    # a length error has std sigma_er, or up to sigma_er sqrt(2) between
+    # two displaced boundaries
+    _check_redraw_rate(s.domain_lengths,
+                       sigma_er if mode == "length" else sigma_er * np.sqrt(2.0))
+    gen = rng.generator() if isinstance(rng, RandomSource) else rng
+    if mode == "length":
+        lengths = _jittered_lengths(s.domain_lengths, sigma_er, gen)
+        return _from_lengths(s.boundaries[0], lengths, "perturbed")
+    z = s.boundaries.copy()
+    err = gen.normal(0.0, sigma_er, s.n_domains - 1)
+    while True:
+        z[1:-1] = s.boundaries[1:-1] + err
+        bad = np.nonzero(np.diff(z) <= 0.0)[0]
+        if not bad.size:
+            break
+        idx = np.unique(np.clip(bad, 0, s.n_domains - 2))
+        err[idx] = gen.normal(0.0, sigma_er, idx.size)
     return PolingStructure(z, kind="perturbed")
 
 
@@ -295,9 +297,8 @@ def shuffle_segments(s: PolingStructure, d: int,
     order = gen.permutation(-(-s.n_domains // d))
     # domain indices run by run in the new order; a short final run is cut
     idx = (order[:, None] * d + np.arange(d)).ravel()
-    shuffled = s.domain_lengths[idx[idx < s.n_domains]]
-    z = np.concatenate(([s.boundaries[0]], s.boundaries[0] + np.cumsum(shuffled)))
-    return PolingStructure(z, kind="shuffled")
+    return _from_lengths(s.boundaries[0], s.domain_lengths[idx[idx < s.n_domains]],
+                         "shuffled")
 
 
 def domain_length_histogram(s: PolingStructure, bin_width: float):

@@ -21,10 +21,10 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.optimize import minimize_scalar
 
-from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, SpectraError,
-                      _mismatch_slice, coupling_g, fwhm, map_realizations,
-                      mean_f2, two_photon_amplitude)
-from .structures import PolingStructure, RandomSource, StructureSpec
+from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _mismatch_slice,
+                      _pumped_g, fwhm, map_realizations, mean_f2,
+                      two_photon_amplitude)
+from .structures import RandomSource, StructureSpec
 from .phasematch import xcorr_rps, xcorr_weak
 
 _TAU_CHUNK = 256
@@ -129,8 +129,7 @@ def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
             omega_s * omega_i * np.abs(phi) ** 2
     omega_s = grid.omega_s
     omega_i = cfg.omega_p0 - omega_s
-    g2 = np.abs(coupling_g(omega_s, omega_i, cfg, model)) ** 2
-    w = omega_s * omega_i * g2 * abs(cfg.pump_amplitude) ** 2 \
+    w = omega_s * omega_i * np.abs(_pumped_g(cfg, model, omega_s)) ** 2 \
         * mean_f2(source, cfg, model, grid)
     return omega_s, omega_i, w.astype(complex), w
 
@@ -241,8 +240,8 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     dk0 = np.pi / spec.l0  # detuning from the structure's design point
     delta_k = _mismatch_slice(cfg, model, grid) - dk0
     xcorr = xcorr_rps if spec.kind == "rps" else xcorr_weak
-    g = coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude
-    a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
+    a = np.sqrt(omega_s * omega_i) * _pumped_g(cfg, model, omega_s) \
+        * _trapezoid_weights(omega_s)
     n = omega_s.size
     lag_sums = np.zeros(n, dtype=complex)
     for r0 in range(0, n, _ROW_BLOCK):

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randpoled import cli, scenarios, spatial
+from randpoled import cli, scenarios, spatial, spectra
 from randpoled.dispersion import DispersionModel
 from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _workspace,
                                  run_fab_error_scan, run_histogram_study,
                                  run_hom_study, run_rate_vs_nl, run_segment_scan,
-                                 run_spatial_study, run_sumfreq_study,
-                                 run_temperature_scan, run_width_vs_nl)
+                                 run_sigma_zeta_match, run_spatial_study,
+                                 run_sumfreq_study, run_temperature_scan,
+                                 run_width_vs_nl)
 from randpoled.spatial import AngularGrid, correlated_area
 from randpoled.spectra import fwhm, joint_density, pair_rate
 from randpoled.structures import (RandomSource, StructureSpec,
@@ -162,12 +163,33 @@ class TestScanEngine:
         agrid = AngularGrid(theta_s=np.array([0.0]),
                             theta_i=np.linspace(0.0, theta_max, 320),
                             phi_i=np.array([np.pi]), omega_s=omega)
+        # the shared constructor gives the same grid
+        on_axis = AngularGrid.on_axis(ws.cfg, ws.model, pump_width, omega, 320)
+        for name in ("theta_s", "theta_i", "phi_i", "omega_s"):
+            assert np.array_equal(getattr(on_axis, name), getattr(agrid, name))
         want = [agrid.theta_i] + [
             correlated_area(spec, cfg, ws.model, agrid).values[:, 0]
             for spec in (StructureSpec("chirped", 700, ws.l0, zeta=2.5e6),
                          StructureSpec("rps", 700, ws.l0, sigma=2.1e-6))]
         got = np.array(res.tables["correlated_area"].rows).T
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_sigma_zeta_match_reuses_matching_densities(self, monkeypatch):
+        # the rates come with the match_parameter rows: no density is rebuilt
+        counted = []
+        original = spectra.joint_density
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "joint_density", counting)
+        monkeypatch.setattr(scenarios, "joint_density", counting)
+        res = run_sigma_zeta_match(zeta_values=(0.5e6, 2.5e6), grid_points=257)
+        assert counted == []
+        rows = res.tables["match"].rows
+        assert [row[-1] for row in rows] == [1, 1]
+        assert all(row[5] == row[3] / row[4] for row in rows)
 
     def test_fab_error_scan_matches_oracle(self):
         sigma_er_values, realizations = (0.0, 2.5e-7), 3

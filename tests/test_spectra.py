@@ -294,8 +294,14 @@ class TestMatching:
                             & (np.sign(vals[:-1]) != np.sign(vals[1:])))[0]
             assert ok.size
             sigma = brentq(gap, probes[ok[0]], probes[ok[0] + 1], rtol=1e-2)
+            rate_chirp, rate_rps = (
+                extractor_rate(grid.omega_s, joint_density(spec, cfg, model, grid))
+                for spec in (StructureSpec("chirped", 700, l0, zeta=zeta),
+                             StructureSpec("rps", 700, l0, sigma=sigma)))
             want.append({"zeta": zeta, "sigma": sigma, "observable_chirp": goal,
-                         "observable_rps": gap(sigma) + goal, "matched": True})
+                         "observable_rps": gap(sigma) + goal,
+                         "rate_chirp": rate_chirp, "rate_rps": rate_rps,
+                         "matched": True})
         assert rows == want
 
     def test_unknown_target(self, cfg, model, grid, l0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -123,6 +123,73 @@ class TestGenerators:
             StructureSpec("rps", 10, L0, sigma=-1e-6)
 
 
+class TestRedrawGate:
+    # the gate reads the law's expected redraw share, so it refuses a law over
+    # MAX_REJECTION_RATE at every size, not only where a draw happens to redraw
+    @pytest.mark.filterwarnings("ignore:sigma = .* exceeds l0/3")
+    @pytest.mark.parametrize("kind,sigma", [("weakly-random", 3.1e-6),
+                                            ("rps", 4.4e-6)])
+    @pytest.mark.parametrize("n", [2, 63, 700])
+    def test_law_over_cap_raises_at_every_size(self, kind, sigma, n):
+        for seed in range(5):
+            with pytest.raises(StructureError, match="redraw rate"):
+                StructureSpec(kind, n, L0, sigma=sigma).generate(RandomSource(seed))
+
+    @pytest.mark.parametrize("mode,sigma_er", [("length", 3.1e-6),
+                                               ("boundary", 2.2e-6)])
+    def test_fabrication_law_over_cap_raises(self, mode, sigma_er):
+        with pytest.raises(StructureError, match="redraw rate"):
+            apply_fabrication_error(gen_ideal(2, L0), sigma_er, RandomSource(0),
+                                    mode=mode)
+
+    @pytest.mark.parametrize("mode,sigma_er", [("length", 2.5e-6),
+                                               ("boundary", 2.1e-6)])
+    def test_fabrication_law_under_cap_draws(self, mode, sigma_er):
+        s = gen_ideal(700, L0)
+        for seed in range(20):
+            p = apply_fabrication_error(s, sigma_er, RandomSource(seed), mode=mode)
+            assert np.all(np.diff(p.boundaries) > 0)
+
+
+class TestSharedLengthRedraw:
+    # oracles: the former inline loops, seed by seed, to the last bit (the
+    # shuffle's rebuild is the oracle of TestShuffle.test_matches_run_list_form)
+    def test_rps_matches_inline_loop(self):
+        for seed in range(20):
+            gen = RandomSource(seed).generator()
+            scale = 2.1e-6 / np.sqrt(2.0)
+            lengths = L0 + gen.normal(0.0, scale, 700)
+            bad = np.nonzero(lengths <= 0.0)[0]
+            while bad.size:
+                lengths[bad] = L0 + gen.normal(0.0, scale, bad.size)
+                bad = bad[lengths[bad] <= 0.0]
+            length = 700 * L0
+            want = np.concatenate(([-length], -length + np.cumsum(lengths)))
+            got = gen_rps(700, L0, 2.1e-6, RandomSource(seed))
+            assert np.array_equal(got.boundaries, want)
+
+    def test_length_error_matches_inline_loop(self):
+        # a 10 nm domain makes redraws happen at this error level
+        z = gen_chirped(700, L0, 2.5e6).boundaries.copy()
+        z[1] = z[0] + 0.01e-6
+        s = PolingStructure(z)
+        redrawn = 0
+        for seed in range(20):
+            gen = RandomSource(seed).generator()
+            lengths = s.domain_lengths + gen.normal(0.0, 1e-7, s.n_domains)
+            bad = np.nonzero(lengths <= 0.0)[0]
+            while bad.size:
+                redrawn += bad.size
+                lengths[bad] = s.domain_lengths[bad] + gen.normal(0.0, 1e-7, bad.size)
+                bad = bad[lengths[bad] <= 0.0]
+            want = np.concatenate(([s.boundaries[0]],
+                                   s.boundaries[0] + np.cumsum(lengths)))
+            got = apply_fabrication_error(s, 1e-7, RandomSource(seed))
+            assert got.kind == "perturbed"
+            assert np.array_equal(got.boundaries, want)
+        assert redrawn > 0
+
+
 class TestFabricationError:
     def test_zero_error_is_identity(self):
         s = gen_chirped(100, L0, 2.5e6)
@@ -229,6 +296,8 @@ class TestHistogramAndIo:
        n=st.integers(2, 300),
        sigma_um=st.floats(0.0, 2.5))
 @settings(max_examples=examples(60), deadline=None)
+# one weakly-random redraw in 64 draws: a gate on the drawn share refused it
+@example(seed=97780978, n=63, sigma_um=2.5)
 def test_generated_structures_valid(seed, n, sigma_um):
     for kind in ("rps", "weakly-random"):
         spec = StructureSpec(kind, n, L0, sigma=sigma_um * 1e-6)
