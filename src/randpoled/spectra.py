@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .dispersion import DispersionModel, omega_from_wavelength
@@ -358,6 +357,7 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
                "rate_chirp": extractor_rate(grid.omega_s, chirp),
                "rate_rps": float("nan"), "matched": False}
         if usable.size:
+            from scipy.optimize import brentq  # on first use: ~0.25 s to import
             lo, hi = probes[usable[0]], probes[usable[0] + 1]
             sigma = brentq(mismatch, lo, hi, rtol=1e-2)
             row.update(sigma=float(sigma), observable_rps=mismatch(sigma) + goal,

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.optimize import minimize_scalar
 
 from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _mismatch_slice,
                       _pumped_g, fwhm, map_realizations, mean_f2,
@@ -83,6 +81,14 @@ def _progression_error(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - (x[0] + step * np.arange(x.size)))))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, a size pocketfft transforms fast
+    (k is 11-smooth iff it divides 2310^j, 2310 = 2*3*5*7*11, j >= log2 k)."""
+    while pow(2310, n.bit_length(), n):
+        n += 1
+    return n
+
+
 def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
     """sum_q amp_q exp(-i tau_j freq_q) by a Bluestein chirp-z transform.
 
@@ -100,12 +106,12 @@ def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
     theta = (tau[-1] - tau[0]) / (m - 1) * (freq[-1] - freq[0]) / (n - 1)
     k = np.arange(max(m, n), dtype=float)
     chirp = np.exp(-0.5j * theta * k ** 2)
-    size = sp_fft.next_fast_len(m + n - 1)
+    size = _next_fast_len(m + n - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
     kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
     x = amp * np.exp(-1j * tau[0] * (freq - freq[0])) * chirp[:n]
-    conv = sp_fft.ifft(sp_fft.fft(x, size) * sp_fft.fft(kernel))[:m]
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(kernel))[:m]
     out = np.exp(-1j * tau * freq[0]) * chirp[:m] * conv
     out[tau == 0] = amp.sum()
     return out
@@ -361,6 +367,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     band = np.sqrt(np.sum(weights * x ** 2) / np.sum(weights))
     scale = max(abs(c2), 1.0 / band ** 2)
     base_width = width_at(c2)
+    from scipy.optimize import minimize_scalar  # on first use: ~0.25 s to import
     res = minimize_scalar(
         width_at, bounds=(c2 - 5.0 * scale, c2 + 5.0 * scale),
         method="bounded", options={"xatol": scale * 1e-4},

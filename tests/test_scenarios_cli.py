@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from randpoled import cli, scenarios, spatial, spectra
 from randpoled.dispersion import DispersionModel
-from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _workspace,
+from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _workspace,
                                  run_fab_error_scan, run_histogram_study,
                                  run_hom_study, run_rate_vs_nl, run_segment_scan,
                                  run_sigma_zeta_match, run_spatial_study,
@@ -55,6 +60,21 @@ class TestScenarios:
         counts = [row[2] for row in res.tables["histogram_rate"].rows]
         assert sum(counts) == 300
         assert len(res.tables["realizations"].rows) == 300
+
+    @pytest.mark.parametrize("n", [10, 300, 10000])
+    @pytest.mark.parametrize("draw", ["normal", "lognormal"])
+    def test_skew_kurtosis_match_scipy(self, n, draw):
+        x = getattr(np.random.default_rng(n), draw)(size=n)
+        want = (sstats.skew(x, bias=True), sstats.kurtosis(x, fisher=True, bias=True))
+        np.testing.assert_allclose(_skew_kurtosis(x), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.full(50, 3.0), np.full(50, 0.1),
+                                   np.array([1.0, np.nan, 2.0, 5.0])],
+                             ids=["constant", "constant-to-rounding", "with-nan"])
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+    def test_skew_kurtosis_degenerate_like_scipy(self, x):
+        want = (sstats.skew(x), sstats.kurtosis(x))  # NaN, (1, -2), NaN
+        np.testing.assert_array_equal(_skew_kurtosis(x), want)
 
     def test_hom_study(self):
         res = run_hom_study(grid_points=513, tau_points=401)
@@ -218,6 +238,15 @@ def _run_cli(args):
 
 
 class TestCli:
+    def test_import_loads_only_the_scipy_it_needs(self):
+        # scipy.optimize loads on first use; scipy.stats and scipy.fft not at all
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, randpoled.cli; print(' '.join(m for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.fft') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+        assert out.split() == []
+
     def test_list(self, capsys):
         assert _run_cli(["list"]) == 0
         out = capsys.readouterr().out

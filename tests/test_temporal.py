@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from conftest import examples
 
@@ -17,7 +18,7 @@ from randpoled import temporal
 from randpoled.spectra import (SpectralGrid, SpectralSlice, _mismatch_slice,
                                coupling_g)
 from randpoled.temporal import (TemporalError, _direct_oscillatory_sum,
-                                _hom_weights, _oscillatory_sum,
+                                _hom_weights, _next_fast_len, _oscillatory_sum,
                                 _trapezoid_weights, default_tau_grid,
                                 fit_quadratic_phase)
 
@@ -165,6 +166,10 @@ class TestOscillatorySum:
                     np.geomspace(1e-16, 3e-13, 300), np.array([2e-14])):
             got = _oscillatory_sum(tau, freq, amp)
             assert np.array_equal(got, _direct_oscillatory_sum(tau, freq, amp))
+
+    def test_next_fast_len_is_scipy_rule(self):
+        assert [_next_fast_len(n) for n in range(1, 5000)] == \
+            [fft.next_fast_len(n) for n in range(1, 5000)]
 
     def test_zero_delay_rows_are_exact_sums(self):
         rng = np.random.default_rng(4)
