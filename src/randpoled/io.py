@@ -36,7 +36,7 @@ def atomic_write_files(out_dir: str, files: dict) -> None:
     Content is fully materialized before the first write; individual
     files go through a temp name plus rename so no file is ever
     partially written.  On failure every file already placed by this
-    call is removed again.
+    call is removed again, with the failing file's temp file.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -44,10 +44,11 @@ def atomic_write_files(out_dir: str, files: dict) -> None:
         for name, text in files.items():
             target = os.path.join(out_dir, name)
             tmp = f"{target}.tmp.{os.getpid()}"
+            written.append(tmp)  # until the rename places it as target
             with open(tmp, "w", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, target)
-            written.append(target)
+            written[-1] = target
     except OSError:
         for path in written:
             try:

@@ -18,7 +18,6 @@ data-parallel evaluation).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .structures import PolingStructure, StructureSpec, gen_ideal
 
@@ -111,7 +110,7 @@ def _banded(dk, h, a, beta):
     first = np.ceil((dk - a - mid) / h).astype(int)
     cols = first[:, None] + np.arange(m, m + _TAPS)  # node j sits at m + j
     s = (dk[:, None] - mid - (cols - m) * h) / a
-    psi = special.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+    psi = np.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
     return mid, m, cols, psi * (h / a * np.exp(-beta))
 
 
@@ -305,13 +304,14 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     """
     if zeta_prime == 0.0:
         raise PhasematchError("zeta_prime = 0: use the ideal-structure formulas")
+    from scipy.special import fresnel  # on first use: ~0.3 s to import
     scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
     rate = dk_tot * zeta_prime
     r = np.sqrt(np.abs(rate)) * l0
     beta = dk / (2.0 * rate * l0)
     phi = -dk_tot * n_domains * l0 + dk * l0 * n_domains / 2.0 - dk ** 2 / (4.0 * rate)
-    s_hi, c_hi = special.fresnel(np.sqrt(2.0 / np.pi) * r * (n_domains / 2.0 + beta))
-    s_lo, c_lo = special.fresnel(np.sqrt(2.0 / np.pi) * r * (beta - n_domains / 2.0))
+    s_hi, c_hi = fresnel(np.sqrt(2.0 / np.pi) * r * (n_domains / 2.0 + beta))
+    s_lo, c_lo = fresnel(np.sqrt(2.0 / np.pi) * r * (beta - n_domains / 2.0))
     out = 2j / dk_tot * np.sqrt(0.5 * np.pi) / r * np.exp(1j * phi) \
         * (c_hi - c_lo + 1j * np.sign(rate) * (s_hi - s_lo))
     return complex(out[0]) if scalar else out

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 # Monotonicity repair must stay rare or the boundary law is distorted.
 MAX_REJECTION_RATE = 1e-3
@@ -126,14 +126,17 @@ class StructureSpec:
         return gen_chirped(self.n_domains, self.l0, self.zeta)
 
 
-def _check_redraw_rate(gap, scale: float) -> None:
+def _check_redraw_rate(gap, scale: float) -> float:
     """Refuse, before any draw, a N(0, scale) error on domains of length gap
-    whose expected redraw share, mean Phi(-gap / scale), exceeds the cap."""
-    rate = float(np.mean(ndtr(-np.asarray(gap) / scale)))
+    whose expected redraw share, mean Phi(-gap / scale) = mean erfc(x) / 2 at
+    x = gap / (scale sqrt 2), exceeds the cap (x >= 8 adds < 1e-29: skipped)."""
+    x = np.ravel(gap) / (scale * np.sqrt(2.0))
+    rate = math.fsum(map(math.erfc, x[x < 8.0].tolist())) / (2 * x.size)
     if rate > MAX_REJECTION_RATE:
         raise StructureError(
             f"expected redraw rate {rate:.3g} exceeds {MAX_REJECTION_RATE}"
         )
+    return rate
 
 
 def _jittered_lengths(base: np.ndarray, scale: float, gen) -> np.ndarray:

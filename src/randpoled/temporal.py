@@ -367,7 +367,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     band = np.sqrt(np.sum(weights * x ** 2) / np.sum(weights))
     scale = max(abs(c2), 1.0 / band ** 2)
     base_width = width_at(c2)
-    from scipy.optimize import minimize_scalar  # on first use: ~0.25 s to import
+    from scipy.optimize import minimize_scalar  # on first use: ~0.5 s, ~0.25 s after f_chirp
     res = minimize_scalar(
         width_at, bounds=(c2 - 5.0 * scale, c2 + 5.0 * scale),
         method="bounded", options={"xatol": scale * 1e-4},

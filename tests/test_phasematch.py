@@ -154,6 +154,18 @@ class TestChebyshevKernel:
             assert _peak_error(f, _direct(f_exact, x, dk)) <= 1e-12
         assert len(plan._nodes) == 2
 
+    @pytest.mark.parametrize("grid", [(257, 0.6), (2049, 0.35)])
+    def test_taps_match_scipy_i0(self, scenario_dk, grid):
+        # numpy's i0 is the Cephes series scipy's is: taps agree to rounding
+        dk = scenario_dk[grid]
+        plan = phasematch.BoundaryPlan(dk)
+        h, a, beta, blocks = plan.nodes(0.5 * _layout("rps", 700, 2.1e-6, 0).length)
+        for part, (mid, m, cols, taps) in blocks:
+            s = (part[:, None] - mid - (cols - m) * h) / a
+            want = special.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0))) \
+                * (h / a * np.exp(-beta))
+            np.testing.assert_allclose(taps, want, rtol=1e-15, atol=0)
+
     def test_plan_of_another_grid_rejected(self, scenario_dk):
         s = _layout("rps", 700, 2.1e-6, 0)
         plan = phasematch.BoundaryPlan(scenario_dk[(257, 0.6)])

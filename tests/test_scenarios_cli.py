@@ -238,14 +238,35 @@ def _run_cli(args):
 
 
 class TestCli:
-    def test_import_loads_only_the_scipy_it_needs(self):
-        # scipy.optimize loads on first use; scipy.stats and scipy.fft not at all
+    def test_import_loads_only_the_scipy_it_needs(self, tmp_path):
+        # scipy.special loads with f_chirp's first call and scipy.optimize with
+        # brentq's or minimize_scalar's: the import and the Monte-Carlo
+        # scenarios load no scipy module at all
         src = Path(__file__).resolve().parent.parent / "src"
-        code = ("import sys, randpoled.cli; print(' '.join(m for m in "
-                "('scipy.stats', 'scipy.optimize', 'scipy.fft') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
-        assert out.split() == []
+        code = ("import json, sys\n"
+                "from randpoled import cli\n"
+                "status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+                "print(json.dumps([status, sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy')]))")
+
+        def fresh(*args):  # exit status and scipy modules after one run
+            out = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                                 capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=str(src))).stdout
+            return json.loads(out)
+
+        assert fresh() == [0, []]
+        for k, args in enumerate([
+                ["histogram-study", "--realizations", "20"],
+                ["segment-scan", "--permutations", "1", "--d-values", "1,700"],
+                # the sigma_er > 0 row checks the redraw rate of 700 gaps
+                ["fab-error-scan", "--bases", "rps", "--sigma-er-values", "0,1e-6",
+                 "--realizations", "5"]]):
+            assert fresh(*args, "--out-dir", str(tmp_path / str(k))) == [0, []], args[0]
+        status, modules = fresh("spatial-study", "--n-omega", "21", "--n-theta", "40",
+                                "--pump-widths", "1e-5", "--out-dir", str(tmp_path / "s"))
+        assert status == 0 and "scipy.special" in modules
+        assert "scipy.optimize" not in modules
 
     def test_list(self, capsys):
         assert _run_cli(["list"]) == 0
@@ -347,6 +368,16 @@ class TestCli:
         assert code == 4
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "io"
+
+    @pytest.mark.parametrize("blocker", ["scan.csv", "metadata.json"])
+    def test_io_error_leaves_no_temp_file(self, tmp_path, capsys, blocker):
+        # a directory where a file goes: the rename onto it fails
+        (tmp_path / blocker).mkdir()
+        code = _run_cli(["rate-vs-NL", "--out-dir", str(tmp_path)] + FAST)
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "io"
+        assert [p.name for p in tmp_path.iterdir()] == [blocker]
 
     def test_non_integral_flag_rejected(self, tmp_path, capsys):
         code = _run_cli(["rate-vs-NL", "--out-dir", str(tmp_path),

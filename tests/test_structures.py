@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import examples
 
+from scipy.optimize import brentq
+from scipy.special import ndtr
+
 from randpoled import (PolingStructure, RandomSource, StructureError,
                        StructureSpec, apply_fabrication_error,
                        domain_length_histogram, gen_chirped, gen_ideal,
                        gen_rps, gen_weakly_random, load_structure,
-                       save_structure, shuffle_segments)
+                       save_structure, shuffle_segments, structures)
+from randpoled.structures import MAX_REJECTION_RATE, _check_redraw_rate
 
 L0 = 9.489154805833549e-06
 
@@ -149,6 +153,40 @@ class TestRedrawGate:
         for seed in range(20):
             p = apply_fabrication_error(s, sigma_er, RandomSource(seed), mode=mode)
             assert np.all(np.diff(p.boundaries) > 0)
+
+
+class TestRedrawRate:
+    # oracle: the former rate, the mean of scipy's ndtr
+    GAPS = gen_rps(700, L0, 2.1e-6, RandomSource(4).generator()).domain_lengths
+
+    @staticmethod
+    def _ndtr_rate(gap, scale):
+        return float(np.mean(ndtr(-np.asarray(gap) / scale)))
+
+    @pytest.mark.parametrize("gap,scale", [
+        (L0, L0 / 3.0),
+        (GAPS, 1e-6),
+        (np.array([-1e-6, 0.0, 1e-7, L0]), 1e-6)])
+    def test_rate_matches_ndtr(self, monkeypatch, gap, scale):
+        monkeypatch.setattr(structures, "MAX_REJECTION_RATE", 1.0)  # no refusal
+        want = self._ndtr_rate(gap, scale)
+        assert want > 1e-12
+        assert _check_redraw_rate(gap, scale) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("gap", [L0, GAPS])
+    def test_decision_matches_ndtr_across_cap(self, gap):
+        # scales from 20 % under to 20 % over the one whose ndtr rate is the cap
+        at_cap = brentq(lambda scale: self._ndtr_rate(gap, scale) - MAX_REJECTION_RATE,
+                        1e-8, 1e-4)
+        refused = []
+        for scale in at_cap * np.linspace(0.8, 1.2, 401):
+            try:
+                _check_redraw_rate(gap, scale)
+                refused.append(False)
+            except StructureError:
+                refused.append(True)
+            assert refused[-1] == (self._ndtr_rate(gap, scale) > MAX_REJECTION_RATE)
+        assert 0 < sum(refused) < len(refused)
 
 
 class TestSharedLengthRedraw:
