@@ -1,9 +1,9 @@
 """Temperature-dependent dispersion and phase mismatches.
 
-The only built-in material is congruent lithium niobate for the
-extraordinary wave ("cln-e"), using the temperature-dependent Sellmeier
-equation of D. H. Jundt, Opt. Lett. 22, 1553 (1997).  All three
-interacting fields (pump, signal, idler) are extraordinary waves.
+The material is congruent lithium niobate for the extraordinary wave,
+using the temperature-dependent Sellmeier equation of D. H. Jundt, Opt.
+Lett. 22, 1553 (1997).  All three interacting fields (pump, signal,
+idler) are extraordinary waves.
 
 Frequencies are angular (rad/s) everywhere inside the library; helpers
 convert to and from vacuum wavelengths.
@@ -28,10 +28,6 @@ BAND_MAX = 4.0e-6
 JUNDT_A = (5.35583, 0.100473, 0.20692, 100.0, 11.34927, 1.5334e-2)
 JUNDT_B = (4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5)
 
-MATERIALS = {
-    "cln-e": (JUNDT_A, JUNDT_B),
-}
-
 
 class DispersionError(ValueError):
     """Raised for out-of-band frequencies or unmatchable processes."""
@@ -49,18 +45,13 @@ def wavelength_from_omega(omega):
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """Refractive index n(omega, T) of the active material.
+    """Refractive index n(omega, T) of congruent LiNbO3, extraordinary wave.
 
     Immutable; all methods are pure functions and accept scalars or
     numpy arrays of angular frequency.
     """
 
-    material: str = "cln-e"
     temperature: float = 297.0  # kelvin
-
-    def __post_init__(self):
-        if self.material not in MATERIALS:
-            raise DispersionError(f"unknown material {self.material!r}")
 
     def refractive_index(self, omega):
         """Extraordinary refractive index at angular frequency omega.
@@ -75,7 +66,7 @@ class DispersionModel:
                 "wavelength outside supported band "
                 f"[{BAND_MIN * 1e6:.1f}, {BAND_MAX * 1e6:.1f}] um"
             )
-        a, b = MATERIALS[self.material]
+        a, b = JUNDT_A, JUNDT_B
         t_c = self.temperature - 273.15
         f = (t_c - 24.5) * (t_c + 570.82)
         l2 = (lam * 1e6) ** 2

@@ -7,9 +7,9 @@ from the Gaussian characteristic function of the boundary jitter,
     G(dk) = exp(-sigma^2 dk^2 / 4).
 
 All mismatch arguments named ``delta_k`` are detunings from the
-quasi-phase-matching design point, delta_k = dk_total - dk0, with the
-design relation l0 = pi/dk0.  Pass ``dk0`` explicitly to decouple the
-two; by default dk0 = pi/l0.
+quasi-phase-matching design point of the layout, delta_k = dk_total - dk0
+with dk0 = pi/l0: the closed forms take (delta_k, N_L, l0) and the
+family's own sigma or zeta, as StructureSpec does.
 
 Everything broadcasts over numpy arrays and is pure (safe for
 data-parallel evaluation).
@@ -52,12 +52,12 @@ def characteristic_g(dk_total, sigma: float):
     return np.exp(-sigma ** 2 * np.asarray(dk_total, dtype=float) ** 2 / 4.0)
 
 
-def _detuned(delta_k, l0: float, dk0):
-    """(scalar?, dk, dk_tot) of a detuning argument: dk as a 1-D array and
-    dk_tot = dk0 + dk, where dk0 defaults to pi / l0."""
+def _detuned(delta_k, l0: float):
+    """(scalar?, dk, dk_tot) of a detuning argument: dk as an array of at
+    least one dimension and dk_tot = pi / l0 + dk."""
     delta_k = np.asarray(delta_k, dtype=float)
     dk = np.atleast_1d(delta_k)
-    return delta_k.ndim == 0, dk, (np.pi / l0 if dk0 is None else dk0) + dk
+    return delta_k.ndim == 0, dk, np.pi / l0 + dk
 
 
 def _direct_boundary_sum(z, w, dk):
@@ -197,15 +197,14 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
 
 
-def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
-               dk0: float | None = None):
+def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float):
     """Ensemble mean of |F|^2 for randomly poled (random-walk) structures.
 
     Closed geometric form in log H, exact, through expm1, so neither
     H^(N_L+1) nor 1 - H is rounded; within |(N_L+1) log H| < 1e-2 of
     H = 1, where it cancels, the exact lag sum over boundary pairs is used.
     """
-    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
     m = n_domains + 1
     u = 1j * dk * l0 - sigma ** 2 * dk_tot ** 2 / 4.0  # log H, so H^l = exp(l u)
     out = np.empty(dk.shape, dtype=float)
@@ -222,8 +221,7 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float,
     return float(out[0]) if scalar else out
 
 
-def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float,
-                          dk0: float | None = None):
+def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float):
     """Large-disorder asymptote of avg_f2_rps.
 
     Single-fraction simplification obtained by dropping the bounded
@@ -236,16 +234,14 @@ def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float,
     dephasing vanishes as dk_tot -> 0, so the pointwise error grows at
     the small-mismatch edge of the band even when v is large.
     """
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    delta_k = np.asarray(delta_k, dtype=float)
-    dk_tot = dk0 + delta_k
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
     g = characteristic_g(dk_tot, sigma)
     value = (
         4.0 * (n_domains + 1) / dk_tot ** 2
-        * (1.0 - g ** 2) / (1.0 - 2.0 * g * np.cos(delta_k * l0) + g ** 2)
+        * (1.0 - g ** 2) / (1.0 - 2.0 * g * np.cos(dk * l0) + g ** 2)
     )
-    validity = sigma ** 2 * dk0 ** 2 * n_domains / 2.0
-    return value, validity
+    validity = sigma ** 2 * (np.pi / l0) ** 2 * n_domains / 2.0
+    return (float(value[0]) if scalar else value), validity
 
 
 def _dirichlet(x, m: int):
@@ -262,8 +258,7 @@ def _dirichlet(x, m: int):
     return out
 
 
-def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
-                dk0: float | None = None):
+def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float):
     """Ensemble mean of |F|^2 for weakly-random structures.
 
     Boundaries are independently jittered with the entrance face
@@ -271,7 +266,7 @@ def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
     Dirichlet kernels.  Disorder acts as a spectral filter here rather
     than a broadener.
     """
-    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
     g = characteristic_g(dk_tot, sigma)
     d = _dirichlet(dk * l0, n_domains + 1)
     re_d = np.real(d)
@@ -286,13 +281,13 @@ def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float,
     return float(out[0]) if scalar else out
 
 
-def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
-            dk0: float | None = None):
+def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):
     """Closed-form phase-matching function of a chirped structure.
 
-    Continuum (stationary-phase) limit of the boundary sum for
-    z_n = -L + n l0 + zeta' (n - N_L/2)^2 l0^2, a difference of error
-    functions, F = (2i / dk_tot) e^(i phi) sqrt(pi) / (2 a) [erf(a (N_L/2 +
+    Takes the chirp zeta of StructureSpec and gen_chirped, whose layout
+    z_n = -L + n l0 + zeta' (n - N_L/2)^2 l0^2 has zeta' = zeta / dk0.
+    Continuum (stationary-phase) limit of its boundary sum, a difference of
+    error functions, F = (2i / dk_tot) e^(i phi) sqrt(pi) / (2 a) [erf(a (N_L/2 +
     beta)) - erf(a (beta - N_L/2))], a = sqrt(-i dk_tot zeta') l0, with the
     real phase phi = -dk_tot N_L l0 + dk l0 N_L / 2 - dk^2 / (4 dk_tot zeta').
     The erf arguments lie on the ray e^(-i s pi/4), s = sign(dk_tot zeta'),
@@ -302,11 +297,11 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta_prime: float,
     a few percent against the direct sum across the emission band for the
     parameter regime of interest.
     """
-    if zeta_prime == 0.0:
-        raise PhasematchError("zeta_prime = 0: use the ideal-structure formulas")
+    if zeta == 0.0:
+        raise PhasematchError("zeta = 0: use the ideal-structure formulas")
     from scipy.special import fresnel  # on first use: ~0.3 s to import
-    scalar, dk, dk_tot = _detuned(delta_k, l0, dk0)
-    rate = dk_tot * zeta_prime
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
+    rate = dk_tot * (zeta / (np.pi / l0))
     r = np.sqrt(np.abs(rate)) * l0
     beta = dk / (2.0 * rate * l0)
     phi = -dk_tot * n_domains * l0 + dk * l0 * n_domains / 2.0 - dk ** 2 / (4.0 * rate)
@@ -343,8 +338,7 @@ def _lag_sum(u, v, w, m: int):
     return out
 
 
-def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
-              dk0: float | None = None):
+def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float):
     """Cross-correlator <F(dk) F*(dk')> for random-walk structures.
 
     Exact pairwise boundary average 4 e^(-i D N_L l0) / (dk_tot dk'_tot)
@@ -356,13 +350,11 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
     and where they are not finite.  Hermitian; on the diagonal it is
     avg_f2_rps.
     """
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
-    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
-    dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
+    scalar_p, dkp, dkp_tot = _detuned(delta_k_prime, l0)
     m = n_domains + 1
-    u = 1j * dk * l0 - sigma ** 2 * (dk0 + dk) ** 2 / 4.0  # log a
-    v = -1j * dkp * l0 - sigma ** 2 * (dk0 + dkp) ** 2 / 4.0  # log b
+    u = 1j * dk * l0 - sigma ** 2 * dk_tot ** 2 / 4.0  # log a
+    v = -1j * dkp * l0 - sigma ** 2 * dkp_tot ** 2 / 4.0  # log b
     half, half_m = np.exp(0.5j * l0 * dk), np.exp(0.5j * m * l0 * dk)
     half_p, half_mp = np.exp(0.5j * l0 * dkp), np.exp(0.5j * m * l0 * dkp)
     delta = dk - dkp
@@ -386,20 +378,15 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
         s[bad] = _lag_sum(np.broadcast_to(u, s.shape)[bad],
                           np.broadcast_to(v, s.shape)[bad],
                           (rho + 1j * l0 * delta)[bad], m)
-    out = (2.0 / (dk0 + dk) * np.exp(-1j * n_domains * l0 * dk)
-           * (2.0 / (dk0 + dkp) * np.exp(1j * n_domains * l0 * dkp)) * s)
-    return complex(out[0]) if scalar else out
+    out = (2.0 / dk_tot * np.exp(-1j * n_domains * l0 * dk)
+           * (2.0 / dkp_tot * np.exp(1j * n_domains * l0 * dkp)) * s)
+    return complex(out[0]) if scalar and scalar_p else out
 
 
-def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
-               dk0: float | None = None):
+def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float):
     """Cross-correlator <F(dk) F*(dk')> for weakly-random structures."""
-    dk0 = np.pi / l0 if dk0 is None else dk0
-    scalar = np.ndim(delta_k) == 0 and np.ndim(delta_k_prime) == 0
-    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
-    dkp = np.atleast_1d(np.asarray(delta_k_prime, dtype=float))
-    dk_tot = dk0 + dk
-    dkp_tot = dk0 + dkp
+    scalar, dk, dk_tot = _detuned(delta_k, l0)
+    scalar_p, dkp, dkp_tot = _detuned(delta_k_prime, l0)
     big_dk = dk_tot - dkp_tot
     m = n_domains + 1
     g = characteristic_g(dk_tot, sigma)
@@ -421,34 +408,26 @@ def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float,
         * np.exp(-1j * big_dk * n_domains * l0)
         * s
     )
-    return complex(out[0]) if scalar else out
-
-
-def xcorr_chirp(delta_k, delta_k_prime, n_domains: int, l0: float,
-                zeta_prime: float, dk0: float | None = None):
-    """Cross-correlator for the deterministic chirped structure."""
-    fa = f_chirp(delta_k, n_domains, l0, zeta_prime, dk0)
-    fb = f_chirp(delta_k_prime, n_domains, l0, zeta_prime, dk0)
-    return fa * np.conj(fb)
+    return complex(out[0]) if scalar and scalar_p else out
 
 
 def response(source, dk_tot):
     """Phase-matching response of any source at total mismatch dk_tot.
 
     Complex F for a PolingStructure, a chirped spec (closed form) or an
-    ideal spec (its gen_ideal layout); real <|F|^2> for the rps and
-    weakly-random specs.  Spec detunings are measured from pi/l0, the
-    fabricated design point, not the dispersion operating point.
+    ideal or zeta = 0 chirped spec (its generated, equidistant layout);
+    real <|F|^2> for the rps and weakly-random specs.  Spec detunings are
+    measured from pi/l0, the fabricated design point, not the dispersion
+    operating point.
     """
     if isinstance(source, PolingStructure):
         return f_exact(source, dk_tot)
     if not isinstance(source, StructureSpec):
         raise PhasematchError(f"unsupported source {type(source).__name__}")
-    if source.kind == "ideal":
+    if source.kind == "ideal" or source.kind == "chirped" and source.zeta == 0.0:
         return f_exact(gen_ideal(source.n_domains, source.l0), dk_tot)
-    dk0 = np.pi / source.l0
-    delta_k = np.asarray(dk_tot, dtype=float) - dk0
+    delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
     if source.kind == "chirped":
-        return f_chirp(delta_k, source.n_domains, source.l0, source.zeta / dk0, dk0)
+        return f_chirp(delta_k, source.n_domains, source.l0, source.zeta)
     mean = avg_f2_rps if source.kind == "rps" else avg_f2_weak
-    return mean(delta_k, source.n_domains, source.l0, source.sigma, dk0)
+    return mean(delta_k, source.n_domains, source.l0, source.sigma)

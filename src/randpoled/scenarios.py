@@ -42,13 +42,12 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Shared per-scenario context: config, model, grids, design point."""
+    """Shared per-scenario context: config, model, grid, domain length."""
 
     cfg: ProcessConfig
     model: DispersionModel
     grid: SpectralGrid
     l0: float
-    dk0: float
 
 
 def _workspace(temperature: float = 297.0, grid_points: int = 1025,
@@ -58,9 +57,8 @@ def _workspace(temperature: float = 297.0, grid_points: int = 1025,
     design = (model if temperature == design_temperature
               else DispersionModel(temperature=design_temperature))
     l0 = design.qpm_period(cfg.omega_s0, cfg.omega_s0)
-    dk0 = np.pi / l0
     grid = SpectralGrid.default(cfg.omega_s0, n=grid_points, span=span)
-    return Workspace(cfg, model, grid, float(l0), float(dk0))
+    return Workspace(cfg, model, grid, float(l0))
 
 
 def _scan_means(draw, count: int, ws: Workspace):
@@ -230,11 +228,11 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       temperature: float = 297.0) -> ScenarioResult:
     """Correlated-area profiles and their width versus pump focusing."""
     ws = _workspace(temperature)
-    cfg = replace(ws.cfg, pump_dx=pump_width, pump_dy=pump_width)
+    cfg = replace(ws.cfg, pump_width=pump_width)
     omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, n_omega)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
-    agrid = AngularGrid.on_axis(ws.cfg, ws.model, pump_width, omega, n_theta)
+    agrid = AngularGrid.on_axis(cfg, ws.model, omega, n_theta)
     scan_rows, profiles = [], []
     for spec_name, spec in (("cpps", chirp), ("rps_ensemble", ens)):
         scan = correlated_width_scan(spec, ws.cfg, ws.model, pump_widths, omega,

@@ -53,12 +53,12 @@ class AngularGrid:
         )
 
     @classmethod
-    def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, pump_width: float,
-                omega_s, n_theta: int):
+    def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, omega_s,
+                n_theta: int):
         """On-axis signal, one idler azimuth, and theta_i out to 14 / (k_i0 w)
-        for a pump of 1/e half-width w, clipped to [0.01, 0.35] rad."""
+        for the pump's 1/e half-width w, clipped to [0.01, 0.35] rad."""
         k_i0 = model.wavenumber(cfg.omega_s0)
-        theta_max = float(np.clip(14.0 / (k_i0 * pump_width), 0.01, 0.35))
+        theta_max = float(np.clip(14.0 / (k_i0 * cfg.pump_width), 0.01, 0.35))
         return cls(theta_s=np.array([0.0]),
                    theta_i=np.linspace(0.0, theta_max, n_theta),
                    phi_i=np.array([np.pi]), omega_s=omega_s)
@@ -78,13 +78,14 @@ class AngularDensityMap:
 def pump_transverse_spectrum(dkx, dky, cfg: ProcessConfig):
     """Transverse spatial spectrum of the normalized Gaussian pump.
 
-    Fourier transform of exp(-(x/dx)^2 - (y/dy)^2) / (pi dx dy) with
-    kernel exp(i(kx x + ky y)); the prefactor of that transform is
-    exactly one.
+    Fourier transform of exp(-(x^2 + y^2) / w^2) / (pi w^2), w the pump
+    width, with kernel exp(i(kx x + ky y)); the prefactor of that
+    transform is exactly one.
     """
     dkx = np.asarray(dkx, dtype=float)
     dky = np.asarray(dky, dtype=float)
-    return np.exp(-(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 4.0)
+    w = cfg.pump_width
+    return np.exp(-(dkx ** 2 * w ** 2 + dky ** 2 * w ** 2) / 4.0)
 
 
 def spatial_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
@@ -101,7 +102,7 @@ def spatial_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
         raise SpatialError("amplitude requires an explicit structure or a "
                            "deterministic spec")
     g = coupling_g(omega_s, omega_i, cfg, model)
-    return g * cfg.pump_amplitude * f * pump_transverse_spectrum(dkx, dky, cfg)
+    return g * f * pump_transverse_spectrum(dkx, dky, cfg)
 
 
 def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
@@ -112,8 +113,8 @@ def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
     dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i_grid)
     dky = (k_s * np.sin(theta_s) * np.cos(phi_s))[:, None] + b * np.cos(phi_i_grid)
     dkz = k_p - k_s * np.cos(theta_s) - k_i * np.cos(theta_i_grid)[:, None]
-    return _f2(source, dkz), np.exp(-(dkx ** 2 * cfg.pump_dx ** 2
-                                      + dky ** 2 * cfg.pump_dy ** 2) / 2.0)
+    w = cfg.pump_width
+    return _f2(source, dkz), np.exp(-(dkx ** 2 * w ** 2 + dky ** 2 * w ** 2) / 2.0)
 
 
 def _slice_kinematics(cfg, model, omega_s):
@@ -207,15 +208,15 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
                           n_theta: int = 320):
     """Radial FWHM of the on-axis correlated area versus pump width.
 
-    The pump is radially symmetric (dx = dy = scanned width); the
-    theta range adapts to the expected Fourier-limited angular width.
+    The pump takes each scanned width in turn; the theta range adapts to
+    the expected Fourier-limited angular width.
     Returns a list of dicts (pump_width, delta_theta_i, theta_i, profile).
     """
     omega_s = np.asarray(omega_s, dtype=float)
     rows = []
     for width in np.asarray(pump_widths, dtype=float):
-        cfg_w = replace(cfg, pump_dx=float(width), pump_dy=float(width))
-        grid = AngularGrid.on_axis(cfg, model, width, omega_s, n_theta)
+        cfg_w = replace(cfg, pump_width=float(width))
+        grid = AngularGrid.on_axis(cfg_w, model, omega_s, n_theta)
         area = correlated_area(source, cfg_w, model, grid)
         profile = area.values[:, 0]
         rows.append({

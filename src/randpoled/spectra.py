@@ -21,25 +21,24 @@ from .phasematch import BoundaryPlan, f_exact, response
 from .structures import RandomSource, StructureSpec
 
 
+# effective nonlinear coefficient, m/V: rates are relative (see above)
+CHI2_EFFECTIVE = 1e-12
+
+
 class SpectraError(ValueError):
     """Raised for invalid grids, sources, or failed width searches."""
 
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Pump and material-interaction parameters of the process."""
+    """The cw pump of unit spectral amplitude: wavelength and beam width."""
 
     pump_wavelength: float = 775e-9     # m
-    pump_amplitude: float = 1.0         # V*s/m (cw spectral amplitude)
-    chi2_effective: float = 1e-12       # m/V
-    pump_dx: float = 1e-5               # m, transverse 1/e half-width
-    pump_dy: float = 1e-5               # m
+    pump_width: float = 1e-5            # m, transverse 1/e half-width
 
     def __post_init__(self):
-        if self.pump_wavelength <= 0 or self.chi2_effective <= 0:
-            raise SpectraError("pump wavelength and chi2 must be positive")
-        if self.pump_dx <= 0 or self.pump_dy <= 0:
-            raise SpectraError("beam geometry parameters must be positive")
+        if self.pump_wavelength <= 0 or self.pump_width <= 0:
+            raise SpectraError("pump wavelength and width must be positive")
 
     @property
     def omega_p0(self) -> float:
@@ -125,13 +124,13 @@ def coupling_g(omega_s, omega_i, cfg: ProcessConfig, model: DispersionModel):
     return (
         1j * np.sqrt(omega_s * omega_i)
         / (2.0 * CONSTANTS.c * np.pi * np.sqrt(n_s * n_i))
-        * cfg.chi2_effective
+        * CHI2_EFFECTIVE
     )
 
 
 def _pumped_g(cfg: ProcessConfig, model: DispersionModel, omega_s):
-    """g * pump_amplitude on the cw slice: the amplitude per unit F."""
-    return coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model) * cfg.pump_amplitude
+    """g on the cw slice, pumped at unit amplitude: the amplitude per unit F."""
+    return coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model)
 
 
 def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
@@ -238,12 +237,11 @@ def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionMode
     draw(count - 1), in index order.
 
     The per-grid work is done once per call: the mismatch dk_tot, the
-    pumped coupling g = coupling_g * pump_amplitude and the boundary-sum
-    plan (phasematch.BoundaryPlan).  Each layout then costs one boundary
-    sum F = f_exact(draw(i), dk_tot, plan), equal to the last bit to
-    f_exact(draw(i), dk_tot): the plan builds the nodes for each length
-    class of layout once.  Failures are the observable's to handle: one
-    that raises ends the run.
+    pumped coupling g and the boundary-sum plan (phasematch.BoundaryPlan).
+    Each layout then costs one boundary sum F = f_exact(draw(i), dk_tot,
+    plan), equal to the last bit to f_exact(draw(i), dk_tot): the plan
+    builds the nodes for each length class of layout once.  Failures are
+    the observable's to handle: one that raises ends the run.
     """
     dk_tot = _mismatch_slice(cfg, model, grid)
     g = _pumped_g(cfg, model, grid.omega_s)

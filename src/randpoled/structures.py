@@ -12,8 +12,9 @@ domain, with the first domain positive.  Families:
 * shuffled        -- chirped structure with permuted segments
 
 The spread parameter sigma follows the characteristic-function
-convention exp(-sigma^2 dk^2 / 4): the per-boundary Gaussian standard
-deviation is sigma/sqrt(2), NOT sigma.
+convention exp(-sigma^2 dk^2 / 4): the Gaussian step, an rps domain
+length increment or a weakly-random boundary jitter, has standard
+deviation sigma/sqrt(2), NOT sigma.
 """
 
 from __future__ import annotations
@@ -242,46 +243,23 @@ def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
 
 
 def apply_fabrication_error(s: PolingStructure, sigma_er: float,
-                            rng: RandomSource | np.random.Generator,
-                            mode: str = "length") -> PolingStructure:
+                            rng: RandomSource | np.random.Generator) -> PolingStructure:
     """Perturb a structure by Gaussian fabrication (duty-cycle) error.
 
-    mode "length" (default): each DOMAIN LENGTH gains an independent
-    N(0, sigma_er) error and boundaries are rebuilt cumulatively from
-    the fixed entrance face, so errors accumulate along the sample as
-    they do in a sequential poling process.
-
-    mode "boundary": each interior boundary is displaced independently
-    by N(0, sigma_er) with both end faces fixed.
-
-    Nonpositive lengths / ordering violations are redrawn in either
-    mode.  A law whose expected rejection rate exceeds
-    MAX_REJECTION_RATE is refused.
+    Each DOMAIN LENGTH gains an independent N(0, sigma_er) error and
+    boundaries are rebuilt cumulatively from the fixed entrance face, so
+    errors accumulate along the sample as they do in a sequential poling
+    process.  Nonpositive lengths are redrawn; a law whose expected
+    rejection rate exceeds MAX_REJECTION_RATE is refused.
     """
     if sigma_er < 0:
         raise StructureError("sigma_er must be >= 0")
     if sigma_er == 0.0:
         return s
-    if mode not in ("length", "boundary"):
-        raise StructureError(f"unknown fabrication-error mode {mode!r}")
-    # a length error has std sigma_er, or up to sigma_er sqrt(2) between
-    # two displaced boundaries
-    _check_redraw_rate(s.domain_lengths,
-                       sigma_er if mode == "length" else sigma_er * np.sqrt(2.0))
+    _check_redraw_rate(s.domain_lengths, sigma_er)
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    if mode == "length":
-        lengths = _jittered_lengths(s.domain_lengths, sigma_er, gen)
-        return _from_lengths(s.boundaries[0], lengths, "perturbed")
-    z = s.boundaries.copy()
-    err = gen.normal(0.0, sigma_er, s.n_domains - 1)
-    while True:
-        z[1:-1] = s.boundaries[1:-1] + err
-        bad = np.nonzero(np.diff(z) <= 0.0)[0]
-        if not bad.size:
-            break
-        idx = np.unique(np.clip(bad, 0, s.n_domains - 2))
-        err[idx] = gen.normal(0.0, sigma_er, idx.size)
-    return PolingStructure(z, kind="perturbed")
+    lengths = _jittered_lengths(s.domain_lengths, sigma_er, gen)
+    return _from_lengths(s.boundaries[0], lengths, "perturbed")
 
 
 def shuffle_segments(s: PolingStructure, d: int,

@@ -243,8 +243,8 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     is Hermitian; its lower triangle is made _ROW_BLOCK rows at a time."""
     omega_s = grid.omega_s
     omega_i = cfg.omega_p0 - omega_s
-    dk0 = np.pi / spec.l0  # detuning from the structure's design point
-    delta_k = _mismatch_slice(cfg, model, grid) - dk0
+    # detuning from the structure's design point
+    delta_k = _mismatch_slice(cfg, model, grid) - np.pi / spec.l0
     xcorr = xcorr_rps if spec.kind == "rps" else xcorr_weak
     a = np.sqrt(omega_s * omega_i) * _pumped_g(cfg, model, omega_s) \
         * _trapezoid_weights(omega_s)
@@ -253,7 +253,7 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
         block = xcorr(delta_k[r0:r1, None], delta_k[None, :r1],
-                      spec.n_domains, spec.l0, spec.sigma, dk0)
+                      spec.n_domains, spec.l0, spec.sigma)
         block *= a[r0:r1, None] * np.conj(a[:r1])
         for i, q in enumerate(range(r0, r1)):
             lag_sums[:q + 1] += block[i, q::-1]

@@ -68,7 +68,7 @@ def test_criterion_01_analytic_mc_equivalence(l0, dk0):
             samples[i] = np.abs(f_boundary_sum(s, dk_tot)) ** 2
         mc = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n_real)
-        ana = avg_f2_rps(delta_k, N_DOMAINS, l0, sigma, dk0)
+        ana = avg_f2_rps(delta_k, N_DOMAINS, l0, sigma)
         worst = max(worst, np.max(np.abs(ana - mc) / se))
     elapsed = time.perf_counter() - start
     ok = worst < 4.0 and elapsed < 120.0
@@ -79,7 +79,7 @@ def test_criterion_01_analytic_mc_equivalence(l0, dk0):
 
 def test_criterion_02_ordered_limit(l0, dk0):
     want = 4.0 * (N_DOMAINS + 1) ** 2 / dk0 ** 2
-    got = avg_f2_rps(0.0, N_DOMAINS, l0, 0.0, dk0)
+    got = avg_f2_rps(0.0, N_DOMAINS, l0, 0.0)
     rel = abs(got / want - 1.0)
     s = StructureSpec("ideal", N_DOMAINS, l0).generate(RandomSource(0))
     direct = np.abs(f_exact(s, dk0)) ** 2
@@ -93,8 +93,8 @@ def test_criterion_02_ordered_limit(l0, dk0):
 def test_criterion_03_asymptotic_formula(l0, dk0):
     sigma = 2.0e-6
     delta_k = np.linspace(-3.0e5, 3.0e5, 1201)
-    exact = avg_f2_rps(delta_k, N_DOMAINS, l0, sigma, dk0)
-    asym, validity = avg_f2_rps_asymptotic(delta_k, N_DOMAINS, l0, sigma, dk0)
+    exact = avg_f2_rps(delta_k, N_DOMAINS, l0, sigma)
+    asym, validity = avg_f2_rps_asymptotic(delta_k, N_DOMAINS, l0, sigma)
     # error measured against the peak of the exact mean: the pointwise
     # ratio is ill-conditioned where the total mismatch approaches zero
     # and both curves vanish
@@ -110,7 +110,7 @@ def test_criterion_04_chirped_closed_form(cfg, model, l0, dk0):
     half_band = 0.5 * ZETA_REF * N_DOMAINS * l0
     delta_k = np.linspace(-0.8 * half_band, 0.8 * half_band, 401)
     direct = np.abs(f_exact(s, dk0 + delta_k)) ** 2
-    closed = np.abs(f_chirp(delta_k, N_DOMAINS, l0, ZETA_REF / dk0, dk0)) ** 2
+    closed = np.abs(f_chirp(delta_k, N_DOMAINS, l0, ZETA_REF)) ** 2
     err = np.max(np.abs(closed / direct - 1.0))
     ok = err <= 0.02
     _report(4, ok, f"closed form vs direct sum: max error {100 * err:.2f}% "
@@ -133,7 +133,7 @@ def test_criterion_05_linear_rate_scaling():
     nl_values = (100, 200, 300, 400, 500, 600, 700)
     res = run_rate_vs_nl(sigmas=sigmas, nl_values=nl_values)
     rows = res.tables["scan"].rows
-    dk0 = _workspace(297.0).dk0
+    dk0 = np.pi / _workspace(297.0).l0
     v, r2, slope = {}, {}, {}
     width_at_max_nl = []
     for sigma in sigmas:

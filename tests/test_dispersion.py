@@ -40,10 +40,6 @@ class TestRefractiveIndex:
         with pytest.raises(DispersionError):
             model.refractive_index(omega_from_wavelength(5e-6))
 
-    def test_unknown_material_rejected(self):
-        with pytest.raises(DispersionError):
-            DispersionModel(material="bbo")
-
     def test_array_input(self, model):
         lam = np.array([1.3e-6, 1.55e-6, 1.8e-6])
         n = model.refractive_index(omega_from_wavelength(lam))

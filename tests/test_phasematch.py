@@ -12,8 +12,7 @@ from scipy import special
 from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
                        f_boundary_sum, f_chirp, f_exact, gen_chirped,
-                       gen_ideal, shuffle_segments, xcorr_chirp, xcorr_rps,
-                       xcorr_weak)
+                       gen_ideal, shuffle_segments, xcorr_rps, xcorr_weak)
 from randpoled import phasematch
 from randpoled.phasematch import (PhasematchError, _dirichlet, characteristic_g,
                                   response)
@@ -244,7 +243,7 @@ class TestExactPowers:
             h = np.exp(1j * (dk_tot - DK0) * L0 - sigma ** 2 * dk_tot ** 2 / 4.0)
             lag_sum = m + 2.0 * (np.real(h[:, None] ** lag) @ (m - lag))
             want = 4.0 / dk_tot ** 2 * lag_sum
-            got = avg_f2_rps(dk_tot - DK0, n_domains, L0, sigma, DK0)
+            got = avg_f2_rps(dk_tot - DK0, n_domains, L0, sigma)
             assert _peak_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("n_domains, sigma",
@@ -260,10 +259,10 @@ class TestExactPowers:
         near = dk[(ratio >= 1.0) & (ratio < 2.0)]
         assert near.size > 10
         with mock.patch.object(phasematch, "_LAG_SWITCH", 0.0):
-            closed = avg_f2_rps(near, n_domains, L0, sigma, DK0)
+            closed = avg_f2_rps(near, n_domains, L0, sigma)
         with mock.patch.object(phasematch, "_LAG_SWITCH", np.inf):
-            lag_sum = avg_f2_rps(near, n_domains, L0, sigma, DK0)
-        peak = avg_f2_rps(0.0, n_domains, L0, sigma, DK0)
+            lag_sum = avg_f2_rps(near, n_domains, L0, sigma)
+        peak = avg_f2_rps(0.0, n_domains, L0, sigma)
         assert np.max(np.abs(closed - lag_sum)) <= 1e-12 * peak
 
     def test_avg_f2_rps_nd_matches_raveled(self):
@@ -271,10 +270,10 @@ class TestExactPowers:
         for dk in (np.array([[0.0, 1e3], [2e3, 3e3]]),
                    np.linspace(-2e5, 2e5, 24).reshape(2, 3, 4)):
             for sigma in (0.0, 2.1e-6):
-                got = avg_f2_rps(dk, 100, L0, sigma, DK0)
+                got = avg_f2_rps(dk, 100, L0, sigma)
                 assert got.shape == dk.shape
                 assert np.array_equal(got.ravel(),
-                                      avg_f2_rps(dk.ravel(), 100, L0, sigma, DK0))
+                                      avg_f2_rps(dk.ravel(), 100, L0, sigma))
 
 
 class TestResponse:
@@ -286,35 +285,71 @@ class TestResponse:
                               f_exact(gen_ideal(50, L0), dk))
         chirp = StructureSpec("chirped", 50, L0, zeta=2.5e6)
         assert np.array_equal(response(chirp, dk),
-                              f_chirp(dk - DK0, 50, L0, 2.5e6 / DK0, DK0))
+                              f_chirp(dk - DK0, 50, L0, 2.5e6))
         for kind, mean in (("rps", avg_f2_rps), ("weakly-random", avg_f2_weak)):
             spec = StructureSpec(kind, 50, L0, sigma=1e-6)
             assert np.array_equal(response(spec, dk),
-                                  mean(dk - DK0, 50, L0, 1e-6, DK0))
+                                  mean(dk - DK0, 50, L0, 1e-6))
         with pytest.raises(PhasematchError):
             response("rps", dk)
+
+    @pytest.mark.parametrize("spec,closed_form", [
+        (StructureSpec("chirped", 50, L0, zeta=2.5e6),
+         lambda s, t: f_chirp(t - np.pi / s.l0, s.n_domains, s.l0, s.zeta)),
+        (StructureSpec("chirped", 700, L0, zeta=-1e6),
+         lambda s, t: f_chirp(t - np.pi / s.l0, s.n_domains, s.l0, s.zeta)),
+        (StructureSpec("rps", 700, L0, sigma=2.1e-6),
+         lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
+        (StructureSpec("rps", 300, L0),
+         lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
+        (StructureSpec("weakly-random", 700, L0, sigma=1e-6),
+         lambda s, t: avg_f2_weak(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
+        (StructureSpec("ideal", 50, L0),
+         lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
+        (StructureSpec("chirped", 50, L0),
+         lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
+    ], ids=["chirped", "chirped-negative", "rps", "rps-ordered", "weakly-random",
+            "ideal", "chirped-zero"])
+    def test_spec_fields_reach_the_closed_form(self, scenario_dk, spec, closed_form):
+        # the seam passes the spec's own fields, zeta included, detuned from
+        # pi / l0; a zeta = 0 chirp is the layout that gen_chirped draws
+        grid = scenario_dk[(257, 0.6)]
+        for dk_tot in (grid, float(grid[77])):
+            want = closed_form(spec, dk_tot)
+            got = response(spec, dk_tot)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_closed_forms_return_python_scalars(self):
+        assert type(avg_f2_rps(5e4, 700, L0, 2.1e-6)) is float
+        assert type(avg_f2_weak(5e4, 700, L0, 1e-6)) is float
+        value, validity = avg_f2_rps_asymptotic(5e4, 700, L0, 2.1e-6)
+        assert type(value) is float and type(validity) is float
+        assert type(f_chirp(5e4, 700, L0, 2.5e6)) is complex
+        assert type(xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6)) is complex
+        assert type(xcorr_weak(5e4, -3e4, 700, L0, 1e-6)) is complex
 
 
 class TestEnsembleMeans:
     def test_ordered_limit_maximum(self):
         # sigma = 0, delta_k = 0: mean reduces to 4 (N_L + 1)^2 / dk0^2
         n = 700
-        val = avg_f2_rps(0.0, n, L0, 0.0, DK0)
+        val = avg_f2_rps(0.0, n, L0, 0.0)
         assert val == pytest.approx(4.0 * (n + 1) ** 2 / DK0 ** 2, rel=1e-8)
-        assert avg_f2_weak(0.0, n, L0, 0.0, DK0) == pytest.approx(val, rel=1e-8)
+        assert avg_f2_weak(0.0, n, L0, 0.0) == pytest.approx(val, rel=1e-8)
 
     def test_rps_frozen_values(self):
-        assert avg_f2_rps(0.0, 700, L0, 2.1e-6, DK0) == pytest.approx(
+        assert avg_f2_rps(0.0, 700, L0, 2.1e-6) == pytest.approx(
             4.189126194858169e-07, rel=1e-10)
-        assert avg_f2_rps(5e4, 700, L0, 2.1e-6, DK0) == pytest.approx(
+        assert avg_f2_rps(5e4, 700, L0, 2.1e-6) == pytest.approx(
             2.535834693772302e-08, rel=1e-10)
-        assert avg_f2_rps(-1.3e5, 700, L0, 2.1e-6, DK0) == pytest.approx(
+        assert avg_f2_rps(-1.3e5, 700, L0, 2.1e-6) == pytest.approx(
             4.7619412727445975e-09, rel=1e-10)
 
     def test_weak_frozen_values(self):
-        assert avg_f2_weak(0.0, 700, L0, 1.0e-6, DK0) == pytest.approx(
+        assert avg_f2_weak(0.0, 700, L0, 1.0e-6) == pytest.approx(
             1.6979285325820253e-05, rel=1e-10)
-        assert avg_f2_weak(5e4, 700, L0, 1.0e-6, DK0) == pytest.approx(
+        assert avg_f2_weak(5e4, 700, L0, 1.0e-6) == pytest.approx(
             1.3685085260942837e-09, rel=1e-10)
 
     def test_rps_fallback_branch_continuous(self):
@@ -322,25 +357,25 @@ class TestEnsembleMeans:
         # the result must stay smooth at |delta_k| l0 ~ 1e-6, inside the
         # exact lag-sum region (its switch is tested in TestExactPowers)
         switch = 1e-6 / L0
-        lo = avg_f2_rps(switch * 0.99, 300, L0, 0.0, DK0)
-        hi = avg_f2_rps(switch * 1.01, 300, L0, 0.0, DK0)
+        lo = avg_f2_rps(switch * 0.99, 300, L0, 0.0)
+        hi = avg_f2_rps(switch * 1.01, 300, L0, 0.0)
         assert lo == pytest.approx(hi, rel=1e-6)
 
     def test_weak_large_sigma_diagonal_limit(self):
         # fully dephased boundaries: mean -> 4 (N_L + 1) / dk_tot^2
         n = 500
-        val = avg_f2_weak(0.0, n, L0, 40e-6, DK0)
+        val = avg_f2_weak(0.0, n, L0, 40e-6)
         assert val == pytest.approx(4.0 * (n + 1) / DK0 ** 2, rel=1e-6)
 
     def test_asymptotic_frozen_and_validity(self):
-        val, validity = avg_f2_rps_asymptotic(5e4, 700, L0, 2.0e-6, DK0)
+        val, validity = avg_f2_rps_asymptotic(5e4, 700, L0, 2.0e-6)
         assert val == pytest.approx(2.3250902369788674e-08, rel=1e-10)
         assert validity == pytest.approx(153.45205809090473, rel=1e-10)
 
     def test_asymptotic_matches_exact_when_valid(self):
         dk = np.linspace(-3e5, 3e5, 301)
-        exact = avg_f2_rps(dk, 700, L0, 2.0e-6, DK0)
-        approx, validity = avg_f2_rps_asymptotic(dk, 700, L0, 2.0e-6, DK0)
+        exact = avg_f2_rps(dk, 700, L0, 2.0e-6)
+        approx, validity = avg_f2_rps_asymptotic(dk, 700, L0, 2.0e-6)
         assert validity > 100
         # peak-normalized deviation; the pointwise error grows only at
         # the small-mismatch band edge where dephasing locally vanishes
@@ -359,7 +394,7 @@ class TestEnsembleMeans:
             samples[i] = np.abs(f_boundary_sum(s, DK0 + dk)) ** 2
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(reals)
-        ana = avg_f2_rps(dk, n, L0, sigma, DK0)
+        ana = avg_f2_rps(dk, n, L0, sigma)
         assert np.all(np.abs(mean - ana) < 5.0 * se)
 
     def test_weak_mc_agreement(self):
@@ -372,13 +407,13 @@ class TestEnsembleMeans:
             samples[i] = np.abs(f_boundary_sum(s, DK0 + dk)) ** 2
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(reals)
-        ana = avg_f2_weak(dk, n, L0, sigma, DK0)
+        ana = avg_f2_weak(dk, n, L0, sigma)
         assert np.all(np.abs(mean - ana) < 5.0 * se)
 
 
 class TestChirp:
     def test_frozen_value(self):
-        val = f_chirp(2e4, 700, L0, 2.5e6 / DK0, DK0)
+        val = f_chirp(2e4, 700, L0, 2.5e6)
         assert val == pytest.approx(
             0.00016871649645698334 - 6.824485696357057e-05j, rel=1e-10)
 
@@ -389,19 +424,19 @@ class TestChirp:
         half_span = 2.5e6 * 700 * L0 / 2
         dk = np.linspace(-0.8 * half_span, 0.8 * half_span, 41)
         direct = np.abs(f_exact(s, DK0 + dk)) ** 2
-        closed = np.abs(f_chirp(dk, 700, L0, 2.5e6 / DK0, DK0)) ** 2
+        closed = np.abs(f_chirp(dk, 700, L0, 2.5e6)) ** 2
         assert np.max(np.abs(closed / direct - 1.0)) < 0.02
 
     def test_zero_chirp_rejected(self):
         with pytest.raises(PhasematchError):
-            f_chirp(0.0, 700, L0, 0.0, DK0)
+            f_chirp(0.0, 700, L0, 0.0)
 
     def test_plateau_height_scales_inverse_chirp(self):
         # stationary-phase plateau: |F|^2 proportional to 1/zeta' on
         # average (pointwise values ripple)
         dk = np.linspace(-1e4, 1e4, 400)
-        v1 = np.mean(np.abs(f_chirp(dk, 700, L0, 2.5e6 / DK0, DK0)) ** 2)
-        v2 = np.mean(np.abs(f_chirp(dk, 700, L0, 5.0e6 / DK0, DK0)) ** 2)
+        v1 = np.mean(np.abs(f_chirp(dk, 700, L0, 2.5e6)) ** 2)
+        v2 = np.mean(np.abs(f_chirp(dk, 700, L0, 5.0e6)) ** 2)
         assert v1 / v2 == pytest.approx(2.0, rel=0.15)
 
 
@@ -461,16 +496,16 @@ class TestChirpFresnelForm:
     @pytest.mark.parametrize("n,zeta", CASES)
     def test_matches_erf_form(self, n, zeta):
         want = _chirp_erf_form(self.BAND, n, zeta / DK0)
-        got = f_chirp(self.BAND, n, L0, zeta / DK0, DK0)
+        got = f_chirp(self.BAND, n, L0, zeta)
         assert _peak_error(got, want) <= 1e-10
 
     @pytest.mark.parametrize("n,zeta", CASES)
     def test_against_mpmath(self, n, zeta):
-        peak = np.abs(f_chirp(self.BAND, n, L0, zeta / DK0, DK0)).max()
+        peak = np.abs(f_chirp(self.BAND, n, L0, zeta)).max()
         idx = np.random.default_rng(n).choice(self.BAND.size, 8, replace=False)
         for dk in self.BAND[idx]:
             want = _chirp_mpmath(dk, n, zeta / DK0)
-            assert abs(f_chirp(dk, n, L0, zeta / DK0, DK0) - want) <= 1e-11 * peak
+            assert abs(f_chirp(dk, n, L0, zeta) - want) <= 1e-11 * peak
 
     def test_near_zero_mismatch_no_worse_than_erf_form(self):
         # as dk_tot -> 0 both forms cancel phases of dk^2 / (4 dk_tot zeta')
@@ -483,11 +518,11 @@ class TestChirpFresnelForm:
         for n in (10, 100, 700, 2000):
             for zeta in (2.5e6, -2.5e6):
                 zp = zeta / DK0
-                peak = np.abs(f_chirp(self.BAND, n, L0, zp, DK0)).max()
+                peak = np.abs(f_chirp(self.BAND, n, L0, zeta)).max()
                 rel = np.geomspace(1e-4, 1e-3, 5) * rng.choice([-1, 1], 5)
                 dk = -DK0 * (1.0 - rel)
                 want = np.array([_chirp_mpmath(x, n, zp) for x in dk])
-                err_fresnel.append(np.abs(f_chirp(dk, n, L0, zp, DK0) - want) / peak)
+                err_fresnel.append(np.abs(f_chirp(dk, n, L0, zeta) - want) / peak)
                 err_erf.append(np.abs(_chirp_erf_form(dk, n, zp) - want) / peak)
         assert np.median(err_fresnel) <= 2.0 * np.median(err_erf)
         assert np.max(err_fresnel) <= 2.0 * np.max(err_erf)
@@ -530,12 +565,12 @@ class TestComplexErf:
 class TestCrossCorrelators:
     def test_diagonal_matches_mean(self):
         dk = np.linspace(-2e5, 2e5, 9)
-        diag = xcorr_rps(dk, dk, 700, L0, 2.1e-6, DK0)
+        diag = xcorr_rps(dk, dk, 700, L0, 2.1e-6)
         assert np.max(np.abs(diag.imag)) < 1e-18
-        assert np.allclose(diag.real, avg_f2_rps(dk, 700, L0, 2.1e-6, DK0),
+        assert np.allclose(diag.real, avg_f2_rps(dk, 700, L0, 2.1e-6),
                            rtol=1e-10)
-        diag_w = xcorr_weak(dk, dk, 700, L0, 1e-6, DK0)
-        assert np.allclose(diag_w.real, avg_f2_weak(dk, 700, L0, 1e-6, DK0),
+        diag_w = xcorr_weak(dk, dk, 700, L0, 1e-6)
+        assert np.allclose(diag_w.real, avg_f2_weak(dk, 700, L0, 1e-6),
                            rtol=1e-10)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5e-6, 2.1e-6])
@@ -543,27 +578,27 @@ class TestCrossCorrelators:
         # the sum-frequency grids, the sigma = 0 centre rows on the lag sum
         for key in ((257, 0.6), (1025, 0.35)):
             delta_k = scenario_dk[key] - DK0
-            diag = xcorr_rps(delta_k, delta_k, 700, L0, sigma, DK0)
-            mean = avg_f2_rps(delta_k, 700, L0, sigma, DK0)
+            diag = xcorr_rps(delta_k, delta_k, 700, L0, sigma)
+            mean = avg_f2_rps(delta_k, 700, L0, sigma)
             assert _peak_error(diag, mean) <= 1e-12
 
     def test_hermitian(self):
-        a = xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6, DK0)
-        b = xcorr_rps(-3e4, 5e4, 700, L0, 2.1e-6, DK0)
+        a = xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6)
+        b = xcorr_rps(-3e4, 5e4, 700, L0, 2.1e-6)
         assert a == pytest.approx(np.conj(b), rel=1e-12)
 
     def test_frozen_values(self):
-        assert xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6, DK0) == pytest.approx(
+        assert xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6) == pytest.approx(
             9.038688728746031e-11 - 2.3191694185772467e-10j, rel=1e-10)
-        assert xcorr_weak(5e4, -3e4, 700, L0, 1e-6, DK0) == pytest.approx(
+        assert xcorr_weak(5e4, -3e4, 700, L0, 1e-6) == pytest.approx(
             3.417092918976038e-11 + 1.2349842179681629e-10j, rel=1e-10)
 
     def test_fallback_branch_continuous(self):
         # sigma = 0 makes |1 - H| degenerate below |delta_k| l0 ~ 1e-6;
         # the exact lag sum must join the closed form across the switch
         switch = 1e-6 / L0
-        near = xcorr_rps(switch * 0.99, 4e4, 300, L0, 0.0, DK0)
-        off = xcorr_rps(switch * 1.01, 4e4, 300, L0, 0.0, DK0)
+        near = xcorr_rps(switch * 0.99, 4e4, 300, L0, 0.0)
+        off = xcorr_rps(switch * 1.01, 4e4, 300, L0, 0.0)
         assert near == pytest.approx(off, rel=1e-5)
 
     def test_outer_call_matches_scalar_calls(self):
@@ -574,11 +609,11 @@ class TestCrossCorrelators:
         dk = np.array([-2e5, -4e4, -switch * 0.5, 0.0, switch * 0.99,
                        switch * 1.01, 3e4, 1.5e5])
         for n, sigma in ((300, 0.0), (700, 2.1e-6)):
-            full = xcorr_rps(dk[:, None], dk[None, :], n, L0, sigma, DK0)
+            full = xcorr_rps(dk[:, None], dk[None, :], n, L0, sigma)
             assert full.shape == (dk.size, dk.size)
             for i, a in enumerate(dk):
                 for j, b in enumerate(dk):
-                    want = xcorr_rps(a, b, n, L0, sigma, DK0)
+                    want = xcorr_rps(a, b, n, L0, sigma)
                     assert abs(full[i, j] - want) <= 1e-13 * abs(want)
 
     def test_rps_mc_agreement_offdiagonal(self):
@@ -594,15 +629,8 @@ class TestCrossCorrelators:
             prod = fs[:, j] * np.conj(fs[:, j + 3])
             mean = prod.mean()
             se = prod.std(ddof=1) / np.sqrt(reals)
-            ana = xcorr_rps(a, b, n, L0, sigma, DK0)
+            ana = xcorr_rps(a, b, n, L0, sigma)
             assert abs(mean - ana) < 5.0 * se
-
-    def test_chirp_correlator_is_product(self):
-        zp = 2.5e6 / DK0
-        val = xcorr_chirp(2e4, -1e4, 700, L0, zp, DK0)
-        want = f_chirp(2e4, 700, L0, zp, DK0) * np.conj(
-            f_chirp(-1e4, 700, L0, zp, DK0))
-        assert val == pytest.approx(want, rel=1e-12)
 
 
 def _xcorr_oracle(mp, dk, dkp, n_domains, sigma):
@@ -637,7 +665,7 @@ class TestXcorrOracle:
     OLD_SWITCH = 1.1e-6 / L0
 
     def _check(self, mp, dk, dkp, n_domains, sigma):
-        got = xcorr_rps(dk, dkp, n_domains, L0, sigma, DK0)
+        got = xcorr_rps(dk, dkp, n_domains, L0, sigma)
         dk, dkp = np.broadcast_arrays(dk, dkp)
         want = np.array([_xcorr_oracle(mp, a, b, n_domains, sigma)
                          for a, b in zip(dk.ravel(), dkp.ravel())])
@@ -704,8 +732,8 @@ class TestHelpers:
 @settings(max_examples=examples(60), deadline=None)
 def test_ensemble_means_nonnegative(dk, sigma_um):
     sigma = sigma_um * 1e-6
-    assert avg_f2_rps(dk, 300, L0, sigma, DK0) >= 0.0
-    assert avg_f2_weak(dk, 300, L0, sigma, DK0) >= 0.0
+    assert avg_f2_rps(dk, 300, L0, sigma) >= 0.0
+    assert avg_f2_weak(dk, 300, L0, sigma) >= 0.0
 
 
 @given(dk=st.floats(-3e5, 3e5))
@@ -713,4 +741,4 @@ def test_ensemble_means_nonnegative(dk, sigma_um):
 def test_disorder_never_raises_peak(dk):
     # disorder redistributes, never exceeds the ordered-structure bound
     bound = 4.0 * 301 ** 2 / (DK0 + dk) ** 2
-    assert avg_f2_rps(dk, 300, L0, 2e-6, DK0) <= bound * (1 + 1e-9)
+    assert avg_f2_rps(dk, 300, L0, 2e-6) <= bound * (1 + 1e-9)

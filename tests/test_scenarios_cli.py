@@ -176,7 +176,7 @@ class TestScanEngine:
         assert len(counted) == calls
         monkeypatch.undo()
         ws = _workspace()
-        cfg = replace(ws.cfg, pump_dx=pump_width, pump_dy=pump_width)
+        cfg = replace(ws.cfg, pump_width=pump_width)
         omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, 201)
         theta_max = float(np.clip(14.0 / (ws.model.wavenumber(ws.cfg.omega_s0)
                                           * pump_width), 0.01, 0.35))
@@ -184,7 +184,7 @@ class TestScanEngine:
                             theta_i=np.linspace(0.0, theta_max, 320),
                             phi_i=np.array([np.pi]), omega_s=omega)
         # the shared constructor gives the same grid
-        on_axis = AngularGrid.on_axis(ws.cfg, ws.model, pump_width, omega, 320)
+        on_axis = AngularGrid.on_axis(cfg, ws.model, omega, 320)
         for name in ("theta_s", "theta_i", "phi_i", "omega_s"):
             assert np.array_equal(getattr(on_axis, name), getattr(agrid, name))
         want = [agrid.theta_i] + [
@@ -352,6 +352,12 @@ class TestCli:
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
         assert _run_cli(["rate-vs-NL"] + FAST) == 0
         assert (tmp_path / "envout" / "scan.csv").exists()
+
+    def test_hom_study_zero_chirp(self, tmp_path):
+        # a zeta = 0 chirped spec is the ideal layout that gen_chirped draws
+        code = _run_cli(["hom-study", "--zeta", "0", "--grid-points", "513",
+                         "--tau-points", "201", "--out-dir", str(tmp_path)])
+        assert code == 0
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         code = _run_cli(["rate-vs-NL", "--out-dir", str(tmp_path),

@@ -45,15 +45,15 @@ class TestGrid:
 class TestPumpSpectrum:
     def test_gaussian_form(self, cfg):
         kx, ky = 3.0e4, -1.5e4
-        want = np.exp(-(kx ** 2 * cfg.pump_dx ** 2
-                        + ky ** 2 * cfg.pump_dy ** 2) / 4.0)
+        want = np.exp(-(kx ** 2 * cfg.pump_width ** 2
+                        + ky ** 2 * cfg.pump_width ** 2) / 4.0)
         assert pump_transverse_spectrum(kx, ky, cfg) == pytest.approx(
             want, rel=1e-14)
         assert pump_transverse_spectrum(0.0, 0.0, cfg) == 1.0
 
     def test_narrower_pump_wider_spectrum(self, cfg):
         from dataclasses import replace
-        tight = replace(cfg, pump_dx=cfg.pump_dx / 5, pump_dy=cfg.pump_dy / 5)
+        tight = replace(cfg, pump_width=cfg.pump_width / 5)
         k = 2.0e5
         assert pump_transverse_spectrum(k, 0.0, tight) > \
             pump_transverse_spectrum(k, 0.0, cfg)
@@ -77,8 +77,7 @@ class TestAmplitude:
         wi = cfg.omega_p0 - ws
         amp = spatial_amplitude(s, cfg, model, ws, wi, 0.0, 0.0, 0.0, 0.0)
         dk = model.collinear_mismatch(ws, wi)
-        want = coupling_g(ws, wi, cfg, model) * cfg.pump_amplitude \
-            * f_exact(s, dk)
+        want = coupling_g(ws, wi, cfg, model) * f_exact(s, dk)
         assert amp == pytest.approx(want, rel=1e-12)
 
     def test_ensemble_spec_rejected(self, cfg, model, rps):
@@ -195,13 +194,14 @@ def _row_terms(source, cfg, model, om, theta_s, phi_s, th_i, phi_i):
     wi = cfg.omega_p0 - om
     k_s, k_i = model.wavenumber(om), model.wavenumber(wi)
     k_p = model.wavenumber(np.full_like(om, cfg.omega_p0))
-    g2 = np.abs(coupling_g(om, wi, cfg, model)) ** 2 * abs(cfg.pump_amplitude) ** 2
+    g2 = np.abs(coupling_g(om, wi, cfg, model)) ** 2
     r = response(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i))
     f2 = np.abs(r) ** 2 if np.iscomplexobj(r) else r
     b = (k_i * np.sin(th_i))[:, None]
     dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i)
     dky = (k_s * np.sin(theta_s) * np.cos(phi_s))[:, None] + b * np.cos(phi_i)
-    trans = np.exp(-(dkx ** 2 * cfg.pump_dx ** 2 + dky ** 2 * cfg.pump_dy ** 2) / 2)
+    w = cfg.pump_width
+    trans = np.exp(-(dkx ** 2 * w ** 2 + dky ** 2 * w ** 2) / 2)
     return g2, f2, trans
 
 

@@ -10,9 +10,10 @@ from randpoled import (ProcessConfig, RandomSource, StructureSpec,
                        pair_rate, signal_spectrum, two_photon_amplitude)
 from randpoled.constants import CONSTANTS
 from randpoled.phasematch import BoundaryPlan, f_exact
-from randpoled.spectra import (SpectraError, SpectralGrid, SpectralSlice,
-                               _mismatch_slice, coupling_g, extractor_rate,
-                               extractor_width, map_realizations, mean_f2)
+from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
+                               SpectralSlice, _mismatch_slice, coupling_g,
+                               extractor_rate, extractor_width,
+                               map_realizations, mean_f2)
 
 
 class TestConfigAndGrid:
@@ -48,7 +49,7 @@ class TestCoupling:
     def test_magnitude_and_phase(self, cfg, model):
         g = coupling_g(cfg.omega_s0, cfg.omega_s0, cfg, model)
         n = model.refractive_index(cfg.omega_s0)
-        want = cfg.omega_s0 / (2.0 * CONSTANTS.c * np.pi * n) * cfg.chi2_effective
+        want = cfg.omega_s0 / (2.0 * CONSTANTS.c * np.pi * n) * CHI2_EFFECTIVE
         assert g == pytest.approx(1j * want, rel=1e-12)
 
     def test_symmetric(self, cfg, model):

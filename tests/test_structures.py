@@ -139,19 +139,16 @@ class TestRedrawGate:
             with pytest.raises(StructureError, match="redraw rate"):
                 StructureSpec(kind, n, L0, sigma=sigma).generate(RandomSource(seed))
 
-    @pytest.mark.parametrize("mode,sigma_er", [("length", 3.1e-6),
-                                               ("boundary", 2.2e-6)])
-    def test_fabrication_law_over_cap_raises(self, mode, sigma_er):
+    @pytest.mark.parametrize("sigma_er", [pytest.param(3.1e-6, id="length-3.1e-06")])
+    def test_fabrication_law_over_cap_raises(self, sigma_er):
         with pytest.raises(StructureError, match="redraw rate"):
-            apply_fabrication_error(gen_ideal(2, L0), sigma_er, RandomSource(0),
-                                    mode=mode)
+            apply_fabrication_error(gen_ideal(2, L0), sigma_er, RandomSource(0))
 
-    @pytest.mark.parametrize("mode,sigma_er", [("length", 2.5e-6),
-                                               ("boundary", 2.1e-6)])
-    def test_fabrication_law_under_cap_draws(self, mode, sigma_er):
+    @pytest.mark.parametrize("sigma_er", [pytest.param(2.5e-6, id="length-2.5e-06")])
+    def test_fabrication_law_under_cap_draws(self, sigma_er):
         s = gen_ideal(700, L0)
         for seed in range(20):
-            p = apply_fabrication_error(s, sigma_er, RandomSource(seed), mode=mode)
+            p = apply_fabrication_error(s, sigma_er, RandomSource(seed))
             assert np.all(np.diff(p.boundaries) > 0)
 
 
@@ -243,22 +240,6 @@ class TestFabricationError:
         assert np.abs(dev[-1000:]).max() > 5e-6
         assert np.std(np.diff(p.boundaries) - L0) == pytest.approx(
             5e-7, rel=5e-2)
-
-    def test_boundary_mode_endpoints_fixed(self):
-        s = gen_ideal(1000, L0)
-        p = apply_fabrication_error(s, 5e-7, RandomSource(2).generator(),
-                                    mode="boundary")
-        assert p.boundaries[0] == s.boundaries[0]
-        assert p.boundaries[-1] == s.boundaries[-1]
-        dev = p.boundaries[1:-1] - s.boundaries[1:-1]
-        assert np.std(dev) == pytest.approx(5e-7, rel=0.1)
-        assert np.abs(dev).max() < 3e-6  # independent, not cumulative
-
-    def test_unknown_mode(self):
-        s = gen_ideal(10, L0)
-        with pytest.raises(StructureError):
-            apply_fabrication_error(s, 1e-7, RandomSource(0).generator(),
-                                    mode="angular")
 
 
 class TestShuffle:

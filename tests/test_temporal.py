@@ -9,7 +9,7 @@ from scipy import fft
 
 from conftest import examples
 
-from randpoled import (ProcessConfig, RandomSource, StructureSpec, compensate,
+from randpoled import (RandomSource, StructureSpec, compensate,
                        dispersion_cancellation_check, entanglement_time, fwhm,
                        hom_trace, spectral_phase, sumfreq_ensemble_mc,
                        sumfreq_trace, two_photon_amplitude, xcorr_rps,
@@ -233,7 +233,7 @@ class TestSumFrequency:
                 delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
                 fmat = xcorr(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
                 a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
-                     * coupling_g(omega_s, omega_i, cfg, model) * cfg.pump_amplitude)
+                     * coupling_g(omega_s, omega_i, cfg, model))
                 m = (a[:, None] * np.conj(a[None, :])) * fmat
                 e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
                 want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
@@ -257,12 +257,11 @@ class TestSumFrequency:
         assert grid.n_points == 1025
         assert peak <= 64 * 2 ** 20
 
-    def test_zero_area_rejected(self, model, l0):
-        cfg0 = ProcessConfig(pump_amplitude=0.0)
-        grid = SpectralGrid.default(cfg0.omega_s0, n=257)
-        spec = StructureSpec("rps", 300, l0, sigma=1.5e-6)
+    def test_zero_area_rejected(self, cfg, model):
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        zero = SpectralSlice(grid, np.zeros(257), cfg.omega_p0)
         with pytest.raises(TemporalError, match="zero area"):
-            sumfreq_trace(spec, cfg0, model, grid, TAU)
+            sumfreq_trace(zero, cfg, model, grid, TAU)
 
     def test_mc_needs_a_realization(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
