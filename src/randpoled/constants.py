@@ -8,7 +8,6 @@ class PhysicalConstants:
     """Fundamental constants in SI units.  Immutable by construction."""
 
     c: float = 299792458.0          # speed of light in vacuum, m/s (exact)
-    hbar: float = 1.054571817e-34   # reduced Planck constant, J*s
 
 
 CONSTANTS = PhysicalConstants()

@@ -103,20 +103,3 @@ class DispersionModel:
                 "quasi-phase-matchable with first-order poling"
             )
         return np.pi / dk0
-
-    def vector_mismatch(self, omega_s, omega_i, theta_s, phi_s, theta_i, phi_i):
-        """Cartesian phase-mismatch components for tilted emission.
-
-        Emission angles are internal to the crystal; exact sines and
-        cosines are used (no small-angle approximation).  Returns
-        (dk_x, dk_y, dk_z) in 1/m.
-        """
-        omega_s = np.asarray(omega_s, dtype=float)
-        omega_i = np.asarray(omega_i, dtype=float)
-        k_s = self.wavenumber(omega_s)
-        k_i = self.wavenumber(omega_i)
-        k_p = self.wavenumber(omega_s + omega_i)
-        dk_x = k_s * np.sin(theta_s) * np.sin(phi_s) + k_i * np.sin(theta_i) * np.sin(phi_i)
-        dk_y = k_s * np.sin(theta_s) * np.cos(phi_s) + k_i * np.sin(theta_i) * np.cos(phi_i)
-        dk_z = k_p - k_s * np.cos(theta_s) - k_i * np.cos(theta_i)
-        return dk_x, dk_y, dk_z

@@ -243,7 +243,7 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
         # theta grid is agrid's
         same = [row["profile"] for row in scan if row["pump_width"] == pump_width]
         profiles.append(same[0] if same else
-                        correlated_area(spec, cfg, ws.model, agrid).values[:, 0])
+                        correlated_area(spec, cfg, ws.model, agrid)[:, 0])
     area_rows = tuple(zip(*(map(float, col) for col in (agrid.theta_i, *profiles))))
     tables = {
         "correlated_area": Table(("theta_i", "g_cpps", "g_rps_ensemble"),

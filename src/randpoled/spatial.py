@@ -1,8 +1,8 @@
 """Transverse-plane model: angular densities and correlated areas.
 
-The pump carries a Gaussian transverse profile whose spatial spectrum
-multiplies the longitudinal phase-matching response, giving the
-separable amplitude Phi = Phi_z * Phi_xy.  Emission angles are
+The pump carries a Gaussian transverse profile: the squared modulus of
+its spatial spectrum at the transverse mismatch multiplies the
+longitudinal response |F|^2 at the longitudinal one.  Emission angles are
 internal to the crystal; exact sines and cosines are used so results
 stay valid to tens of milliradians.  The frequency integral over the
 idler collapses under cw pumping (omega_i = omega_p0 - omega_s).
@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
-from .phasematch import response
-from .spectra import ProcessConfig, _f2, _pumped_g, coupling_g, fwhm
+from .spectra import ProcessConfig, _f2, _pumped_g, fwhm
 
 
 class SpatialError(ValueError):
@@ -64,47 +63,6 @@ class AngularGrid:
                    phi_i=np.array([np.pi]), omega_s=omega_s)
 
 
-@dataclass(frozen=True)
-class AngularDensityMap:
-    """Sampled density over named axes with its normalization record."""
-
-    axes: tuple
-    coords: tuple
-    values: np.ndarray
-    normalization: str = "relative"
-    meta: dict | None = None
-
-
-def pump_transverse_spectrum(dkx, dky, cfg: ProcessConfig):
-    """Transverse spatial spectrum of the normalized Gaussian pump.
-
-    Fourier transform of exp(-(x^2 + y^2) / w^2) / (pi w^2), w the pump
-    width, with kernel exp(i(kx x + ky y)); the prefactor of that
-    transform is exactly one.
-    """
-    dkx = np.asarray(dkx, dtype=float)
-    dky = np.asarray(dky, dtype=float)
-    w = cfg.pump_width
-    return np.exp(-(dkx ** 2 * w ** 2 + dky ** 2 * w ** 2) / 4.0)
-
-
-def spatial_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
-                      omega_s, omega_i, theta_s, phi_s, theta_i, phi_i):
-    """Separable amplitude Phi_z * Phi_xy at the given emission geometry.
-
-    Requires a source with a well-defined amplitude (explicit
-    structure, chirped or ideal spec).
-    """
-    dkx, dky, dkz = model.vector_mismatch(omega_s, omega_i, theta_s, phi_s,
-                                          theta_i, phi_i)
-    f = response(source, dkz)
-    if not np.iscomplexobj(f):
-        raise SpatialError("amplitude requires an explicit structure or a "
-                           "deterministic spec")
-    g = coupling_g(omega_s, omega_i, cfg, model)
-    return g * f * pump_transverse_spectrum(dkx, dky, cfg)
-
-
 def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
                  phi_i_grid):
     """|F|^2 over (theta_i, omega_s), from one response call, and the pump
@@ -128,14 +86,11 @@ def _slice_kinematics(cfg, model, omega_s):
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
-                             grid: AngularGrid,
-                             check_convergence: bool = False) -> AngularDensityMap:
+                             grid: AngularGrid) -> np.ndarray:
     """Signal spectral density over (omega_s, theta_s).
 
     Quadrature over the idler angles with the exact sin-measure
     factors; the idler frequency is slaved to the signal one (cw).
-    With check_convergence=True the idler grids are doubled and the
-    relative deviation recorded in the map metadata (warning above 5%).
     """
     omega_s = grid.omega_s
     k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
@@ -148,46 +103,15 @@ def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
         f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, th_s, 0.0,
                                  grid.theta_i, grid.phi_i)
         values[:, m] = np.sin(th_s) * g2 * (wt @ (f2 * trans.sum(axis=2))) * dphi
-    meta = {}
-    if check_convergence:
-        fine = AngularGrid(
-            theta_s=grid.theta_s,
-            theta_i=np.linspace(grid.theta_i[0], grid.theta_i[-1],
-                                2 * grid.theta_i.size - 1),
-            phi_i=np.linspace(0.0, 2.0 * np.pi, 2 * grid.phi_i.size, endpoint=False),
-            omega_s=omega_s,
-        )
-        ref = angular_spectral_density(source, cfg, model, fine).values
-        scale = ref.max()
-        err = float(np.max(np.abs(values - ref)) / scale) if scale > 0 else 0.0
-        meta = {"convergence_error": err, "converged": err <= 0.05}
-    return AngularDensityMap(
-        axes=("omega_s", "theta_s"), coords=(omega_s, grid.theta_s),
-        values=values, meta=meta or None,
-    )
-
-
-def radial_photon_density(density_map: AngularDensityMap,
-                          normalize: bool = True) -> AngularDensityMap:
-    """Frequency-integrated angular profile n_s(theta_s)."""
-    if density_map.axes != ("omega_s", "theta_s"):
-        raise SpatialError("expected an (omega_s, theta_s) map")
-    omega_s, theta_s = density_map.coords
-    profile = np.trapezoid(density_map.values, omega_s, axis=0)
-    norm = "relative"
-    if normalize and profile.max() > 0:
-        profile = profile / profile.max()
-        norm = "unit-peak"
-    return AngularDensityMap(axes=("theta_s",), coords=(theta_s,),
-                             values=profile, normalization=norm)
+    return values
 
 
 def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
                     grid: AngularGrid, theta_s: float = 0.0,
-                    phi_s: float = 0.0) -> AngularDensityMap:
+                    phi_s: float = 0.0) -> np.ndarray:
     """Idler angular distribution conditioned on a fixed signal direction.
 
-    g_i(theta_i, phi_i) with the sin-measure factors; at exactly
+    g_i over (theta_i, phi_i) with the sin-measure factors; at exactly
     on-axis signal (theta_s = 0) the constant sin(theta_s) prefactor
     is dropped, as only the relative distribution is meaningful.
     """
@@ -199,8 +123,7 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
     values = np.sin(grid.theta_i)[:, None] * integ
     if theta_s > 0:
         values = values * np.sin(theta_s)
-    return AngularDensityMap(axes=("theta_i", "phi_i"),
-                             coords=(grid.theta_i, grid.phi_i), values=values)
+    return values
 
 
 def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
@@ -217,8 +140,7 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
     for width in np.asarray(pump_widths, dtype=float):
         cfg_w = replace(cfg, pump_width=float(width))
         grid = AngularGrid.on_axis(cfg_w, model, omega_s, n_theta)
-        area = correlated_area(source, cfg_w, model, grid)
-        profile = area.values[:, 0]
+        profile = correlated_area(source, cfg_w, model, grid)[:, 0]
         rows.append({
             "pump_width": float(width),
             "delta_theta_i": fwhm(grid.theta_i, profile),

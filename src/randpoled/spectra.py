@@ -103,19 +103,17 @@ class SpectralSlice:
 class EnsembleStats:
     """Summary of a scalar observable over structure realizations."""
 
-    name: str
     mean: float
     variance: float
     rel_fluctuation: float
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     realizations: int
-    seed: int
     failures: int = 0
     values: np.ndarray = field(default=None, repr=False)
 
 
-def coupling_g(omega_s, omega_i, cfg: ProcessConfig, model: DispersionModel):
+def coupling_g(omega_s, omega_i, model: DispersionModel):
     """Coupling constant g = i sqrt(ws wi) / (2 c pi sqrt(ns ni)) chi2."""
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
@@ -130,7 +128,7 @@ def coupling_g(omega_s, omega_i, cfg: ProcessConfig, model: DispersionModel):
 
 def _pumped_g(cfg: ProcessConfig, model: DispersionModel, omega_s):
     """g on the cw slice, pumped at unit amplitude: the amplitude per unit F."""
-    return coupling_g(omega_s, cfg.omega_p0 - omega_s, cfg, model)
+    return coupling_g(omega_s, cfg.omega_p0 - omega_s, model)
 
 
 def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
@@ -175,29 +173,6 @@ def joint_density(source, cfg: ProcessConfig, model: DispersionModel,
     """Spectral density n(omega_s) = |g|^2 |pump|^2 <|F|^2> on the slice."""
     return np.abs(_pumped_g(cfg, model, grid.omega_s)) ** 2 \
         * mean_f2(source, cfg, model, grid)
-
-
-def signal_spectrum(density, cfg: ProcessConfig, grid: SpectralGrid,
-                    normalize: str | None = "unit-photon") -> np.ndarray:
-    """Signal spectrum S_s = hbar omega_s n(omega_s).
-
-    With normalize="unit-photon" the spectrum is scaled so that the
-    emitted photon number integrates to one.
-    """
-    s = CONSTANTS.hbar * grid.omega_s * np.asarray(density, dtype=float)
-    if normalize == "unit-photon":
-        photons = np.trapezoid(s / (CONSTANTS.hbar * grid.omega_s), grid.omega_s)
-        if photons <= 0:
-            raise SpectraError("empty spectrum cannot be normalized")
-        s = s / photons
-    elif normalize is not None:
-        raise SpectraError(f"unknown normalization {normalize!r}")
-    return s
-
-
-def pair_rate(density, grid: SpectralGrid) -> float:
-    """Photon-pair generation rate (relative units): integral of n."""
-    return extractor_rate(grid.omega_s, density)
 
 
 def fwhm(x, y) -> float:
@@ -291,14 +266,12 @@ def ensemble_run(spec: StructureSpec, extractors: dict, realizations: int,
         var = float(good.var(ddof=1))
         counts, edges = np.histogram(good, bins=40)
         stats[name] = EnsembleStats(
-            name=name,
             mean=mean,
             variance=var,
             rel_fluctuation=float(np.sqrt(var) / mean) if mean > 0 else np.nan,
             hist_edges=edges,
             hist_counts=counts,
             realizations=realizations,
-            seed=seed,
             failures=failures[name],
             values=good,
         )

@@ -9,8 +9,9 @@ For the degenerate same-polarization process the collinear mismatch is
 symmetric under exchange of the signal and idler frequencies, so the
 cross-correlator entering the HOM trace collapses onto its diagonal,
 the mean squared phase-matching function.  This makes the HOM dip a
-pure Fourier transform of the spectral density -- the origin of the
-nonlocal dispersion-cancellation property checked below.
+pure Fourier transform of the spectral density -- the origin of
+nonlocal dispersion cancellation: a phase common to signal and idler
+leaves the dip unchanged.
 """
 
 from __future__ import annotations
@@ -168,29 +169,6 @@ def entanglement_time(trace: TemporalTrace) -> float:
     if dip.max() < 0.1:
         raise TemporalError("no dip: depth below 0.1")
     return fwhm(trace.tau, dip)
-
-
-def dispersion_cancellation_check(source, cfg: ProcessConfig, model,
-                                  grid: SpectralGrid, phase_fn,
-                                  tau: np.ndarray | None = None) -> float:
-    """Max |change of R_n| when a common spectral phase is applied.
-
-    The same phase function (of absolute frequency) multiplies both
-    the signal and idler arguments of the amplitude; for cw pumping
-    the HOM trace is invariant.  Returns the maximal deviation.
-    """
-    slice_ = source if isinstance(source, SpectralSlice) \
-        else two_photon_amplitude(source, cfg, model, grid)
-    base = hom_trace(slice_, cfg, model, slice_.grid, tau)
-    omega_s = slice_.grid.omega_s
-    omega_i = slice_.omega_p0 - omega_s
-    phased = SpectralSlice(
-        slice_.grid,
-        slice_.values * np.exp(1j * (phase_fn(omega_s) + phase_fn(omega_i))),
-        slice_.omega_p0,
-    )
-    mod = hom_trace(phased, cfg, model, slice_.grid, tau)
-    return float(np.max(np.abs(mod.values - base.values)))
 
 
 def _area_normalized(tau: np.ndarray, intensity: np.ndarray) -> TemporalTrace:

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from randpoled import (ProcessConfig, RandomSource, StructureSpec, cli,
-                       dispersion_cancellation_check, entanglement_time, fwhm,
-                       hom_trace, joint_density, match_parameter, pair_rate,
+from conftest import dispersion_cancellation_check
+
+from randpoled import (RandomSource, StructureSpec, cli, entanglement_time,
+                       fwhm, hom_trace, joint_density, match_parameter,
                        sumfreq_ensemble_mc, sumfreq_trace)
-from randpoled.dispersion import DispersionModel
 from randpoled.phasematch import (avg_f2_rps, avg_f2_rps_asymptotic,
                                   f_boundary_sum, f_chirp, f_exact)
 from randpoled.scenarios import (_workspace, run_fab_error_scan,
@@ -252,7 +252,7 @@ def test_criterion_10_spatial(cfg, model, l0, matched_sigma):
     agrid = AngularGrid.default(cfg.omega_s0, n_theta_s=48, theta_max=0.04,
                                 n_theta_i=96, n_phi=48, n_omega=151)
     dm = angular_spectral_density(rps, cfg, model, agrid)
-    col = dm.values[:, -1]
+    col = dm[:, -1]
     splitting = col[agrid.omega_s.size // 2] < 0.7 * col.max()
     omega = np.linspace(0.65, 1.35, 201) * cfg.omega_s0
     w_r = correlated_width_scan(rps, cfg, model, [1e-5], omega)[0]

@@ -67,37 +67,6 @@ class TestMismatch:
             w = omega_from_wavelength(lam)
             assert model.collinear_mismatch(w, w) > 0
 
-    def test_vector_mismatch_collinear_limit(self, cfg, model):
-        ws = cfg.omega_s0
-        dkx, dky, dkz = model.vector_mismatch(ws, ws, 0.0, 0.0, 0.0, 0.0)
-        assert dkx == pytest.approx(0.0, abs=1e-12)
-        assert dky == pytest.approx(0.0, abs=1e-12)
-        assert dkz == pytest.approx(model.collinear_mismatch(ws, ws), rel=1e-14)
-
-    def test_vector_mismatch_transverse_components(self, cfg, model):
-        ws = cfg.omega_s0
-        k_s = model.wavenumber(ws)
-        # signal tilted along +y (phi_s = 0), idler on axis
-        dkx, dky, dkz = model.vector_mismatch(ws, ws, 0.01, 0.0, 0.0, 0.0)
-        assert dkx == pytest.approx(0.0, abs=1e-9)
-        assert dky == pytest.approx(k_s * np.sin(0.01), rel=1e-12)
-        # signal tilted along +x (phi_s = pi/2)
-        dkx, dky, dkz = model.vector_mismatch(ws, ws, 0.01, np.pi / 2, 0.0, 0.0)
-        assert dkx == pytest.approx(k_s * np.sin(0.01), rel=1e-12)
-        assert abs(dky) < abs(dkx) * 1e-9
-
-    def test_opposite_tilts_cancel_transverse(self, cfg, model):
-        ws = cfg.omega_s0
-        dkx, dky, _ = model.vector_mismatch(ws, ws, 0.02, 0.0, 0.02, np.pi)
-        assert dkx == pytest.approx(0.0, abs=1e-9)
-        assert dky == pytest.approx(0.0, abs=1e-6)
-
-    def test_longitudinal_grows_with_tilt(self, cfg, model):
-        ws = cfg.omega_s0
-        _, _, dkz0 = model.vector_mismatch(ws, ws, 0.0, 0.0, 0.0, 0.0)
-        _, _, dkz1 = model.vector_mismatch(ws, ws, 0.03, 0.0, 0.03, np.pi)
-        assert dkz1 > dkz0
-
 
 @given(lam=st.floats(min_value=BAND_MIN * 1.01, max_value=BAND_MAX * 0.99))
 @settings(max_examples=examples(50), deadline=None)

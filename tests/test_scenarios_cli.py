@@ -18,7 +18,7 @@ from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _wor
                                  run_sumfreq_study, run_temperature_scan,
                                  run_width_vs_nl)
 from randpoled.spatial import AngularGrid, correlated_area
-from randpoled.spectra import fwhm, joint_density, pair_rate
+from randpoled.spectra import extractor_rate, fwhm, joint_density
 from randpoled.structures import (RandomSource, StructureSpec,
                                   apply_fabrication_error, shuffle_segments)
 
@@ -121,7 +121,7 @@ def _oracle_means(layouts, ws):
     """Mean width and rate with one joint_density call per layout."""
     densities = [joint_density(s, ws.cfg, ws.model, ws.grid) for s in layouts]
     return (np.mean([fwhm(ws.grid.omega_s, ws.grid.omega_s * d) for d in densities]),
-            np.mean([pair_rate(d, ws.grid) for d in densities]))
+            np.mean([extractor_rate(ws.grid.omega_s, d) for d in densities]))
 
 
 class TestScanEngine:
@@ -188,7 +188,7 @@ class TestScanEngine:
         for name in ("theta_s", "theta_i", "phi_i", "omega_s"):
             assert np.array_equal(getattr(on_axis, name), getattr(agrid, name))
         want = [agrid.theta_i] + [
-            correlated_area(spec, cfg, ws.model, agrid).values[:, 0]
+            correlated_area(spec, cfg, ws.model, agrid)[:, 0]
             for spec in (StructureSpec("chirped", 700, ws.l0, zeta=2.5e6),
                          StructureSpec("rps", 700, ws.l0, sigma=2.1e-6))]
         got = np.array(res.tables["correlated_area"].rows).T

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
                        ensemble_run, fwhm, joint_density, match_parameter,
-                       pair_rate, signal_spectrum, two_photon_amplitude)
+                       two_photon_amplitude)
 from randpoled.constants import CONSTANTS
 from randpoled.phasematch import BoundaryPlan, f_exact
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
@@ -47,15 +47,15 @@ class TestConfigAndGrid:
 
 class TestCoupling:
     def test_magnitude_and_phase(self, cfg, model):
-        g = coupling_g(cfg.omega_s0, cfg.omega_s0, cfg, model)
+        g = coupling_g(cfg.omega_s0, cfg.omega_s0, model)
         n = model.refractive_index(cfg.omega_s0)
         want = cfg.omega_s0 / (2.0 * CONSTANTS.c * np.pi * n) * CHI2_EFFECTIVE
         assert g == pytest.approx(1j * want, rel=1e-12)
 
     def test_symmetric(self, cfg, model):
         ws, wi = 1.1 * cfg.omega_s0, 0.9 * cfg.omega_s0
-        assert coupling_g(ws, wi, cfg, model) == pytest.approx(
-            coupling_g(wi, ws, cfg, model), rel=1e-14)
+        assert coupling_g(ws, wi, model) == pytest.approx(
+            coupling_g(wi, ws, model), rel=1e-14)
 
 
 class TestDensities:
@@ -71,14 +71,15 @@ class TestDensities:
         for (kind, sigma, zeta), (rate, width) in self.FROZEN.items():
             spec = StructureSpec(kind, 700, l0, sigma=sigma, zeta=zeta)
             jd = joint_density(spec, cfg, model, grid)
-            assert pair_rate(jd, grid) == pytest.approx(rate, rel=1e-10)
+            assert extractor_rate(grid.omega_s, jd) == pytest.approx(
+                rate, rel=1e-10)
             assert fwhm(grid.omega_s, jd) == pytest.approx(width, rel=1e-10)
 
     def test_single_realization_frozen(self, cfg, model, grid, l0):
         s = StructureSpec("rps", 700, l0, sigma=2.1e-6).generate(RandomSource(7))
         jd = joint_density(s, cfg, model, grid)
-        assert pair_rate(jd, grid) == pytest.approx(2.2408128682314295e-05,
-                                                    rel=1e-10)
+        assert extractor_rate(grid.omega_s, jd) == pytest.approx(
+            2.2408128682314295e-05, rel=1e-10)
         assert fwhm(grid.omega_s, jd) == pytest.approx(752026607021998.9,
                                                        rel=1e-10)
 
@@ -87,7 +88,7 @@ class TestDensities:
         for sigma in (0.5e-6, 1.0e-6, 2.0e-6):
             spec = StructureSpec("rps", 700, l0, sigma=sigma)
             jd = joint_density(spec, cfg, model, grid)
-            rates.append(pair_rate(jd, grid))
+            rates.append(extractor_rate(grid.omega_s, jd))
             widths.append(fwhm(grid.omega_s, jd))
         assert rates[0] > rates[1] > rates[2]
         assert widths[0] < widths[1] < widths[2]
@@ -123,19 +124,6 @@ class TestDensities:
 
 
 class TestSpectrumHelpers:
-    def test_signal_spectrum_normalization(self, cfg, model, grid, l0):
-        jd = joint_density(StructureSpec("rps", 700, l0, sigma=2.1e-6),
-                           cfg, model, grid)
-        s = signal_spectrum(jd, cfg, grid)
-        photons = np.trapezoid(s / (CONSTANTS.hbar * grid.omega_s), grid.omega_s)
-        assert photons == pytest.approx(1.0, rel=1e-12)
-        raw = signal_spectrum(jd, cfg, grid, normalize=None)
-        assert np.allclose(raw, CONSTANTS.hbar * grid.omega_s * jd)
-
-    def test_unknown_normalization(self, cfg, grid):
-        with pytest.raises(SpectraError):
-            signal_spectrum(np.ones(grid.n_points), cfg, grid, normalize="area")
-
     def test_fwhm_triangle(self):
         x = np.linspace(-2.0, 2.0, 4001)
         y = np.clip(1.0 - np.abs(x), 0.0, None)
@@ -185,7 +173,7 @@ class TestEnsemble:
         spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
         stats = ensemble_run(spec, {"rate": extractor_rate}, 200, 5,
                              cfg, model, grid)["rate"]
-        ana = pair_rate(joint_density(spec, cfg, model, grid), grid)
+        ana = extractor_rate(grid.omega_s, joint_density(spec, cfg, model, grid))
         se = np.sqrt(stats.variance / stats.realizations)
         assert abs(stats.mean - ana) < 4.0 * se
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +11,9 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from randpoled import (PolingStructure, RandomSource, StructureError,
-                       StructureSpec, apply_fabrication_error,
-                       domain_length_histogram, gen_chirped, gen_ideal,
-                       gen_rps, gen_weakly_random, load_structure,
-                       save_structure, shuffle_segments, structures)
+                       StructureSpec, apply_fabrication_error, gen_chirped,
+                       gen_ideal, gen_rps, gen_weakly_random, shuffle_segments,
+                       structures)
 from randpoled.structures import MAX_REJECTION_RATE, _check_redraw_rate
 
 L0 = 9.489154805833549e-06
@@ -28,10 +29,6 @@ class TestRandomSource:
         a = RandomSource(42, 0).generator().normal(size=5)
         b = RandomSource(42, 1).generator().normal(size=5)
         assert not np.array_equal(a, b)
-
-    def test_split(self):
-        src = RandomSource(7)
-        assert src.split(3) == RandomSource(7, 3)
 
 
 class TestPolingStructure:
@@ -185,6 +182,23 @@ class TestRedrawRate:
             assert refused[-1] == (self._ndtr_rate(gap, scale) > MAX_REJECTION_RATE)
         assert 0 < sum(refused) < len(refused)
 
+    def test_subnormal_scale_is_silent(self, monkeypatch):
+        # gap / (scale sqrt 2) overflows to inf: no warning, and the rate
+        # stays erfc(inf) / 2 = 0 in all three generators that check it
+        rates = []
+
+        def recording(gap, scale):
+            rates.append(_check_redraw_rate(gap, scale))
+            return rates[-1]
+
+        monkeypatch.setattr(structures, "_check_redraw_rate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen_rps(700, L0, 1e-318, RandomSource(0))
+            gen_weakly_random(700, L0, 1e-318, RandomSource(0))
+            apply_fabrication_error(gen_ideal(700, L0), 1e-318, RandomSource(0))
+        assert rates == [0.0, 0.0, 0.0]
+
 
 class TestSharedLengthRedraw:
     # oracles: the former inline loops, seed by seed, to the last bit (the
@@ -283,32 +297,16 @@ class TestShuffle:
             shuffle_segments(s, 11, RandomSource(0).generator())
 
 
-class TestHistogramAndIo:
+class TestHistogram:
     def test_histogram_counts(self):
-        s = gen_rps(5000, L0, 1e-6, RandomSource(6).generator())
-        edges, counts = domain_length_histogram(s, 0.2e-6)
+        lengths = gen_rps(5000, L0, 1e-6, RandomSource(6).generator()).domain_lengths
+        bins = np.arange(np.floor(lengths.min() / 0.2e-6),
+                         np.ceil(lengths.max() / 0.2e-6) + 1) * 0.2e-6
+        counts, edges = np.histogram(lengths, bins=bins)
         assert counts.sum() == 5000
-        assert np.allclose(np.diff(edges), 0.2e-6)
-        # peak bin near l0
+        # the domain-length law peaks at l0
         peak = 0.5 * (edges[np.argmax(counts)] + edges[np.argmax(counts) + 1])
         assert peak == pytest.approx(L0, abs=0.3e-6)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        s = gen_rps(50, L0, 1e-6, RandomSource(8).generator())
-        path = tmp_path / "structure.csv"
-        save_structure(s, path, meta={"sigma": 1e-6})
-        back = load_structure(path)
-        assert back.kind == "rps"
-        assert np.allclose(back.boundaries, s.boundaries, rtol=0, atol=1e-21)
-        sidecar = (tmp_path / "structure.csv.json").read_text()
-        assert '"sigma"' in sidecar
-
-    def test_load_without_sidecar(self, tmp_path):
-        s = gen_ideal(5, L0)
-        path = tmp_path / "s.csv"
-        save_structure(s, path)
-        (tmp_path / "s.csv.json").unlink()
-        assert load_structure(path).kind == "ideal"
 
 
 @given(seed=st.integers(0, 2**32 - 1),

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
-from conftest import examples
+from conftest import dispersion_cancellation_check, examples
 
 from randpoled import (RandomSource, StructureSpec, compensate,
-                       dispersion_cancellation_check, entanglement_time, fwhm,
-                       hom_trace, spectral_phase, sumfreq_ensemble_mc,
-                       sumfreq_trace, two_photon_amplitude, xcorr_rps,
-                       xcorr_weak)
+                       entanglement_time, fwhm, hom_trace, spectral_phase,
+                       sumfreq_ensemble_mc, sumfreq_trace,
+                       two_photon_amplitude, xcorr_rps, xcorr_weak)
 from randpoled import temporal
 from randpoled.spectra import (SpectralGrid, SpectralSlice, _mismatch_slice,
                                coupling_g)
@@ -233,7 +232,7 @@ class TestSumFrequency:
                 delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
                 fmat = xcorr(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
                 a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
-                     * coupling_g(omega_s, omega_i, cfg, model))
+                     * coupling_g(omega_s, omega_i, model))
                 m = (a[:, None] * np.conj(a[None, :])) * fmat
                 e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
                 want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
