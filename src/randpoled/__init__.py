@@ -1,5 +1,5 @@
-"""Photon-pair simulator for randomly poled, weakly-random and chirped
-quasi-phase-matched nonlinear crystals.
+"""Photon-pair simulator for randomly poled and chirped quasi-phase-matched
+nonlinear crystals.
 
 The package models spontaneous parametric down-conversion in explicit
 domain layouts and their statistical ensembles: spectral densities and
@@ -10,15 +10,12 @@ ensemble averages cross-checked against Monte Carlo sampling.
 
 __version__ = "0.1.0"
 
-from .constants import CONSTANTS, PhysicalConstants
 from .dispersion import DispersionError, DispersionModel, omega_from_wavelength
 from .structures import (PolingStructure, RandomSource, StructureError,
                          StructureSpec, apply_fabrication_error, gen_chirped,
-                         gen_ideal, gen_rps, gen_weakly_random,
-                         shuffle_segments)
-from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
-                         f_boundary_sum, f_chirp, f_exact, xcorr_rps,
-                         xcorr_weak)
+                         gen_ideal, gen_rps, shuffle_segments)
+from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
+                         f_chirp, f_exact, xcorr_rps)
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,
                       SpectralSlice, ensemble_run, fwhm, joint_density,
                       match_parameter, two_photon_amplitude)

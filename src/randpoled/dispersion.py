@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS
+# speed of light in vacuum, m/s (exact, SI)
+SPEED_OF_LIGHT = 299792458.0
 
 # Supported vacuum-wavelength band, meters.
 BAND_MIN = 0.4e-6
@@ -35,12 +36,12 @@ class DispersionError(ValueError):
 
 def omega_from_wavelength(lam: float) -> float:
     """Angular frequency (rad/s) for a vacuum wavelength in meters."""
-    return 2.0 * np.pi * CONSTANTS.c / lam
+    return 2.0 * np.pi * SPEED_OF_LIGHT / lam
 
 
 def wavelength_from_omega(omega):
     """Vacuum wavelength in meters for an angular frequency in rad/s."""
-    return 2.0 * np.pi * CONSTANTS.c / omega
+    return 2.0 * np.pi * SPEED_OF_LIGHT / omega
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class DispersionModel:
 
     def wavenumber(self, omega):
         """k(omega) = n(omega) * omega / c, in 1/m."""
-        return self.refractive_index(omega) * np.asarray(omega, dtype=float) / CONSTANTS.c
+        return self.refractive_index(omega) * np.asarray(omega, dtype=float) / SPEED_OF_LIGHT
 
     def collinear_mismatch(self, omega_s, omega_i):
         """Collinear phase mismatch dk = k_p(w_s + w_i) - k_s(w_s) - k_i(w_i)."""

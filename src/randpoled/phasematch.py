@@ -1,8 +1,8 @@
 """Stochastic phase-matching function F and its ensemble statistics.
 
 Per-realization values are exact sums over the explicit domain layout;
-ensemble averages over the random families are closed forms derived
-from the Gaussian characteristic function of the boundary jitter,
+ensemble averages over the random-walk family are closed forms derived
+from the Gaussian characteristic function of the domain-length step,
 
     G(dk) = exp(-sigma^2 dk^2 / 4).
 
@@ -45,11 +45,6 @@ _BLOCK = 4096
 
 class PhasematchError(ValueError):
     """Raised for invalid phase-matching arguments."""
-
-
-def characteristic_g(dk_total, sigma: float):
-    """Characteristic function G(dk) = exp(-sigma^2 dk^2 / 4)."""
-    return np.exp(-sigma ** 2 * np.asarray(dk_total, dtype=float) ** 2 / 4.0)
 
 
 def _detuned(delta_k, l0: float):
@@ -235,50 +230,13 @@ def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float):
     the small-mismatch edge of the band even when v is large.
     """
     scalar, dk, dk_tot = _detuned(delta_k, l0)
-    g = characteristic_g(dk_tot, sigma)
+    g = np.exp(-sigma ** 2 * dk_tot ** 2 / 4.0)
     value = (
         4.0 * (n_domains + 1) / dk_tot ** 2
         * (1.0 - g ** 2) / (1.0 - 2.0 * g * np.cos(dk * l0) + g ** 2)
     )
     validity = sigma ** 2 * (np.pi / l0) ** 2 * n_domains / 2.0
     return (float(value[0]) if scalar else value), validity
-
-
-def _dirichlet(x, m: int):
-    """sum_{n=0}^{m-1} exp(i n x), stable at x = 2 pi k."""
-    x = np.asarray(x, dtype=float)
-    # reduce to the nearest period so the series branch is exact there
-    eps = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
-    near = np.abs(eps) < SERIES_SWITCH
-    half = 0.5 * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(np.sin(m * half) / np.sin(half) * np.exp(1j * (m - 1) * half))
-    e = eps[near]
-    out[near] = m * np.exp(1j * (m - 1) * e / 2.0) * (1.0 - (m * m - 1.0) * e ** 2 / 24.0)
-    return out
-
-
-def avg_f2_weak(delta_k, n_domains: int, l0: float, sigma: float):
-    """Ensemble mean of |F|^2 for weakly-random structures.
-
-    Boundaries are independently jittered with the entrance face
-    fixed; the exact mean follows from the characteristic function and
-    Dirichlet kernels.  Disorder acts as a spectral filter here rather
-    than a broadener.
-    """
-    scalar, dk, dk_tot = _detuned(delta_k, l0)
-    g = characteristic_g(dk_tot, sigma)
-    d = _dirichlet(dk * l0, n_domains + 1)
-    re_d = np.real(d)
-    d2 = np.abs(d) ** 2
-    # exact double sum: diagonal + fixed-entrance cross terms
-    s = (
-        (n_domains + 1)
-        + g ** 2 * (d2 - 2.0 * re_d + 1.0 - n_domains)
-        + 2.0 * g * (re_d - 1.0)
-    )
-    out = 4.0 / dk_tot ** 2 * s
-    return float(out[0]) if scalar else out
 
 
 def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):
@@ -383,40 +341,12 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float):
     return complex(out[0]) if scalar and scalar_p else out
 
 
-def xcorr_weak(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float):
-    """Cross-correlator <F(dk) F*(dk')> for weakly-random structures."""
-    scalar, dk, dk_tot = _detuned(delta_k, l0)
-    scalar_p, dkp, dkp_tot = _detuned(delta_k_prime, l0)
-    big_dk = dk_tot - dkp_tot
-    m = n_domains + 1
-    g = characteristic_g(dk_tot, sigma)
-    gp = characteristic_g(dkp_tot, sigma)
-    gd = characteristic_g(big_dk, sigma)
-    d = _dirichlet(dk * l0, m)
-    dp = np.conj(_dirichlet(dkp * l0, m))
-    e = _dirichlet(big_dk * l0, m)
-    # pairwise boundary average with the entrance face pinned at -L
-    s = (
-        1.0
-        + gd * (e - 1.0)
-        + g * gp * ((d - 1.0) * (dp - 1.0) - (e - 1.0))
-        + g * (d - 1.0)
-        + gp * (dp - 1.0)
-    )
-    out = (
-        4.0 / (dk_tot * dkp_tot)
-        * np.exp(-1j * big_dk * n_domains * l0)
-        * s
-    )
-    return complex(out[0]) if scalar and scalar_p else out
-
-
 def response(source, dk_tot):
     """Phase-matching response of any source at total mismatch dk_tot.
 
     Complex F for a PolingStructure, a chirped spec (closed form) or an
     ideal or zeta = 0 chirped spec (its generated, equidistant layout);
-    real <|F|^2> for the rps and weakly-random specs.  Spec detunings are
+    real <|F|^2> for an rps spec.  Spec detunings are
     measured from pi/l0, the fabricated design point, not the dispersion
     operating point.
     """
@@ -429,5 +359,4 @@ def response(source, dk_tot):
     delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
     if source.kind == "chirped":
         return f_chirp(delta_k, source.n_domains, source.l0, source.zeta)
-    mean = avg_f2_rps if source.kind == "rps" else avg_f2_weak
-    return mean(delta_k, source.n_domains, source.l0, source.sigma)
+    return avg_f2_rps(delta_k, source.n_domains, source.l0, source.sigma)

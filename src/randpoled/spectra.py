@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS
-from .dispersion import DispersionModel, omega_from_wavelength
+from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
 from .phasematch import BoundaryPlan, f_exact, response
 from .structures import RandomSource, StructureSpec
 
@@ -121,7 +120,7 @@ def coupling_g(omega_s, omega_i, model: DispersionModel):
     n_i = model.refractive_index(omega_i)
     return (
         1j * np.sqrt(omega_s * omega_i)
-        / (2.0 * CONSTANTS.c * np.pi * np.sqrt(n_s * n_i))
+        / (2.0 * SPEED_OF_LIGHT * np.pi * np.sqrt(n_s * n_i))
         * CHI2_EFFECTIVE
     )
 
@@ -158,8 +157,8 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
                          grid: SpectralGrid) -> SpectralSlice:
     """Complex amplitude slice for one realization or a deterministic spec.
 
-    Random-family StructureSpec objects have no single amplitude (only
-    second-order moments); generate a realization first.
+    An rps StructureSpec has no single amplitude (only second-order
+    moments); generate a realization first.
     """
     f = response(source, _mismatch_slice(cfg, model, grid))
     if not np.iscomplexobj(f):

@@ -1,27 +1,26 @@
-"""Domain-boundary layouts for all poling-structure families.
+"""Domain-boundary layouts of the poling-structure families.
 
 A structure is the ordered list of domain boundaries z_0 .. z_{N_L}
 with z_0 = -L at the entrance face.  The sign of chi(2) alternates per
-domain, with the first domain positive.  Families:
+domain, with the first domain positive.  Families (StructureSpec kinds):
 
-* ideal           -- equidistant boundaries, z_n = -L + n*l0
-* rps             -- cumulative random walk, z_n = z_{n-1} + l0 + dl_n
-* weakly-random   -- independent jitter about the ideal grid
-* chirped         -- quadratic-in-index boundary displacement
-* perturbed       -- any structure after fabrication error
-* shuffled        -- chirped structure with permuted segments
+* ideal    -- equidistant boundaries, z_n = -L + n*l0
+* rps      -- cumulative random walk, z_n = z_{n-1} + l0 + dl_n
+* chirped  -- quadratic-in-index boundary displacement
+
+Any layout can further take fabrication error (apply_fabrication_error)
+or have its domain runs permuted (shuffle_segments).
 
 The spread parameter sigma follows the characteristic-function
 convention exp(-sigma^2 dk^2 / 4): the Gaussian step, an rps domain
-length increment or a weakly-random boundary jitter, has standard
-deviation sigma/sqrt(2), NOT sigma.
+length increment, has standard deviation sigma/sqrt(2), NOT sigma.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +50,9 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class PolingStructure:
-    """Ordered domain boundaries plus the family tag."""
+    """Ordered domain boundaries."""
 
     boundaries: np.ndarray
-    kind: str = "ideal"
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=float)
@@ -101,7 +99,7 @@ class StructureSpec:
     zeta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("ideal", "rps", "weakly-random", "chirped"):
+        if self.kind not in ("ideal", "rps", "chirped"):
             raise StructureError(f"unknown structure kind {self.kind!r}")
         if self.n_domains < 1:
             raise StructureError("n_domains must be >= 1")
@@ -110,15 +108,12 @@ class StructureSpec:
         if self.sigma < 0:
             raise StructureError("sigma must be >= 0")
 
-    def generate(self, rng: "RandomSource | np.random.Generator") -> "PolingStructure":
+    def generate(self, rng: RandomSource) -> PolingStructure:
         """Draw one explicit realization of this spec."""
-        gen = rng.generator() if isinstance(rng, RandomSource) else rng
         if self.kind == "ideal":
             return gen_ideal(self.n_domains, self.l0)
         if self.kind == "rps":
-            return gen_rps(self.n_domains, self.l0, self.sigma, gen)
-        if self.kind == "weakly-random":
-            return gen_weakly_random(self.n_domains, self.l0, self.sigma, gen)
+            return gen_rps(self.n_domains, self.l0, self.sigma, rng)
         return gen_chirped(self.n_domains, self.l0, self.zeta)
 
 
@@ -146,9 +141,9 @@ def _jittered_lengths(base: np.ndarray, scale: float, gen) -> np.ndarray:
     return lengths
 
 
-def _from_lengths(z0: float, lengths: np.ndarray, kind: str) -> PolingStructure:
+def _from_lengths(z0: float, lengths: np.ndarray) -> PolingStructure:
     """Boundaries rebuilt cumulatively from the entrance face z0."""
-    return PolingStructure(np.concatenate(([z0], z0 + np.cumsum(lengths))), kind=kind)
+    return PolingStructure(np.concatenate(([z0], z0 + np.cumsum(lengths))))
 
 
 def _warn_large_sigma(sigma: float, l0: float) -> None:
@@ -168,10 +163,10 @@ def gen_ideal(n_domains: int, l0: float) -> PolingStructure:
         raise StructureError("l0 must be positive")
     length = n_domains * l0
     z = -length + np.arange(n_domains + 1) * l0
-    return PolingStructure(z, kind="ideal")
+    return PolingStructure(z)
 
 def gen_rps(n_domains: int, l0: float, sigma: float,
-            rng: RandomSource | np.random.Generator) -> PolingStructure:
+            rng: RandomSource) -> PolingStructure:
     """Randomly poled structure: boundaries follow a cumulative walk.
 
     Each domain length is l0 + dl with dl ~ N(0, sigma/sqrt(2)).
@@ -181,41 +176,12 @@ def gen_rps(n_domains: int, l0: float, sigma: float,
     if sigma < 0:
         raise StructureError("sigma must be >= 0")
     if sigma == 0.0:
-        return replace(gen_ideal(n_domains, l0), kind="rps")
+        return gen_ideal(n_domains, l0)
     _warn_large_sigma(sigma, l0)
     scale = sigma / np.sqrt(2.0)
     _check_redraw_rate(l0, scale)
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    lengths = _jittered_lengths(np.full(n_domains, l0), scale, gen)
-    return _from_lengths(-(n_domains * l0), lengths, "rps")
-
-
-def gen_weakly_random(n_domains: int, l0: float, sigma: float,
-                      rng: RandomSource | np.random.Generator) -> PolingStructure:
-    """Weakly-random structure: independent jitter about the ideal grid.
-
-    z_n = -L + n*l0 + dl_n with dl_n ~ N(0, sigma/sqrt(2)) for
-    n = 1..N_L; the entrance face z_0 = -L stays fixed.  Boundary
-    ordering is enforced by redrawing offending jitters; a law whose
-    expected rejection rate exceeds MAX_REJECTION_RATE is refused.
-    """
-    if sigma < 0:
-        raise StructureError("sigma must be >= 0")
-    if sigma == 0.0:
-        return replace(gen_ideal(n_domains, l0), kind="weakly-random")
-    _warn_large_sigma(sigma, l0)
-    _check_redraw_rate(l0, sigma)  # l0 + dl_n+1 - dl_n has std sigma
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    scale = sigma / np.sqrt(2.0)
-    ideal = gen_ideal(n_domains, l0).boundaries
-    dl = np.concatenate(([0.0], gen.normal(0.0, scale, n_domains)))
-    while True:
-        z = ideal + dl
-        bad = np.nonzero(np.diff(z) <= 0.0)[0] + 1
-        if not bad.size:
-            break
-        dl[bad] = gen.normal(0.0, scale, bad.size)
-    return PolingStructure(z, kind="weakly-random")
+    lengths = _jittered_lengths(np.full(n_domains, l0), scale, rng.generator())
+    return _from_lengths(-(n_domains * l0), lengths)
 
 
 def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
@@ -225,7 +191,7 @@ def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
     design relation.
     """
     if zeta == 0.0:
-        return replace(gen_ideal(n_domains, l0), kind="chirped")
+        return gen_ideal(n_domains, l0)
     zeta_prime = zeta / (np.pi / l0)
     n = np.arange(n_domains + 1)
     z = gen_ideal(n_domains, l0).boundaries \
@@ -235,11 +201,11 @@ def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
         raise StructureError(
             f"chirp too strong: boundaries not monotone at index {bad[0] + 1}"
         )
-    return PolingStructure(z, kind="chirped")
+    return PolingStructure(z)
 
 
 def apply_fabrication_error(s: PolingStructure, sigma_er: float,
-                            rng: RandomSource | np.random.Generator) -> PolingStructure:
+                            rng: RandomSource) -> PolingStructure:
     """Perturb a structure by Gaussian fabrication (duty-cycle) error.
 
     Each DOMAIN LENGTH gains an independent N(0, sigma_er) error and
@@ -253,13 +219,12 @@ def apply_fabrication_error(s: PolingStructure, sigma_er: float,
     if sigma_er == 0.0:
         return s
     _check_redraw_rate(s.domain_lengths, sigma_er)
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    lengths = _jittered_lengths(s.domain_lengths, sigma_er, gen)
-    return _from_lengths(s.boundaries[0], lengths, "perturbed")
+    lengths = _jittered_lengths(s.domain_lengths, sigma_er, rng.generator())
+    return _from_lengths(s.boundaries[0], lengths)
 
 
 def shuffle_segments(s: PolingStructure, d: int,
-                     rng: RandomSource | np.random.Generator) -> PolingStructure:
+                     rng: RandomSource) -> PolingStructure:
     """Randomly reorder consecutive runs of d domain lengths.
 
     The sequence of domain lengths is cut into runs of d (a final short
@@ -270,10 +235,8 @@ def shuffle_segments(s: PolingStructure, d: int,
     """
     if not 1 <= d <= s.n_domains:
         raise StructureError("segment size d must satisfy 1 <= d <= n_domains")
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    order = gen.permutation(-(-s.n_domains // d))
+    order = rng.generator().permutation(-(-s.n_domains // d))
     # domain indices run by run in the new order; a short final run is cut
     idx = (order[:, None] * d + np.arange(d)).ravel()
-    return _from_lengths(s.boundaries[0], s.domain_lengths[idx[idx < s.n_domains]],
-                         "shuffled")
+    return _from_lengths(s.boundaries[0], s.domain_lengths[idx[idx < s.n_domains]])
 

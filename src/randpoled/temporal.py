@@ -24,7 +24,7 @@ from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _mismatch_slic
                       _pumped_g, fwhm, map_realizations, mean_f2,
                       two_photon_amplitude)
 from .structures import RandomSource, StructureSpec
-from .phasematch import xcorr_rps, xcorr_weak
+from .phasematch import xcorr_rps
 
 _TAU_CHUNK = 256
 _ROW_BLOCK = 32
@@ -96,15 +96,20 @@ def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
     On progressions tau_j = tau_0 + j dtau, freq_q = f_0 + q df the
     kernel exp(-i theta jq), theta = dtau df, is one FFT convolution of
     chirps exp(-i theta k^2 / 2), evaluated from exact integer k.
-    Grids with fewer than two points, or whose deviation from a
-    progression bounds the phase error above _PHASE_TOL, take the
-    direct sum.  Rows at tau = 0 are amp.sum() exactly.
+    Grids with fewer than two points take the direct sum, as do grids
+    whose phase error exceeds _PHASE_TOL by either bound: their deviation
+    from a progression, or the rounding (2^-52 relative) of the largest
+    chirp phase theta max(m, n)^2 / 2.  Rows at tau = 0 are amp.sum()
+    exactly.
     """
     m, n = tau.size, freq.size
-    if m < 2 or n < 2 or (np.ptp(tau) * _progression_error(freq)
-                          + _progression_error(tau) * np.ptp(freq)) > _PHASE_TOL:
+    if m < 2 or n < 2:
         return _direct_oscillatory_sum(tau, freq, amp)
     theta = (tau[-1] - tau[0]) / (m - 1) * (freq[-1] - freq[0]) / (n - 1)
+    drift = np.ptp(tau) * _progression_error(freq) + _progression_error(tau) * np.ptp(freq)
+    rounding = abs(theta) * max(m, n) ** 2 / 2 * 2.0 ** -52
+    if max(drift, rounding) > _PHASE_TOL:
+        return _direct_oscillatory_sum(tau, freq, amp)
     k = np.arange(max(m, n), dtype=float)
     chirp = np.exp(-0.5j * theta * k ** 2)
     size = _next_fast_len(m + n - 1)
@@ -195,14 +200,14 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
 
     Single realizations and chirped structures go through their
     amplitude slice (to which the compensation mode is applied first).
-    Random-family specs use the analytic cross-correlator; only the
+    An rps spec uses the analytic cross-correlator; only the
     uncompensated trace is available that way -- use
     sumfreq_ensemble_mc for compensated ensemble traces.
     """
     if tau is None:
         tau = default_tau_grid()
     omega_s0 = 0.5 * cfg.omega_p0
-    if isinstance(source, StructureSpec) and source.kind in ("rps", "weakly-random"):
+    if isinstance(source, StructureSpec) and source.kind == "rps":
         if compensation != "none":
             raise TemporalError(
                 "analytic ensembles support compensation='none' only; "
@@ -223,15 +228,14 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     omega_i = cfg.omega_p0 - omega_s
     # detuning from the structure's design point
     delta_k = _mismatch_slice(cfg, model, grid) - np.pi / spec.l0
-    xcorr = xcorr_rps if spec.kind == "rps" else xcorr_weak
     a = np.sqrt(omega_s * omega_i) * _pumped_g(cfg, model, omega_s) \
         * _trapezoid_weights(omega_s)
     n = omega_s.size
     lag_sums = np.zeros(n, dtype=complex)
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
-        block = xcorr(delta_k[r0:r1, None], delta_k[None, :r1],
-                      spec.n_domains, spec.l0, spec.sigma)
+        block = xcorr_rps(delta_k[r0:r1, None], delta_k[None, :r1],
+                          spec.n_domains, spec.l0, spec.sigma)
         block *= a[r0:r1, None] * np.conj(a[:r1])
         for i, q in enumerate(range(r0, r1)):
             lag_sums[:q + 1] += block[i, q::-1]

@@ -10,12 +10,11 @@ from conftest import examples
 from scipy import special
 
 from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
-                       avg_f2_rps, avg_f2_rps_asymptotic, avg_f2_weak,
-                       f_boundary_sum, f_chirp, f_exact, gen_chirped,
-                       gen_ideal, shuffle_segments, xcorr_rps, xcorr_weak)
+                       avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
+                       f_chirp, f_exact, gen_chirped, gen_ideal,
+                       shuffle_segments, xcorr_rps)
 from randpoled import phasematch
-from randpoled.phasematch import (PhasematchError, _dirichlet, characteristic_g,
-                                  response)
+from randpoled.phasematch import PhasematchError, response
 from randpoled.spectra import SpectralGrid, _mismatch_slice
 from randpoled.structures import StructureError
 
@@ -90,18 +89,19 @@ def _peak_error(got, want):
 
 
 def _layout(kind, n_domains, sigma, seed):
-    gen = RandomSource(seed).generator()
+    """One layout of the family `kind`; each draw takes its own stream of seed."""
     chirped = gen_chirped(n_domains, L0, 2.5e6)
     if kind == "ideal":
         return gen_ideal(n_domains, L0)
-    if kind in ("rps", "weakly-random"):
-        return StructureSpec(kind, n_domains, L0, sigma=sigma).generate(gen)
     if kind == "chirped":
         return chirped
     if kind == "shuffled":
-        return shuffle_segments(chirped, int(gen.integers(1, n_domains + 1)), gen)
-    rps = StructureSpec("rps", n_domains, L0, sigma=sigma).generate(gen)
-    return apply_fabrication_error(rps, 0.5 * sigma, gen)
+        d = int(RandomSource(seed, 1).generator().integers(1, n_domains + 1))
+        return shuffle_segments(chirped, d, RandomSource(seed, 2))
+    rps = StructureSpec("rps", n_domains, L0, sigma=sigma).generate(RandomSource(seed))
+    if kind == "rps":
+        return rps
+    return apply_fabrication_error(rps, 0.5 * sigma, RandomSource(seed, 1))
 
 
 # the scenario grids: (points, span) of the spectral slices
@@ -115,8 +115,8 @@ def scenario_dk(cfg, model):
 
 
 class TestChebyshevKernel:
-    @given(kind=st.sampled_from(["ideal", "rps", "weakly-random", "chirped",
-                                 "shuffled", "perturbed"]),
+    @given(kind=st.sampled_from(["ideal", "rps", "chirped", "shuffled",
+                                 "perturbed"]),
            n_domains=st.integers(10, 2000), grid=st.sampled_from(SCENARIO_GRIDS),
            sigma_um=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=examples(40), deadline=None)
@@ -286,10 +286,8 @@ class TestResponse:
         chirp = StructureSpec("chirped", 50, L0, zeta=2.5e6)
         assert np.array_equal(response(chirp, dk),
                               f_chirp(dk - DK0, 50, L0, 2.5e6))
-        for kind, mean in (("rps", avg_f2_rps), ("weakly-random", avg_f2_weak)):
-            spec = StructureSpec(kind, 50, L0, sigma=1e-6)
-            assert np.array_equal(response(spec, dk),
-                                  mean(dk - DK0, 50, L0, 1e-6))
+        assert np.array_equal(response(StructureSpec("rps", 50, L0, sigma=1e-6), dk),
+                              avg_f2_rps(dk - DK0, 50, L0, 1e-6))
         with pytest.raises(PhasematchError):
             response("rps", dk)
 
@@ -302,14 +300,12 @@ class TestResponse:
          lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
         (StructureSpec("rps", 300, L0),
          lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
-        (StructureSpec("weakly-random", 700, L0, sigma=1e-6),
-         lambda s, t: avg_f2_weak(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
         (StructureSpec("ideal", 50, L0),
          lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
         (StructureSpec("chirped", 50, L0),
          lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
-    ], ids=["chirped", "chirped-negative", "rps", "rps-ordered", "weakly-random",
-            "ideal", "chirped-zero"])
+    ], ids=["chirped", "chirped-negative", "rps", "rps-ordered", "ideal",
+            "chirped-zero"])
     def test_spec_fields_reach_the_closed_form(self, scenario_dk, spec, closed_form):
         # the seam passes the spec's own fields, zeta included, detuned from
         # pi / l0; a zeta = 0 chirp is the layout that gen_chirped draws
@@ -322,12 +318,10 @@ class TestResponse:
 
     def test_closed_forms_return_python_scalars(self):
         assert type(avg_f2_rps(5e4, 700, L0, 2.1e-6)) is float
-        assert type(avg_f2_weak(5e4, 700, L0, 1e-6)) is float
         value, validity = avg_f2_rps_asymptotic(5e4, 700, L0, 2.1e-6)
         assert type(value) is float and type(validity) is float
         assert type(f_chirp(5e4, 700, L0, 2.5e6)) is complex
         assert type(xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6)) is complex
-        assert type(xcorr_weak(5e4, -3e4, 700, L0, 1e-6)) is complex
 
 
 class TestEnsembleMeans:
@@ -336,7 +330,6 @@ class TestEnsembleMeans:
         n = 700
         val = avg_f2_rps(0.0, n, L0, 0.0)
         assert val == pytest.approx(4.0 * (n + 1) ** 2 / DK0 ** 2, rel=1e-8)
-        assert avg_f2_weak(0.0, n, L0, 0.0) == pytest.approx(val, rel=1e-8)
 
     def test_rps_frozen_values(self):
         assert avg_f2_rps(0.0, 700, L0, 2.1e-6) == pytest.approx(
@@ -346,12 +339,6 @@ class TestEnsembleMeans:
         assert avg_f2_rps(-1.3e5, 700, L0, 2.1e-6) == pytest.approx(
             4.7619412727445975e-09, rel=1e-10)
 
-    def test_weak_frozen_values(self):
-        assert avg_f2_weak(0.0, 700, L0, 1.0e-6) == pytest.approx(
-            1.6979285325820253e-05, rel=1e-10)
-        assert avg_f2_weak(5e4, 700, L0, 1.0e-6) == pytest.approx(
-            1.3685085260942837e-09, rel=1e-10)
-
     def test_rps_fallback_branch_continuous(self):
         # at sigma=0 the geometric denominator degenerates as delta_k -> 0;
         # the result must stay smooth at |delta_k| l0 ~ 1e-6, inside the
@@ -360,12 +347,6 @@ class TestEnsembleMeans:
         lo = avg_f2_rps(switch * 0.99, 300, L0, 0.0)
         hi = avg_f2_rps(switch * 1.01, 300, L0, 0.0)
         assert lo == pytest.approx(hi, rel=1e-6)
-
-    def test_weak_large_sigma_diagonal_limit(self):
-        # fully dephased boundaries: mean -> 4 (N_L + 1) / dk_tot^2
-        n = 500
-        val = avg_f2_weak(0.0, n, L0, 40e-6)
-        assert val == pytest.approx(4.0 * (n + 1) / DK0 ** 2, rel=1e-6)
 
     def test_asymptotic_frozen_and_validity(self):
         val, validity = avg_f2_rps_asymptotic(5e4, 700, L0, 2.0e-6)
@@ -396,20 +377,6 @@ class TestEnsembleMeans:
         se = samples.std(axis=0, ddof=1) / np.sqrt(reals)
         ana = avg_f2_rps(dk, n, L0, sigma)
         assert np.all(np.abs(mean - ana) < 5.0 * se)
-
-    def test_weak_mc_agreement(self):
-        n, sigma, reals = 200, 1.0e-6, 400
-        dk = np.linspace(-2e5, 2e5, 6)
-        spec = StructureSpec("weakly-random", n, L0, sigma=sigma)
-        samples = np.empty((reals, dk.size))
-        for i in range(reals):
-            s = spec.generate(RandomSource(99, i))
-            samples[i] = np.abs(f_boundary_sum(s, DK0 + dk)) ** 2
-        mean = samples.mean(axis=0)
-        se = samples.std(axis=0, ddof=1) / np.sqrt(reals)
-        ana = avg_f2_weak(dk, n, L0, sigma)
-        assert np.all(np.abs(mean - ana) < 5.0 * se)
-
 
 class TestChirp:
     def test_frozen_value(self):
@@ -569,9 +536,6 @@ class TestCrossCorrelators:
         assert np.max(np.abs(diag.imag)) < 1e-18
         assert np.allclose(diag.real, avg_f2_rps(dk, 700, L0, 2.1e-6),
                            rtol=1e-10)
-        diag_w = xcorr_weak(dk, dk, 700, L0, 1e-6)
-        assert np.allclose(diag_w.real, avg_f2_weak(dk, 700, L0, 1e-6),
-                           rtol=1e-10)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5e-6, 2.1e-6])
     def test_diagonal_equals_avg_f2_rps(self, scenario_dk, sigma):
@@ -590,8 +554,6 @@ class TestCrossCorrelators:
     def test_frozen_values(self):
         assert xcorr_rps(5e4, -3e4, 700, L0, 2.1e-6) == pytest.approx(
             9.038688728746031e-11 - 2.3191694185772467e-10j, rel=1e-10)
-        assert xcorr_weak(5e4, -3e4, 700, L0, 1e-6) == pytest.approx(
-            3.417092918976038e-11 + 1.2349842179681629e-10j, rel=1e-10)
 
     def test_fallback_branch_continuous(self):
         # sigma = 0 makes |1 - H| degenerate below |delta_k| l0 ~ 1e-6;
@@ -710,30 +672,11 @@ class TestXcorrOracle:
         self._check(mp, delta_k[idx, None], delta_k[None, idx[::3]], 300, 0.5e-6)
 
 
-class TestHelpers:
-    def test_characteristic_g(self):
-        assert characteristic_g(0.0, 2e-6) == 1.0
-        dk = 3e5
-        assert characteristic_g(dk, 2e-6) == pytest.approx(
-            np.exp(-(2e-6) ** 2 * dk ** 2 / 4.0), rel=1e-14)
-
-    def test_dirichlet_periods(self):
-        m = 41
-        for k in (0, 1, 2, 3):
-            x = 2.0 * np.pi * k + 1e-9
-            brute = np.sum(np.exp(1j * np.arange(m) * (2.0 * np.pi * k + 1e-9)))
-            assert _dirichlet(x, m) == pytest.approx(brute, rel=1e-6)
-        x = 0.37
-        brute = np.sum(np.exp(1j * np.arange(m) * x))
-        assert _dirichlet(x, m) == pytest.approx(brute, rel=1e-12)
-
-
 @given(dk=st.floats(-3e5, 3e5), sigma_um=st.floats(0.0, 3.0))
 @settings(max_examples=examples(60), deadline=None)
 def test_ensemble_means_nonnegative(dk, sigma_um):
     sigma = sigma_um * 1e-6
     assert avg_f2_rps(dk, 300, L0, sigma) >= 0.0
-    assert avg_f2_weak(dk, 300, L0, sigma) >= 0.0
 
 
 @given(dk=st.floats(-3e5, 3e5))

@@ -9,13 +9,18 @@ of its underscore methods (`__post_init__` and the like run implicitly).
 The walk goes by name alone, so it over-approximates: a method whose
 name collides with one the code calls on another type (a `split` next
 to `str.split`) passes unreached. It would miss a call made through a
-string (`getattr` on a function name); the package makes none.
+string (`getattr` on a function name); the package makes none. A branch
+picked by a string value (`if spec.kind == "rps"`) is invisible to it:
+the branch's callees count as reached whatever value reaches it, so the
+structure kinds are checked apart, against the specs that the scenarios
+and the acceptance criteria build.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "randpoled"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "randpoled"
 
 # public code that no scenario reaches, kept on purpose
 ALLOWED = {
@@ -86,3 +91,36 @@ def test_every_public_function_is_reached():
     assert sorted(unreached - ALLOWED) == []
     # an allowance outlives its reason once the function is reached or gone
     assert sorted(ALLOWED - unreached) == []
+
+
+def _spec_kinds_accepted():
+    """The kinds that StructureSpec.__post_init__ lets through."""
+    tree = ast.parse((SRC / "structures.py").read_text())
+    spec = next(n for n in tree.body
+                if isinstance(n, ast.ClassDef) and n.name == "StructureSpec")
+    post_init = next(n for n in spec.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+    test = next(n for n in ast.walk(post_init) if isinstance(n, ast.Compare)
+                and isinstance(n.ops[0], ast.NotIn)
+                and ast.unparse(n.left) == "self.kind")
+    return set(ast.literal_eval(test.comparators[0]))
+
+
+def _spec_kinds_built(*paths):
+    """The literal first arguments of the StructureSpec(...) calls in paths."""
+    kinds = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "StructureSpec" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+def test_every_structure_kind_is_built():
+    accepted = _spec_kinds_accepted()
+    assert {"ideal", "rps", "chirped"} <= accepted
+    built = _spec_kinds_built(SRC / "scenarios.py",
+                              ROOT / "tests" / "test_acceptance.py")
+    assert sorted(accepted - built) == []

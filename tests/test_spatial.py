@@ -161,8 +161,7 @@ def _row_terms(source, cfg, model, om, theta_s, phi_s, th_i, phi_i):
 class TestWholeGridResponse:
     """The whole-grid spatial layer against per-angle oracles."""
 
-    SPECS = {"rps": dict(sigma=2.1e-6), "weakly-random": dict(sigma=1e-6),
-             "chirped": dict(zeta=2.5e6), "ideal": {}}
+    SPECS = {"rps": dict(sigma=2.1e-6), "chirped": dict(zeta=2.5e6), "ideal": {}}
 
     @pytest.fixture(scope="class", params=[*SPECS, "explicit"])
     def source(self, request, l0):

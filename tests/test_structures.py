@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -12,8 +12,7 @@ from scipy.special import ndtr
 
 from randpoled import (PolingStructure, RandomSource, StructureError,
                        StructureSpec, apply_fabrication_error, gen_chirped,
-                       gen_ideal, gen_rps, gen_weakly_random, shuffle_segments,
-                       structures)
+                       gen_ideal, gen_rps, shuffle_segments, structures)
 from randpoled.structures import MAX_REJECTION_RATE, _check_redraw_rate
 
 L0 = 9.489154805833549e-06
@@ -55,39 +54,19 @@ class TestGenerators:
         # per-boundary std is sigma/sqrt(2) by the characteristic-function
         # convention exp(-sigma^2 dk^2/4)
         sigma = 1.5e-6
-        s = gen_rps(20000, L0, sigma, RandomSource(1).generator())
+        s = gen_rps(20000, L0, sigma, RandomSource(1))
         lengths = s.domain_lengths
         assert lengths.mean() == pytest.approx(L0, rel=1e-3)
         assert lengths.std() == pytest.approx(sigma / np.sqrt(2), rel=2e-2)
 
     def test_rps_zero_sigma_is_ideal(self):
-        s = gen_rps(10, L0, 0.0, RandomSource(1).generator())
-        assert s.kind == "rps"
+        s = gen_rps(10, L0, 0.0, RandomSource(1))
         assert np.allclose(s.domain_lengths, L0)
 
     def test_rps_excessive_sigma_fails(self):
         # sigma comparable to l0 drives the rejection rate over the cap
         with pytest.warns(UserWarning), pytest.raises(StructureError):
-            gen_rps(5000, L0, 3 * L0, RandomSource(1).generator())
-
-    def test_weakly_random_entrance_fixed(self):
-        s = gen_weakly_random(500, L0, 1e-6, RandomSource(3).generator())
-        assert s.boundaries[0] == pytest.approx(-500 * L0, rel=1e-14)
-        # interior boundaries jittered about the ideal grid
-        ideal = -500 * L0 + np.arange(501) * L0
-        dev = s.boundaries - ideal
-        assert dev[0] == 0.0
-        assert np.abs(dev[1:]).max() < 6e-6
-        assert np.std(dev[1:]) == pytest.approx(1e-6 / np.sqrt(2), rel=0.15)
-
-    def test_weakly_random_jitter_not_cumulative(self):
-        # deviation from the ideal grid stays O(sigma) at the far end,
-        # unlike the cumulative walk whose deviation grows as sqrt(n)
-        sw = gen_weakly_random(5000, L0, 1e-6, RandomSource(5).generator())
-        sr = gen_rps(5000, L0, 1e-6, RandomSource(5).generator())
-        ideal = -5000 * L0 + np.arange(5001) * L0
-        assert np.abs(sw.boundaries - ideal).max() < 1e-5
-        assert np.abs(sr.boundaries - ideal).max() > 2e-5
+            gen_rps(5000, L0, 3 * L0, RandomSource(1))
 
     def test_chirped_layout(self):
         s = gen_chirped(700, L0, 2.5e6)
@@ -98,7 +77,6 @@ class TestGenerators:
 
     def test_chirped_zero_zeta_is_ideal(self):
         s = gen_chirped(100, L0, 0.0)
-        assert s.kind == "chirped"
         assert np.allclose(s.domain_lengths, L0)
 
     def test_chirp_too_strong_names_index(self):
@@ -107,7 +85,6 @@ class TestGenerators:
 
     def test_spec_generate_dispatch(self):
         for kind, kw in [("ideal", {}), ("rps", dict(sigma=1e-6)),
-                         ("weakly-random", dict(sigma=1e-6)),
                          ("chirped", dict(zeta=2.5e6))]:
             spec = StructureSpec(kind, 50, L0, **kw)
             s = spec.generate(RandomSource(0))
@@ -128,8 +105,7 @@ class TestRedrawGate:
     # the gate reads the law's expected redraw share, so it refuses a law over
     # MAX_REJECTION_RATE at every size, not only where a draw happens to redraw
     @pytest.mark.filterwarnings("ignore:sigma = .* exceeds l0/3")
-    @pytest.mark.parametrize("kind,sigma", [("weakly-random", 3.1e-6),
-                                            ("rps", 4.4e-6)])
+    @pytest.mark.parametrize("kind,sigma", [("rps", 4.4e-6)])
     @pytest.mark.parametrize("n", [2, 63, 700])
     def test_law_over_cap_raises_at_every_size(self, kind, sigma, n):
         for seed in range(5):
@@ -151,7 +127,7 @@ class TestRedrawGate:
 
 class TestRedrawRate:
     # oracle: the former rate, the mean of scipy's ndtr
-    GAPS = gen_rps(700, L0, 2.1e-6, RandomSource(4).generator()).domain_lengths
+    GAPS = gen_rps(700, L0, 2.1e-6, RandomSource(4)).domain_lengths
 
     @staticmethod
     def _ndtr_rate(gap, scale):
@@ -184,7 +160,7 @@ class TestRedrawRate:
 
     def test_subnormal_scale_is_silent(self, monkeypatch):
         # gap / (scale sqrt 2) overflows to inf: no warning, and the rate
-        # stays erfc(inf) / 2 = 0 in all three generators that check it
+        # stays erfc(inf) / 2 = 0 in both generators that check it
         rates = []
 
         def recording(gap, scale):
@@ -195,9 +171,8 @@ class TestRedrawRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gen_rps(700, L0, 1e-318, RandomSource(0))
-            gen_weakly_random(700, L0, 1e-318, RandomSource(0))
             apply_fabrication_error(gen_ideal(700, L0), 1e-318, RandomSource(0))
-        assert rates == [0.0, 0.0, 0.0]
+        assert rates == [0.0, 0.0]
 
 
 class TestSharedLengthRedraw:
@@ -234,7 +209,6 @@ class TestSharedLengthRedraw:
             want = np.concatenate(([s.boundaries[0]],
                                    s.boundaries[0] + np.cumsum(lengths)))
             got = apply_fabrication_error(s, 1e-7, RandomSource(seed))
-            assert got.kind == "perturbed"
             assert np.array_equal(got.boundaries, want)
         assert redrawn > 0
 
@@ -242,12 +216,11 @@ class TestSharedLengthRedraw:
 class TestFabricationError:
     def test_zero_error_is_identity(self):
         s = gen_chirped(100, L0, 2.5e6)
-        assert apply_fabrication_error(s, 0.0, RandomSource(0).generator()) is s
+        assert apply_fabrication_error(s, 0.0, RandomSource(0)) is s
 
     def test_length_mode_accumulates(self):
         s = gen_ideal(4000, L0)
-        p = apply_fabrication_error(s, 5e-7, RandomSource(2).generator())
-        assert p.kind == "perturbed"
+        p = apply_fabrication_error(s, 5e-7, RandomSource(2))
         assert p.boundaries[0] == s.boundaries[0]
         dev = p.boundaries - s.boundaries
         # cumulative: far-end deviation ~ sigma_er * sqrt(N) >> sigma_er
@@ -259,14 +232,13 @@ class TestFabricationError:
 class TestShuffle:
     def test_conserves_lengths_and_total(self):
         s = gen_chirped(700, L0, 2.5e6)
-        t = shuffle_segments(s, 35, RandomSource(9).generator())
-        assert t.kind == "shuffled"
+        t = shuffle_segments(s, 35, RandomSource(9))
         assert t.length == pytest.approx(s.length, rel=1e-14)
         assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))
 
     def test_d_equals_n_is_identity_layout(self):
         s = gen_chirped(100, L0, 2.5e6)
-        t = shuffle_segments(s, 100, RandomSource(0).generator())
+        t = shuffle_segments(s, 100, RandomSource(0))
         assert np.allclose(t.boundaries, s.boundaries)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 69, 70, 350, 699, 700])
@@ -280,26 +252,26 @@ class TestShuffle:
             lengths = np.concatenate([runs[i] for i in order])
             want = np.concatenate(([s.boundaries[0]],
                                    s.boundaries[0] + np.cumsum(lengths)))
-            got = shuffle_segments(s, d, RandomSource(seed).generator())
+            got = shuffle_segments(s, d, RandomSource(seed))
             assert np.array_equal(got.boundaries, want)
 
     def test_short_final_run_participates(self):
         s = gen_chirped(10, L0, 2.5e6)
-        t = shuffle_segments(s, 3, RandomSource(4).generator())
+        t = shuffle_segments(s, 3, RandomSource(4))
         assert t.n_domains == 10
         assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))
 
     def test_invalid_d(self):
         s = gen_ideal(10, L0)
         with pytest.raises(StructureError):
-            shuffle_segments(s, 0, RandomSource(0).generator())
+            shuffle_segments(s, 0, RandomSource(0))
         with pytest.raises(StructureError):
-            shuffle_segments(s, 11, RandomSource(0).generator())
+            shuffle_segments(s, 11, RandomSource(0))
 
 
 class TestHistogram:
     def test_histogram_counts(self):
-        lengths = gen_rps(5000, L0, 1e-6, RandomSource(6).generator()).domain_lengths
+        lengths = gen_rps(5000, L0, 1e-6, RandomSource(6)).domain_lengths
         bins = np.arange(np.floor(lengths.min() / 0.2e-6),
                          np.ceil(lengths.max() / 0.2e-6) + 1) * 0.2e-6
         counts, edges = np.histogram(lengths, bins=bins)
@@ -313,22 +285,18 @@ class TestHistogram:
        n=st.integers(2, 300),
        sigma_um=st.floats(0.0, 2.5))
 @settings(max_examples=examples(60), deadline=None)
-# one weakly-random redraw in 64 draws: a gate on the drawn share refused it
-@example(seed=97780978, n=63, sigma_um=2.5)
 def test_generated_structures_valid(seed, n, sigma_um):
-    for kind in ("rps", "weakly-random"):
-        spec = StructureSpec(kind, n, L0, sigma=sigma_um * 1e-6)
-        s = spec.generate(RandomSource(seed))
-        assert s.n_domains == n
-        assert np.all(np.diff(s.boundaries) > 0)
-        assert s.boundaries[0] == pytest.approx(-n * L0, rel=1e-12)
+    s = StructureSpec("rps", n, L0, sigma=sigma_um * 1e-6).generate(RandomSource(seed))
+    assert s.n_domains == n
+    assert np.all(np.diff(s.boundaries) > 0)
+    assert s.boundaries[0] == pytest.approx(-n * L0, rel=1e-12)
 
 
 @given(seed=st.integers(0, 2**16), d=st.integers(1, 50))
 @settings(max_examples=examples(40), deadline=None)
 def test_shuffle_total_length_invariant(seed, d):
     s = gen_chirped(50, L0, 2.5e6)
-    t = shuffle_segments(s, d, RandomSource(seed).generator())
+    t = shuffle_segments(s, d, RandomSource(seed))
     assert t.length == pytest.approx(s.length, rel=1e-13)
     assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))
 

@@ -1,9 +1,10 @@
+import contextlib
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
@@ -12,7 +13,7 @@ from conftest import dispersion_cancellation_check, examples
 from randpoled import (RandomSource, StructureSpec, compensate,
                        entanglement_time, fwhm, hom_trace, spectral_phase,
                        sumfreq_ensemble_mc, sumfreq_trace,
-                       two_photon_amplitude, xcorr_rps, xcorr_weak)
+                       two_photon_amplitude, xcorr_rps)
 from randpoled import temporal
 from randpoled.spectra import (SpectralGrid, SpectralSlice, _mismatch_slice,
                                coupling_g)
@@ -38,15 +39,13 @@ class TestHom:
             assert tr.values[np.argmin(np.abs(TAU))] == 0.0
 
     @pytest.mark.parametrize("n", [257, 513, 1025, 1537, 2049, 3073, 4097])
-    @pytest.mark.parametrize("source", ["rps", "weakly-random", "chirped", "ideal",
+    @pytest.mark.parametrize("source", ["rps", "chirped", "ideal",
                                         "layout0", "layout3", "layout7"])
     def test_zero_delay_is_exact_on_every_grid(self, cfg, model, l0, n, source):
         # the normaliser is summed as the tau = 0 row is: R_n(0) is 0.0, not
         # a rounding residue of either summation order
         rps = StructureSpec("rps", 700, l0, sigma=2.1e-6)
         sources = {"rps": rps,
-                   "weakly-random": StructureSpec("weakly-random", 700, l0,
-                                                  sigma=2.1e-6),
                    "chirped": StructureSpec("chirped", 700, l0, zeta=2.5e6),
                    "ideal": StructureSpec("ideal", 700, l0)}
         src = (sources[source] if source in sources
@@ -122,6 +121,10 @@ def _peak_error(got, want):
        f0=st.floats(-1.0, 1.0), f_span=st.floats(1e-3, 2.0),
        phase=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=examples(60), deadline=None)
+# 510 tau x 2 omega: chirp phases theta k^2 / 2 up to 72,449 rad, whose
+# rounding left the transform 1.13e-11 off; the rounding gate sums directly
+@example(m=510, n=2, tau0=-1.0, tau_span=2.0, f0=1.0, f_span=2.0, phase=638.0,
+         seed=2)
 def test_transform_matches_direct_sum(m, n, tau0, tau_span, f0, f_span,
                                       phase, seed):
     # |tau * freq| reaches `phase` rad (up to 2000) at the far corner
@@ -130,7 +133,12 @@ def test_transform_matches_direct_sum(m, n, tau0, tau_span, f0, f_span,
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
     want = _direct_oscillatory_sum(tau, freq, amp)
-    with _transform_only():
+    # draws whose largest chirp phase rounds within _PHASE_TOL stay on the
+    # transform; the rest are the gate's to send to the direct sum
+    theta = (tau[-1] - tau[0]) / (m - 1) * (freq[-1] - freq[0]) / (n - 1)
+    rounding = theta * max(m, n) ** 2 / 2 * 2.0 ** -52
+    with (_transform_only() if rounding <= temporal._PHASE_TOL
+          else contextlib.nullcontext()):
         got = _oscillatory_sum(tau, freq, amp)
     assert _peak_error(got, want) <= 1e-11
 
@@ -222,26 +230,24 @@ class TestSumFrequency:
         # of the whole n x n matrix M, for row blocks of one row, of the
         # default size and of the whole grid
         tau = np.linspace(-100e-15, 100e-15, 401)
-        specs = ((StructureSpec("rps", 700, l0, sigma=2.1e-6), xcorr_rps),
-                 (StructureSpec("weakly-random", 700, l0, sigma=1e-6), xcorr_weak))
-        for spec, xcorr in specs:
-            for n in (257, 1000, 1025):
-                grid = SpectralGrid.default(cfg.omega_s0, n=n)
-                omega_s = grid.omega_s
-                omega_i = cfg.omega_p0 - omega_s
-                delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
-                fmat = xcorr(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
-                a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
-                     * coupling_g(omega_s, omega_i, model))
-                m = (a[:, None] * np.conj(a[None, :])) * fmat
-                e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
-                want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
-                want /= np.trapezoid(want, tau)
-                for rows in (1, temporal._ROW_BLOCK, n):
-                    with _transform_only(), \
-                            mock.patch.object(temporal, "_ROW_BLOCK", rows):
-                        got = sumfreq_trace(spec, cfg, model, grid, tau).values
-                    assert _peak_error(got, want) <= 1e-12
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        for n in (257, 1000, 1025):
+            grid = SpectralGrid.default(cfg.omega_s0, n=n)
+            omega_s = grid.omega_s
+            omega_i = cfg.omega_p0 - omega_s
+            delta_k = _mismatch_slice(cfg, model, grid) - np.pi / l0
+            fmat = xcorr_rps(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
+            a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
+                 * coupling_g(omega_s, omega_i, model))
+            m = (a[:, None] * np.conj(a[None, :])) * fmat
+            e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
+            want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
+            want /= np.trapezoid(want, tau)
+            for rows in (1, temporal._ROW_BLOCK, n):
+                with _transform_only(), \
+                        mock.patch.object(temporal, "_ROW_BLOCK", rows):
+                    got = sumfreq_trace(spec, cfg, model, grid, tau).values
+                assert _peak_error(got, want) <= 1e-12
 
     def test_analytic_ensemble_memory(self, cfg, model, grid, l0):
         # the row blocks never form the n x n correlator (196 MB when they did)
