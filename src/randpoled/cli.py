@@ -35,7 +35,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 OUT_DIR_ENV = "RANDPOLED_OUT_DIR"
-_RESERVED = ("scenario", "seed", "out_dir", "threads", "parameters")
+# not scenario parameters; "version" and "extra" are read back from
+# metadata.json and ignored
+_RESERVED = ("scenario", "seed", "out_dir", "threads", "parameters",
+             "version", "extra")
 
 
 class ConfigError(ValueError):

@@ -10,8 +10,6 @@ from .scenarios import Table
 
 def format_value(value) -> str:
     """CSV cell formatting: 10 significant digits for derived floats."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

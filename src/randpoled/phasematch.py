@@ -123,8 +123,7 @@ def _boundary_sum(z, w, dk, plan: BoundaryPlan | None = None):
     """
     if plan is None:
         plan = BoundaryPlan(dk)
-    elif not (np.array_equal(plan.dk, dk)
-              or np.array_equal(plan.dk, dk, equal_nan=True)):
+    elif not np.array_equal(plan.dk, dk, equal_nan=True):
         raise PhasematchError("boundary-sum plan built on another dk grid")
     zc, half = 0.5 * (z[0] + z[-1]), 0.5 * (z[-1] - z[0])
     h, a, beta, blocks = plan.nodes(half)

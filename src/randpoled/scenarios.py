@@ -11,7 +11,6 @@ evaluated concurrently without changing results.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +34,6 @@ class Table:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario: str
     tables: dict
     metadata: dict
 
@@ -96,16 +94,7 @@ def run_rate_vs_nl(seed: int = 0,
             rows.append((float(sigma), int(nl), extractor_rate(ws.grid.omega_s, density),
                          extractor_width(ws.grid.omega_s, density)))
     table = Table(("sigma", "n_domains", "rate", "width"), tuple(rows))
-    return ScenarioResult("rate-vs-NL", {"scan": table}, {})
-
-
-def run_width_vs_nl(seed: int = 0, **kwargs) -> ScenarioResult:
-    """Same scan as rate-vs-NL with the width as the headline column."""
-    result = run_rate_vs_nl(seed, **kwargs)
-    return ScenarioResult("width-vs-NL", result.tables, result.metadata)
-
-
-run_width_vs_nl.__signature__ = inspect.signature(run_rate_vs_nl)
+    return ScenarioResult({"scan": table}, {})
 
 
 def run_sigma_zeta_match(seed: int = 0,
@@ -125,7 +114,7 @@ def run_sigma_zeta_match(seed: int = 0,
                                           ws.grid, template))
     table = Table(("zeta", "sigma", "observable_chirp", "rate_rps",
                    "rate_chirp", "rate_ratio", "matched"), rows)
-    return ScenarioResult("sigma-zeta-match", {"match": table}, {})
+    return ScenarioResult({"match": table}, {})
 
 
 def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
@@ -173,7 +162,7 @@ def run_histogram_study(seed: int = 0, sigma: float = 2.1e-6,
         tuple((i, float(r), float(w)) for i, (r, w)
               in enumerate(zip(stats["rate"].values, stats["width"].values))),
     )
-    return ScenarioResult("histogram-study", tables, {})
+    return ScenarioResult(tables, {})
 
 
 def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -193,7 +182,7 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     }
     table = _trace_table(tau, traces)
     dips = {name: entanglement_time(tr) for name, tr in traces.items()}
-    return ScenarioResult("hom-study", {"traces": table}, {"dip_fwhm_s": dips})
+    return ScenarioResult({"traces": table}, {"dip_fwhm_s": dips})
 
 
 def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -217,8 +206,7 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     }
     table = _trace_table(tau, traces)
     widths = {name: fwhm(tr.tau, tr.values) for name, tr in traces.items()}
-    return ScenarioResult("sumfreq-study", {"traces": table},
-                          {"trace_fwhm_s": widths})
+    return ScenarioResult({"traces": table}, {"trace_fwhm_s": widths})
 
 
 def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -251,7 +239,7 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
         "width_scan": Table(("source", "pump_width", "delta_theta_i"),
                             tuple(scan_rows)),
     }
-    return ScenarioResult("spatial-study", tables, {})
+    return ScenarioResult(tables, {})
 
 
 def run_temperature_scan(seed: int = 0,
@@ -264,20 +252,20 @@ def run_temperature_scan(seed: int = 0,
     Structures are fabricated for the design temperature; only the
     dispersion experienced by the fields follows the scan.
     """
-    ws0 = _workspace(design_temperature, grid_points)
-    ens = StructureSpec("rps", n_domains, ws0.l0, sigma=sigma)
+    ws = _workspace(design_temperature, grid_points,
+                    design_temperature=design_temperature)
+    ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
     single = ens.generate(RandomSource(seed, 0))
-    chirp = StructureSpec("chirped", n_domains, ws0.l0, zeta=zeta)
+    chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
     rows = []
     for t in t_values:
-        ws = _workspace(float(t), grid_points,
-                        design_temperature=design_temperature)
+        model = DispersionModel(temperature=float(t))
         rows.append((float(t),) + tuple(
-            extractor_width(ws.grid.omega_s, joint_density(s, ws.cfg, ws.model, ws.grid))
+            extractor_width(ws.grid.omega_s, joint_density(s, ws.cfg, model, ws.grid))
             for s in (single, ens, chirp)))
     table = Table(("temperature", "width_single", "width_ensemble",
                    "width_cpps"), tuple(rows))
-    return ScenarioResult("temperature-scan", {"scan": table}, {})
+    return ScenarioResult({"scan": table}, {})
 
 
 def run_fab_error_scan(seed: int = 0,
@@ -312,7 +300,7 @@ def run_fab_error_scan(seed: int = 0,
                 realizations if sigma_er > 0 else 1, ws)
             rows.append((name, float(sigma_er), float(width), float(rate)))
     table = Table(("base", "sigma_er", "width_mean", "rate_mean"), tuple(rows))
-    return ScenarioResult("fab-error-scan", {"scan": table}, {})
+    return ScenarioResult({"scan": table}, {})
 
 
 def run_segment_scan(seed: int = 0,
@@ -335,12 +323,13 @@ def run_segment_scan(seed: int = 0,
             1 if int(d) == n_domains else permutations, ws)
         rows.append((int(d), float(width), float(rate)))
     table = Table(("d", "width_mean", "rate_mean"), tuple(rows))
-    return ScenarioResult("segment-scan", {"scan": table}, {})
+    return ScenarioResult({"scan": table}, {})
 
 
 SCENARIOS = {
     "rate-vs-NL": run_rate_vs_nl,
-    "width-vs-NL": run_width_vs_nl,
+    # the rate-vs-NL scan, written under its own id
+    "width-vs-NL": run_rate_vs_nl,
     "sigma-zeta-match": run_sigma_zeta_match,
     "histogram-study": run_histogram_study,
     "hom-study": run_hom_study,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
-from .spectra import ProcessConfig, _f2, _pumped_g, fwhm
+from .spectra import ProcessConfig, _f2, coupling_g, fwhm
 
 
 class SpatialError(ValueError):
@@ -82,7 +82,7 @@ def _slice_kinematics(cfg, model, omega_s):
     k_s = model.wavenumber(omega_s)
     k_i = model.wavenumber(omega_i)
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
-    return k_s, k_i, k_p, np.abs(_pumped_g(cfg, model, omega_s)) ** 2
+    return k_s, k_i, k_p, np.abs(coupling_g(omega_s, omega_i, model)) ** 2
 
 
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
@@ -133,7 +133,7 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
 
     The pump takes each scanned width in turn; the theta range adapts to
     the expected Fourier-limited angular width.
-    Returns a list of dicts (pump_width, delta_theta_i, theta_i, profile).
+    Returns a list of dicts (pump_width, delta_theta_i, profile).
     """
     omega_s = np.asarray(omega_s, dtype=float)
     rows = []
@@ -144,7 +144,6 @@ def correlated_width_scan(source, cfg: ProcessConfig, model: DispersionModel,
         rows.append({
             "pump_width": float(width),
             "delta_theta_i": fwhm(grid.theta_i, profile),
-            "theta_i": grid.theta_i,
             "profile": profile,
         })
     return rows

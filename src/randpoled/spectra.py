@@ -125,32 +125,22 @@ def coupling_g(omega_s, omega_i, model: DispersionModel):
     )
 
 
-def _pumped_g(cfg: ProcessConfig, model: DispersionModel, omega_s):
-    """g on the cw slice, pumped at unit amplitude: the amplitude per unit F."""
-    return coupling_g(omega_s, cfg.omega_p0 - omega_s, model)
-
-
-def _mismatch_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
+def _cw_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
+    """(omega_i, dk_tot, g) on the cw slice: the idler omega_p0 - omega_s,
+    the collinear mismatch and the coupling pumped at unit amplitude,
+    which is the amplitude per unit F."""
     omega_i = cfg.omega_p0 - grid.omega_s
     if np.any(omega_i <= 0):
         raise SpectraError("grid extends past the pump frequency (idler <= 0)")
-    return model.collinear_mismatch(grid.omega_s, omega_i)
+    return (omega_i, model.collinear_mismatch(grid.omega_s, omega_i),
+            coupling_g(grid.omega_s, omega_i, model))
 
 
 def _f2(source, dk_tot):
-    """|F|^2 of a source with an amplitude, else its ensemble mean <|F|^2>."""
+    """|F|^2 of a source with an amplitude (a structure, a chirped or ideal
+    spec), else the closed-form ensemble mean <|F|^2> of an rps spec."""
     r = response(source, dk_tot)
     return np.abs(r) ** 2 if np.iscomplexobj(r) else r
-
-
-def mean_f2(source, cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
-    """<|F|^2> along the cw slice for a structure or an analytic family.
-
-    A PolingStructure gives the exact per-realization |F|^2; a
-    StructureSpec gives the closed-form ensemble mean of its family
-    (a chirped or ideal spec being deterministic, its "mean" is |F|^2).
-    """
-    return _f2(source, _mismatch_slice(cfg, model, grid))
 
 
 def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
@@ -160,18 +150,19 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     An rps StructureSpec has no single amplitude (only second-order
     moments); generate a realization first.
     """
-    f = response(source, _mismatch_slice(cfg, model, grid))
+    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    f = response(source, dk_tot)
     if not np.iscomplexobj(f):
         raise SpectraError("amplitude requires an explicit structure or a "
                            "deterministic spec")
-    return SpectralSlice(grid, _pumped_g(cfg, model, grid.omega_s) * f, cfg.omega_p0)
+    return SpectralSlice(grid, g * f, cfg.omega_p0)
 
 
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,
                   grid: SpectralGrid) -> np.ndarray:
     """Spectral density n(omega_s) = |g|^2 |pump|^2 <|F|^2> on the slice."""
-    return np.abs(_pumped_g(cfg, model, grid.omega_s)) ** 2 \
-        * mean_f2(source, cfg, model, grid)
+    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    return np.abs(g) ** 2 * _f2(source, dk_tot)
 
 
 def fwhm(x, y) -> float:
@@ -217,8 +208,7 @@ def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionMode
     builds the nodes for each length class of layout once.  Failures are
     the observable's to handle: one that raises ends the run.
     """
-    dk_tot = _mismatch_slice(cfg, model, grid)
-    g = _pumped_g(cfg, model, grid.omega_s)
+    _, dk_tot, g = _cw_slice(cfg, model, grid)
     plan = BoundaryPlan(dk_tot)
     return [observe(g, f_exact(draw(i), dk_tot, plan)) for i in range(count)]
 
@@ -297,8 +287,8 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
     probes = np.geomspace(5e-8, 8e-6, 25)
-    dk_tot = _mismatch_slice(cfg, model, grid)
-    weight = np.abs(_pumped_g(cfg, model, grid.omega_s)) ** 2
+    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    weight = np.abs(g) ** 2
 
     def density(kind, **value):
         spec = StructureSpec(kind, template.n_domains, template.l0, **value)

@@ -5,8 +5,11 @@ with z_0 = -L at the entrance face.  The sign of chi(2) alternates per
 domain, with the first domain positive.  Families (StructureSpec kinds):
 
 * ideal    -- equidistant boundaries, z_n = -L + n*l0
-* rps      -- cumulative random walk, z_n = z_{n-1} + l0 + dl_n
-* chirped  -- quadratic-in-index boundary displacement
+* rps      -- cumulative random walk, z_n = z_{n-1} + l0 + dl_n, spread sigma
+* chirped  -- quadratic-in-index boundary displacement, chirp zeta
+
+A spec takes only its family's field: sigma on an ideal or chirped
+spec, or zeta on an ideal or rps one, is refused.
 
 Any layout can further take fabrication error (apply_fabrication_error)
 or have its domain runs permuted (shuffle_segments).
@@ -107,6 +110,10 @@ class StructureSpec:
             raise StructureError("l0 must be positive")
         if self.sigma < 0:
             raise StructureError("sigma must be >= 0")
+        if self.sigma and self.kind != "rps":
+            raise StructureError(f"sigma applies to rps specs, not {self.kind!r}")
+        if self.zeta and self.kind != "chirped":
+            raise StructureError(f"zeta applies to chirped specs, not {self.kind!r}")
 
     def generate(self, rng: RandomSource) -> PolingStructure:
         """Draw one explicit realization of this spec."""

@@ -3,7 +3,8 @@
 Hong-Ou-Mandel (HOM) coincidence traces, sum-frequency intensity
 traces, and spectral-phase extraction/compensation, all in the cw-pump
 regime where the two-photon state lives on the slice
-omega_i = omega_p0 - omega_s.
+omega_i = omega_p0 - omega_s.  Every trace takes its delay grid tau
+explicitly.
 
 For the degenerate same-polarization process the collinear mismatch is
 symmetric under exchange of the signal and idler frequencies, so the
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _mismatch_slice,
-                      _pumped_g, fwhm, map_realizations, mean_f2,
-                      two_photon_amplitude)
+from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _cw_slice, _f2,
+                      fwhm, map_realizations, two_photon_amplitude)
 from .structures import RandomSource, StructureSpec
 from .phasematch import xcorr_rps
 
@@ -53,10 +53,6 @@ class PhaseProfile:
     phase: np.ndarray       # nan outside the reported segments
     weights: np.ndarray     # |Phi|^2
     segments: tuple         # (start, stop) index pairs, stop exclusive
-
-
-def default_tau_grid(n: int = 4096, span: float = 500e-15) -> np.ndarray:
-    return np.linspace(-span, span, n)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -137,17 +133,16 @@ def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
         omega_i = source.omega_p0 - omega_s
         phi = source.values
         # exchange omega_s <-> omega_i reverses the symmetric grid
-        return omega_s, omega_i, omega_s * omega_i * phi * np.conj(phi[::-1]), \
+        return omega_s, omega_s * omega_i * phi * np.conj(phi[::-1]), \
             omega_s * omega_i * np.abs(phi) ** 2
     omega_s = grid.omega_s
-    omega_i = cfg.omega_p0 - omega_s
-    w = omega_s * omega_i * np.abs(_pumped_g(cfg, model, omega_s)) ** 2 \
-        * mean_f2(source, cfg, model, grid)
-    return omega_s, omega_i, w.astype(complex), w
+    omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
+    w = omega_s * omega_i * np.abs(g) ** 2 * _f2(source, dk_tot)
+    return omega_s, w.astype(complex), w
 
 
 def hom_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
-              tau: np.ndarray | None = None) -> TemporalTrace:
+              tau: np.ndarray) -> TemporalTrace:
     """Normalized HOM coincidence rate R_n(tau) = 1 - rho(tau).
 
     Accepts an explicit structure, an analytic-family spec (ensemble
@@ -155,16 +150,13 @@ def hom_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
     Identical quadrature weights in numerator and denominator make
     R_n(0) vanish exactly for exchange-symmetric amplitudes.
     """
-    if tau is None:
-        tau = default_tau_grid()
-    omega_s, _, interf, base = _hom_weights(source, cfg, model, grid)
+    omega_s, interf, base = _hom_weights(source, cfg, model, grid)
     wq = _trapezoid_weights(omega_s)
     # summed as the complex tau = 0 row is, so that R_n(0) is exactly 0
     r0 = float(np.real((wq * base).astype(complex).sum()))
     if r0 <= 0:
         raise TemporalError("empty spectrum: R0 = 0")
-    omega_s0 = 0.5 * cfg.omega_p0
-    rho = np.real(_oscillatory_sum(tau, 2.0 * (omega_s - omega_s0), wq * interf)) / r0
+    rho = np.real(_oscillatory_sum(tau, 2.0 * (omega_s - cfg.omega_s0), wq * interf)) / r0
     return TemporalTrace(tau, 1.0 - rho)
 
 
@@ -194,8 +186,7 @@ def _slice_trace(slice_: SpectralSlice, omega_s0: float,
 
 
 def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
-                  tau: np.ndarray | None = None,
-                  compensation: str = "none") -> TemporalTrace:
+                  tau: np.ndarray, compensation: str = "none") -> TemporalTrace:
     """Area-normalized sum-frequency intensity trace I_sum(tau).
 
     Single realizations and chirped structures go through their
@@ -204,9 +195,6 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
     uncompensated trace is available that way -- use
     sumfreq_ensemble_mc for compensated ensemble traces.
     """
-    if tau is None:
-        tau = default_tau_grid()
-    omega_s0 = 0.5 * cfg.omega_p0
     if isinstance(source, StructureSpec) and source.kind == "rps":
         if compensation != "none":
             raise TemporalError(
@@ -216,7 +204,7 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
         return _sumfreq_ensemble_analytic(source, cfg, model, grid, tau)
     slice_ = source if isinstance(source, SpectralSlice) \
         else two_photon_amplitude(source, cfg, model, grid)
-    return _slice_trace(compensate(slice_, compensation), omega_s0, tau)
+    return _slice_trace(compensate(slice_, compensation), cfg.omega_s0, tau)
 
 
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
@@ -225,11 +213,10 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     uniform grid, one transform of M's sums over the lags q - q' >= 0, as M
     is Hermitian; its lower triangle is made _ROW_BLOCK rows at a time."""
     omega_s = grid.omega_s
-    omega_i = cfg.omega_p0 - omega_s
+    omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
     # detuning from the structure's design point
-    delta_k = _mismatch_slice(cfg, model, grid) - np.pi / spec.l0
-    a = np.sqrt(omega_s * omega_i) * _pumped_g(cfg, model, omega_s) \
-        * _trapezoid_weights(omega_s)
+    delta_k = dk_tot - np.pi / spec.l0
+    a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
     n = omega_s.size
     lag_sums = np.zeros(n, dtype=complex)
     for r0 in range(0, n, _ROW_BLOCK):
@@ -247,18 +234,14 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
 
 def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
                         grid: SpectralGrid, realizations: int, seed: int,
-                        tau: np.ndarray | None = None,
-                        compensation: str = "none") -> TemporalTrace:
+                        tau: np.ndarray, compensation: str = "none") -> TemporalTrace:
     """Monte Carlo ensemble mean of per-realization sum-frequency traces."""
     if realizations < 1:
         raise TemporalError("need at least one realization")
-    if tau is None:
-        tau = default_tau_grid()
-    omega_s0 = 0.5 * cfg.omega_p0
 
     def observe(g, f):
         slice_ = SpectralSlice(grid, g * f, cfg.omega_p0)
-        return _slice_trace(compensate(slice_, compensation), omega_s0, tau).values
+        return _slice_trace(compensate(slice_, compensation), cfg.omega_s0, tau).values
 
     traces = map_realizations(lambda i: spec.generate(RandomSource(seed, i)),
                               realizations, cfg, model, grid, observe)
@@ -338,7 +321,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     c0, c1, c2 = fit_quadratic_phase(slice_)
     omega_s = slice_.grid.omega_s
     omega_s0 = 0.5 * slice_.omega_p0
-    tau = default_tau_grid()
+    tau = np.linspace(-500e-15, 500e-15, 4096)  # width probes over +-500 fs
 
     def width_at(curv: float) -> float:
         trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), omega_s0, tau)

@@ -15,7 +15,7 @@ from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        shuffle_segments, xcorr_rps)
 from randpoled import phasematch
 from randpoled.phasematch import PhasematchError, response
-from randpoled.spectra import SpectralGrid, _mismatch_slice
+from randpoled.spectra import SpectralGrid, _cw_slice
 from randpoled.structures import StructureError
 
 L0 = 9.489154805833549e-06
@@ -110,8 +110,8 @@ SCENARIO_GRIDS = ((257, 0.6), (513, 0.35), (1025, 0.35), (2049, 0.35))
 
 @pytest.fixture(scope="module")
 def scenario_dk(cfg, model):
-    return {key: _mismatch_slice(cfg, model, SpectralGrid.default(
-        cfg.omega_s0, n=key[0], span=key[1])) for key in SCENARIO_GRIDS}
+    return {key: _cw_slice(cfg, model, SpectralGrid.default(
+        cfg.omega_s0, n=key[0], span=key[1]))[1] for key in SCENARIO_GRIDS}
 
 
 class TestChebyshevKernel:

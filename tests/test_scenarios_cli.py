@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _wor
                                  run_fab_error_scan, run_histogram_study,
                                  run_hom_study, run_rate_vs_nl, run_segment_scan,
                                  run_sigma_zeta_match, run_spatial_study,
-                                 run_sumfreq_study, run_temperature_scan,
-                                 run_width_vs_nl)
+                                 run_sumfreq_study, run_temperature_scan)
 from randpoled.spatial import AngularGrid, correlated_area
 from randpoled.spectra import extractor_rate, fwhm, joint_density
 from randpoled.structures import (RandomSource, StructureSpec,
@@ -44,12 +44,15 @@ class TestScenarios:
         assert rates[0] < rates[1] < rates[2]
         assert widths[0] > widths[1] > widths[2]
 
-    def test_width_vs_nl_shares_table(self):
+    def test_width_vs_nl_shares_table(self, tmp_path):
         kw = dict(sigmas=(0.0,), nl_values=(100,), grid_points=257)
         a = run_rate_vs_nl(**kw)
-        b = run_width_vs_nl(**kw)
-        assert b.scenario == "width-vs-NL"
+        b = SCENARIOS["width-vs-NL"](**kw)
         assert a.tables["scan"].rows == b.tables["scan"].rows
+        # the CLI writes the id it ran under
+        assert cli.main(["width-vs-NL", "--out-dir", str(tmp_path)] + FAST) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["scenario"] == "width-vs-NL"
 
     def test_histogram_study(self):
         res = run_histogram_study(realizations=300)
@@ -98,6 +101,17 @@ class TestScenarios:
         rows = {row[0]: row for row in res.tables["scan"].rows}
         # the fixed single realization is narrowest at its design point
         assert rows[297.0][1] < rows[290.0][1]
+
+    def test_temperature_scan_designs_at_design_temperature(self):
+        design = 310.0
+        with mock.patch.object(scenarios, "StructureSpec",
+                               wraps=StructureSpec) as build:
+            run_temperature_scan(t_values=(297.0,), grid_points=257,
+                                 design_temperature=design)
+        omega_s0 = spectra.ProcessConfig().omega_s0
+        want = DispersionModel(design).qpm_period(omega_s0, omega_s0)
+        assert build.call_count == 2
+        assert all(c.args[2] == want for c in build.call_args_list)
 
     def test_fab_error_reduces_rate(self):
         res = run_fab_error_scan(realizations=50,
@@ -296,19 +310,19 @@ class TestCli:
             (b / "metadata.json").read_bytes()
 
     def test_metadata_reparses(self, tmp_path):
-        out = tmp_path / "run"
-        assert _run_cli(["rate-vs-NL", "--seed", "3", "--out-dir",
-                         str(out)] + FAST) == 0
-        meta = json.loads((out / "metadata.json").read_text())
-        cfgfile = tmp_path / "replay.json"
-        cfgfile.write_text(json.dumps({
-            "scenario": meta["scenario"], "seed": meta["seed"],
-            "parameters": meta["parameters"],
-        }))
-        cfg = cli.parse_config(str(cfgfile), {"params": {}})
-        assert cfg.scenario == "rate-vs-NL"
-        assert cfg.seed == 3
-        assert cfg.params["nl_values"] == (100, 200)
+        # replaying metadata.json with --config rewrites every file byte for
+        # byte; hom-study's metadata carries an "extra" entry, the dip widths
+        for k, args in enumerate([
+                ["rate-vs-NL"] + FAST,
+                ["hom-study", "--grid-points", "513", "--tau-points", "201"]]):
+            out, replay = tmp_path / f"run{k}", tmp_path / f"replay{k}"
+            assert _run_cli(args + ["--seed", "3", "--out-dir", str(out)]) == 0
+            assert _run_cli([args[0], "--config", str(out / "metadata.json"),
+                             "--out-dir", str(replay)]) == 0
+            names = sorted(p.name for p in out.iterdir())
+            assert names == sorted(p.name for p in replay.iterdir())
+            for name in names:
+                assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_unknown_parameter_suggestion(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"

@@ -11,9 +11,9 @@ from randpoled import (ProcessConfig, RandomSource, StructureSpec,
 from randpoled.dispersion import SPEED_OF_LIGHT
 from randpoled.phasematch import BoundaryPlan, f_exact
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
-                               SpectralSlice, _mismatch_slice, coupling_g,
+                               SpectralSlice, _cw_slice, _f2, coupling_g,
                                extractor_rate, extractor_width,
-                               map_realizations, mean_f2)
+                               map_realizations)
 
 
 class TestConfigAndGrid:
@@ -97,8 +97,9 @@ class TestDensities:
         # the explicit realization closely near the peak region
         spec = StructureSpec("chirped", 700, l0, zeta=2.5e6)
         s = spec.generate(RandomSource(0))
-        fa = mean_f2(spec, cfg, model, grid)
-        fe = mean_f2(s, cfg, model, grid)
+        _, dk_tot, _ = _cw_slice(cfg, model, grid)
+        fa = _f2(spec, dk_tot)
+        fe = _f2(s, dk_tot)
         sel = fe > 0.2 * fe.max()
         assert np.max(np.abs(fa[sel] / fe[sel] - 1.0)) < 0.02
 
@@ -209,7 +210,7 @@ class TestEnsemble:
             got = map_realizations(layouts.__getitem__, len(layouts), cfg, model,
                                    grid, lambda g, f: f)
         build.assert_called_once()
-        dk_tot = _mismatch_slice(cfg, model, grid)
+        _, dk_tot, _ = _cw_slice(cfg, model, grid)
         for s, f in zip(layouts, got):
             want = f_exact(s, dk_tot)
             assert np.max(np.abs(f - want)) <= 1e-12 * np.max(np.abs(want))
@@ -246,10 +247,10 @@ class TestMatching:
         grid = SpectralGrid.default(cfg.omega_s0, n=257, span=0.6)
         template = StructureSpec("rps", 700, l0)
         zetas = (0.5e6, 2.5e6)
-        with mock.patch.object(spectra, "_mismatch_slice",
-                               wraps=spectra._mismatch_slice) as mismatch:
+        with mock.patch.object(spectra, "_cw_slice",
+                               wraps=spectra._cw_slice) as cw_slice:
             rows = match_parameter(target, zetas, cfg, model, grid, template)
-        assert mismatch.call_count == 1
+        assert cw_slice.call_count == 1
         observable = extractor_width if target == "equal-width" else extractor_rate
 
         def measure(spec):

@@ -100,6 +100,15 @@ class TestGenerators:
         with pytest.raises(StructureError):
             StructureSpec("rps", 10, L0, sigma=-1e-6)
 
+    @pytest.mark.parametrize("kind,field", [("ideal", "sigma"), ("chirped", "sigma"),
+                                            ("ideal", "zeta"), ("rps", "zeta")])
+    def test_spec_refuses_foreign_field(self, kind, field):
+        # a field the family does not read would be ignored without notice
+        value = {"sigma": 2e-6, "zeta": 2.5e6}[field]
+        with pytest.raises(StructureError, match=field):
+            StructureSpec(kind, 700, L0, **{field: value})
+        StructureSpec(kind, 700, L0, **{field: 0.0})
+
 
 class TestRedrawGate:
     # the gate reads the law's expected redraw share, so it refuses a law over
