@@ -200,7 +200,7 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(scenarios) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randpoled",
         description="Photon-pair simulator for randomly poled and chirped "
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available scenarios")
-    for scenario in SCENARIOS:
+    for scenario in scenarios:
         sp = sub.add_parser(scenario, help=SCENARIO_NOTES[scenario])
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="random seed (default 0)")
@@ -223,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a scenario's run builds its own subparser only; list, help and errors all
+    named = argv[:1] if argv[:1] and argv[0] in SCENARIOS else SCENARIOS
+    args = build_parser(named).parse_args(argv)
     if args.command == "list":
         for scenario in SCENARIOS:
             print(f"{scenario:20s} {SCENARIO_NOTES[scenario]}")

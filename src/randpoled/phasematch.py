@@ -36,6 +36,7 @@ _HALF_STEPS = 32
 # avg_f2_rps sums the lags term by term where |m log H| < _LAG_SWITCH: there
 # its closed form cancels to (m log H)^2 / 2 and keeps ~1e-16 / |m log H|.
 _LAG_SWITCH = 1e-2
+_POWER_FLOOR = -42.0  # avg_f2_rps drops H^m below m Re log H = -42: |H^m| < 2^-60
 # lag sums take at most this many (element, lag) terms at a time
 _LAG_TERMS = 1 << 16
 # Boundary sums take longer dk arrays in blocks of this many points, which
@@ -197,6 +198,7 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float):
     Closed geometric form in log H, exact, through expm1, so neither
     H^(N_L+1) nor 1 - H is rounded; within |(N_L+1) log H| < 1e-2 of
     H = 1, where it cancels, the exact lag sum over boundary pairs is used.
+    H is 1 + expm1(log H), and H^(N_L+1) is taken as 0 below e^-42.
     """
     scalar, dk, dk_tot = _detuned(delta_k, l0)
     m = n_domains + 1
@@ -206,7 +208,10 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float):
     # sum_{l=1}^{m-1} (m - l) H^l = H [expm1(m u) - m expm1(u)] / expm1(u)^2
     uk = u[ok]
     e1 = np.expm1(uk)
-    t = np.exp(uk) * (np.expm1(m * uk) - m * e1) / e1 ** 2
+    em = np.full(uk.shape, -1.0 + 0j)
+    live = m * uk.real >= _POWER_FLOOR
+    em[live] = np.expm1(m * uk[live])
+    t = (1.0 + e1) * (em - m * e1) / e1 ** 2
     out[ok] = 4.0 / dk_tot[ok] ** 2 * (m + 2.0 * np.real(t))
     if np.any(~ok):
         lag = np.arange(1, m)
@@ -254,6 +259,22 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):
     a few percent against the direct sum across the emission band for the
     parameter regime of interest.
     """
+    scalar, dk, dk_tot, rate, r, dc, ds = _chirp_fresnel(delta_k, n_domains, l0, zeta)
+    phi = -dk_tot * n_domains * l0 + dk * l0 * n_domains / 2.0 - dk ** 2 / (4.0 * rate)
+    out = 2j / dk_tot * np.sqrt(0.5 * np.pi) / r * np.exp(1j * phi) \
+        * (dc + 1j * np.sign(rate) * ds)
+    return complex(out[0]) if scalar else out
+
+
+def f2_chirp(delta_k, n_domains: int, l0: float, zeta: float):
+    """|f_chirp|^2 = 2 pi / (dk_tot r)^2 (dC^2 + dS^2), without the phase."""
+    scalar, _, dk_tot, _, r, dc, ds = _chirp_fresnel(delta_k, n_domains, l0, zeta)
+    out = 2.0 * np.pi / (dk_tot * r) ** 2 * (dc * dc + ds * ds)
+    return float(out[0]) if scalar else out
+
+
+def _chirp_fresnel(delta_k, n_domains: int, l0: float, zeta: float):
+    """(scalar?, dk, dk_tot, dk_tot zeta', r, dC, dS) of f_chirp's Fresnel form."""
     if zeta == 0.0:
         raise PhasematchError("zeta = 0: use the ideal-structure formulas")
     from scipy.special import fresnel  # on first use: ~0.3 s to import
@@ -261,12 +282,9 @@ def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):
     rate = dk_tot * (zeta / (np.pi / l0))
     r = np.sqrt(np.abs(rate)) * l0
     beta = dk / (2.0 * rate * l0)
-    phi = -dk_tot * n_domains * l0 + dk * l0 * n_domains / 2.0 - dk ** 2 / (4.0 * rate)
-    s_hi, c_hi = fresnel(np.sqrt(2.0 / np.pi) * r * (n_domains / 2.0 + beta))
-    s_lo, c_lo = fresnel(np.sqrt(2.0 / np.pi) * r * (beta - n_domains / 2.0))
-    out = 2j / dk_tot * np.sqrt(0.5 * np.pi) / r * np.exp(1j * phi) \
-        * (c_hi - c_lo + 1j * np.sign(rate) * (s_hi - s_lo))
-    return complex(out[0]) if scalar else out
+    s, c = fresnel(np.sqrt(2.0 / np.pi) * r * np.stack([n_domains / 2.0 + beta,
+                                                        beta - n_domains / 2.0]))
+    return scalar, dk, dk_tot, rate, r, c[0] - c[1], s[0] - s[1]
 
 
 def _geom(z_re, half, sin_half, half_m, sin_half_m, m: int):

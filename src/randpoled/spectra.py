@@ -11,12 +11,13 @@ would additionally require the collection bandwidth and beam geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
-from .phasematch import BoundaryPlan, f_exact, response
+from .phasematch import BoundaryPlan, f2_chirp, f_exact, response
 from .structures import RandomSource, StructureSpec
 
 
@@ -138,7 +139,10 @@ def _cw_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
 
 def _f2(source, dk_tot):
     """|F|^2 of a source with an amplitude (a structure, a chirped or ideal
-    spec), else the closed-form ensemble mean <|F|^2> of an rps spec."""
+    spec), else the closed-form ensemble mean <|F|^2> of an rps spec.  A
+    chirped spec's |F|^2 is taken without the phase of its F."""
+    if isinstance(source, StructureSpec) and source.kind == "chirped" and source.zeta:
+        return f2_chirp(dk_tot - np.pi / source.l0, source.n_domains, source.l0, source.zeta)
     r = response(source, dk_tot)
     return np.abs(r) ** 2 if np.iscomplexobj(r) else r
 
@@ -273,10 +277,10 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     """Map chirp values to the disorder sigma giving equal width or rate.
 
     For each zeta the ensemble-mean observable of the random family is
-    root-found (bisection within a bracket located on a log grid from
-    5e-8 to 8e-6 m) to match the chirped structure's value.  Unbracketed
-    entries are returned with sigma = nan and matched = False.  The
-    slice mismatch and |g|^2 |pump|^2 are computed once per call.
+    root-found (bisection within a bracket located on a log grid from 5e-8
+    to 8e-6 m) to match the chirped structure's value.  Unbracketed entries
+    are returned with sigma = nan and matched = False.  The slice mismatch,
+    |g|^2 |pump|^2 and the density of each sigma are computed once per call.
 
     Returns a list of dicts with keys zeta, sigma, observable_chirp,
     observable_rps, rate_chirp, rate_rps (the pair rates of the chirped
@@ -290,10 +294,19 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     _, dk_tot, g = _cw_slice(cfg, model, grid)
     weight = np.abs(g) ** 2
 
+    @functools.cache  # the probes' densities serve every zeta
     def density(kind, **value):
         spec = StructureSpec(kind, template.n_domains, template.l0, **value)
         return weight * _f2(spec, dk_tot)
 
+    probe_vals = np.full(probes.size, np.nan)
+    for k, p in enumerate(probes):
+        try:
+            probe_vals[k] = observable(grid.omega_s, density("rps", sigma=p))
+        except SpectraError:
+            # off-grid observable (e.g. width beyond the span): the
+            # probe is unusable but neighbors may still bracket
+            continue
     for zeta in np.asarray(zeta_grid, dtype=float):
         chirp = density("chirped", zeta=zeta)
         goal = observable(grid.omega_s, chirp)
@@ -301,14 +314,7 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
         def mismatch(sig, goal=goal):
             return observable(grid.omega_s, density("rps", sigma=sig)) - goal
 
-        vals = np.full(probes.size, np.nan)
-        for k, p in enumerate(probes):
-            try:
-                vals[k] = mismatch(p)
-            except SpectraError:
-                # off-grid observable (e.g. width beyond the span): the
-                # probe is unusable but neighbors may still bracket
-                continue
+        vals = probe_vals - goal
         finite = np.isfinite(vals)
         usable = np.nonzero(finite[:-1] & finite[1:]
                             & (np.sign(vals[:-1]) != np.sign(vals[1:])))[0]
@@ -317,7 +323,7 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
                "rate_chirp": extractor_rate(grid.omega_s, chirp),
                "rate_rps": float("nan"), "matched": False}
         if usable.size:
-            from scipy.optimize import brentq  # on first use: ~0.5 s, ~0.25 s after f_chirp
+            from scipy.optimize import brentq  # on first use: ~0.5 s, ~0.25 s after f2_chirp
             lo, hi = probes[usable[0]], probes[usable[0] + 1]
             sigma = brentq(mismatch, lo, hi, rtol=1e-2)
             row.update(sigma=float(sigma), observable_rps=mismatch(sigma) + goal,

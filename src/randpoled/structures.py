@@ -212,20 +212,22 @@ def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
 
 
 def apply_fabrication_error(s: PolingStructure, sigma_er: float,
-                            rng: RandomSource) -> PolingStructure:
+                            rng: RandomSource, *,
+                            _law_checked: bool = False) -> PolingStructure:
     """Perturb a structure by Gaussian fabrication (duty-cycle) error.
 
     Each DOMAIN LENGTH gains an independent N(0, sigma_er) error and
     boundaries are rebuilt cumulatively from the fixed entrance face, so
     errors accumulate along the sample as they do in a sequential poling
-    process.  Nonpositive lengths are redrawn; a law whose expected
-    rejection rate exceeds MAX_REJECTION_RATE is refused.
+    process.  Nonpositive lengths are redrawn; a law whose expected rejection
+    rate exceeds MAX_REJECTION_RATE is refused, unless ``_law_checked``.
     """
     if sigma_er < 0:
         raise StructureError("sigma_er must be >= 0")
     if sigma_er == 0.0:
         return s
-    _check_redraw_rate(s.domain_lengths, sigma_er)
+    if not _law_checked:
+        _check_redraw_rate(s.domain_lengths, sigma_er)
     lengths = _jittered_lengths(s.domain_lengths, sigma_er, rng.generator())
     return _from_lengths(s.boundaries[0], lengths)
 

@@ -28,6 +28,7 @@ from .phasematch import xcorr_rps
 
 _TAU_CHUNK = 256
 _ROW_BLOCK = 32
+_MIRROR_TOL = 1e-12  # grid mirror asymmetry, of the peak, that the analytic trace accepts
 # largest phase error (rad) that grid rounding may cause in the transform
 _PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
@@ -209,23 +210,33 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
 
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
                                grid: SpectralGrid, tau: np.ndarray) -> TemporalTrace:
-    """I(tau) = Re sum_{q,q'} M_qq' exp(-i tau (omega_q - omega_q')): on the
-    uniform grid, one transform of M's sums over the lags q - q' >= 0, as M
-    is Hermitian; its lower triangle is made _ROW_BLOCK rows at a time."""
+    """I(tau) = Re sum_{q,c} M_qc exp(-i tau (omega_q - omega_c)): on the
+    uniform grid, one transform of M's sums over the lags q - c >= 0, as M
+    is Hermitian.  On a grid mirrored about omega_s0, exchange omega_s <->
+    omega_i makes M_qc the conjugate of M at (n-1-c, n-1-q), at the same lag:
+    only c <= min(q, n-1-q) is made, _ROW_BLOCK rows at a time, as 2 Re M_qc."""
     omega_s = grid.omega_s
     omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
     # detuning from the structure's design point
     delta_k = dk_tot - np.pi / spec.l0
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
+    for x in (dk_tot, a):
+        if np.max(np.abs(x - x[::-1])) > _MIRROR_TOL * np.max(np.abs(x)):
+            raise TemporalError("the analytic ensemble trace needs a grid "
+                                "symmetric about omega_s0")
     n = omega_s.size
-    lag_sums = np.zeros(n, dtype=complex)
+    lag_sums = np.zeros(n)
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
-        block = xcorr_rps(delta_k[r0:r1, None], delta_k[None, :r1],
+        width = min(r1, n - r0)  # the columns c <= min(q, n-1-q) of these rows
+        block = xcorr_rps(delta_k[r0:r1, None], delta_k[None, :width],
                           spec.n_domains, spec.l0, spec.sigma)
-        block *= a[r0:r1, None] * np.conj(a[:r1])
+        block *= a[r0:r1, None] * np.conj(a[:width])
         for i, q in enumerate(range(r0, r1)):
-            lag_sums[:q + 1] += block[i, q::-1]
+            c = min(q, n - 1 - q)
+            row = 2.0 * block[i, c::-1].real
+            row[0] /= 1 + (c == n - 1 - q)  # (q, n-1-q) is its own mirror
+            lag_sums[q - c:q + 1] += row
     lag_sums[1:] *= 2.0  # Re(D e^(-i phi)) = Re(conj(D) e^(i phi))
     spacing = (omega_s[-1] - omega_s[0]) / (n - 1)
     intensity = np.real(_oscillatory_sum(tau, np.arange(n) * spacing, lag_sums))

@@ -14,8 +14,8 @@ from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        f_chirp, f_exact, gen_chirped, gen_ideal,
                        shuffle_segments, xcorr_rps)
 from randpoled import phasematch
-from randpoled.phasematch import PhasematchError, response
-from randpoled.spectra import SpectralGrid, _cw_slice
+from randpoled.phasematch import PhasematchError, f2_chirp, response
+from randpoled.spectra import SpectralGrid, _cw_slice, _f2
 from randpoled.structures import StructureError
 
 L0 = 9.489154805833549e-06
@@ -397,6 +397,22 @@ class TestChirp:
     def test_zero_chirp_rejected(self):
         with pytest.raises(PhasematchError):
             f_chirp(0.0, 700, L0, 0.0)
+        with pytest.raises(PhasematchError):
+            f2_chirp(0.0, 700, L0, 0.0)
+
+    @pytest.mark.parametrize("zeta", [2.5e6, -1e6])
+    def test_f2_chirp_is_squared_modulus(self, scenario_dk, zeta):
+        # |F|^2 from the Fresnel differences alone, without the phase of F;
+        # _f2 takes it for a chirped spec
+        spec = StructureSpec("chirped", 700, L0, zeta=zeta)
+        for dk_tot in scenario_dk.values():
+            got = f2_chirp(dk_tot - DK0, 700, L0, zeta)
+            assert _peak_error(got, np.abs(f_chirp(dk_tot - DK0, 700, L0, zeta)) ** 2) \
+                <= 1e-14
+            assert np.array_equal(_f2(spec, dk_tot), got)
+        value = f2_chirp(2e4, 700, L0, zeta)
+        assert type(value) is float
+        assert value == pytest.approx(abs(f_chirp(2e4, 700, L0, zeta)) ** 2, rel=1e-14)
 
     def test_plateau_height_scales_inverse_chirp(self):
         # stationary-phase plateau: |F|^2 proportional to 1/zeta' on
@@ -652,6 +668,17 @@ class TestXcorrOracle:
         dk = np.concatenate([x, x, -x, x])
         dkp = np.concatenate([x, -x[::-1], np.full(x.size, 2e4), x[::-1]])
         self._check(mp, dk, dkp, n_domains, sigma)
+
+    @pytest.mark.parametrize("level", [-5.0, -41.0, -42.0, -43.0])
+    def test_avg_f2_rps_at_power_floor(self, level):
+        # at m Re log H = level, on both sides of the -42 below which
+        # avg_f2_rps takes H^m as 0: the diagonal of the 40-digit lag sum
+        mp = pytest.importorskip("mpmath")
+        sigma = np.array([1e-6, 2.1e-6])
+        delta_k = np.sqrt(-4.0 * level / 701) / sigma - DK0
+        for dk, sig in zip(delta_k, sigma):
+            want = _xcorr_oracle(mp, dk, dk, 700, sig).real
+            assert abs(avg_f2_rps(dk, 700, L0, sig) - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("sigma", [0.0, 2.1e-6])
     def test_equal_arguments_off_diagonal(self, scenario_dk, sigma):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from randpoled import cli, scenarios, spatial, spectra
+from randpoled import cli, scenarios, spatial, spectra, structures
 from randpoled.dispersion import DispersionModel
 from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _workspace,
                                  run_fab_error_scan, run_histogram_study,
@@ -227,8 +227,12 @@ class TestScanEngine:
 
     def test_fab_error_scan_matches_oracle(self):
         sigma_er_values, realizations = (0.0, 2.5e-7), 3
-        res = run_fab_error_scan(seed=2, sigma_er_values=sigma_er_values,
-                                 realizations=realizations)
+        with mock.patch.object(structures, "_check_redraw_rate",
+                               wraps=structures._check_redraw_rate) as check:
+            res = run_fab_error_scan(seed=2, sigma_er_values=sigma_er_values,
+                                     realizations=realizations)
+        # one check of the error law per (base, sigma_er > 0) row
+        assert [c.args[1] for c in check.call_args_list].count(2.5e-7) == 2
         ws = _workspace(297.0, 257, span=0.6)
         bases = {"cpps": StructureSpec("chirped", 700, ws.l0, zeta=2.5e6)
                  .generate(RandomSource(2, 0)),
@@ -252,10 +256,25 @@ def _run_cli(args):
 
 
 class TestCli:
+    def test_scenario_run_builds_its_own_subparser(self, tmp_path, capsys):
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+            assert _run_cli(["rate-vs-NL", *FAST, "--out-dir", str(tmp_path)]) == 0
+            assert build.call_args.args == (["rate-vs-NL"],)
+            with pytest.raises(SystemExit) as exc:
+                _run_cli(["--help"])
+        assert exc.value.code == 0
+        assert build.call_args.args == (SCENARIOS,)
+        listed = capsys.readouterr().out
+        assert all(scenario in listed for scenario in SCENARIOS)
+        for argv, code in ((["hom-study", "--help"], 0), (["no-such-scenario"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                _run_cli(argv)
+            assert exc.value.code == code
+
     def test_import_loads_only_the_scipy_it_needs(self, tmp_path):
-        # scipy.special loads with f_chirp's first call and scipy.optimize with
-        # brentq's or minimize_scalar's: the import and the Monte-Carlo
-        # scenarios load no scipy module at all
+        # scipy.special loads with the first chirped closed form (f_chirp or
+        # f2_chirp) and scipy.optimize with brentq's or minimize_scalar's: the
+        # import and the Monte-Carlo scenarios load no scipy module at all
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import json, sys\n"
                 "from randpoled import cli\n"

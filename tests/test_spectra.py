@@ -285,6 +285,17 @@ class TestMatching:
                          "matched": True})
         assert rows == want
 
+    def test_each_probe_evaluated_once(self, cfg, model, l0):
+        # the probes' rps observables do not depend on zeta: one density each
+        grid = SpectralGrid.default(cfg.omega_s0, n=257, span=0.6)
+        with mock.patch.object(spectra, "_f2", wraps=spectra._f2) as f2:
+            rows = match_parameter("equal-width", (0.5e6, 2.5e6, 3e6), cfg, model,
+                                   grid, StructureSpec("rps", 700, l0))
+        assert all(row["matched"] for row in rows)
+        sigmas = [c.args[0].sigma for c in f2.call_args_list
+                  if c.args[0].kind == "rps"]
+        assert [sigmas.count(p) for p in np.geomspace(5e-8, 8e-6, 25)] == [1] * 25
+
     def test_unknown_target(self, cfg, model, grid, l0):
         with pytest.raises(SpectraError):
             match_parameter("equal-phase", [1e6], cfg, model, grid,

@@ -347,6 +347,15 @@ def _trace_slice(slice_, cfg, model, grid, mode):
 
 
 class TestGrids:
+    @pytest.mark.parametrize("shift", [1e-9, 1e-3])
+    def test_analytic_trace_needs_mirror_grid(self, cfg, model, l0, shift):
+        # the exchange symmetry it relies on holds on grids symmetric about
+        # omega_s0 alone
+        grid = SpectralGrid.default(cfg.omega_s0 * (1 + shift), n=257)
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        with pytest.raises(TemporalError, match="symmetric about omega_s0"):
+            sumfreq_trace(spec, cfg, model, grid, TAU)
+
     def test_asymmetric_grid_rejected(self, cfg, model, l0):
         bad = SpectralGrid(np.linspace(0.8, 1.5, 257) * cfg.omega_s0)
         s = StructureSpec("chirped", 700, l0, zeta=2.5e6)

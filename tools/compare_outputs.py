@@ -1,7 +1,8 @@
 """python tools/compare_outputs.py REF: run every scenario at its defaults for seeds
 0 and 5, here and in a `git archive` export of git ref REF, and compare exit codes
 and output files byte for byte.  A differing CSV reports its first differing cell
-and the largest relative difference per column.  Exits 1 on any difference."""
+and, per differing column, the largest difference relative to each cell and to the
+column's peak |value|.  Exits 1 on any difference."""
 import csv
 import os
 import subprocess
@@ -18,22 +19,37 @@ def run(tree: Path, *args):
                           capture_output=True, text=True)
 
 
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:  # not a number
+        return float("nan")
+
+
 def diff(name: str, ours, ref) -> str:
     a, b = ([*csv.reader(d.decode().splitlines())] for d in (ours or b"", ref or b""))
     cells = [(i, col, u, v) for i, (x, y) in enumerate(zip(a[1:], b[1:]), 1)
              for col, u, v in zip(a[0], x, y) if u != v]
     if not name.endswith(".csv") or len(a) != len(b) or a[:1] != b[:1] or not cells:
         return f"{name} is missing on one side or differs in form, length or header"
-    worst = {}
+    # a column's peak |value| over both sides: aim 3 bounds differences by 1e-9 of it
+    peak = {col: max((abs(f) for f in map(_number, values) if f == f), default=0.0)
+            for col, values in zip(a[0], zip(*a[1:], *b[1:]))}
+    worst, worst_of_peak = {}, {}
     for _, col, u, v in cells:
-        try:
-            rel = abs(float(u) - float(v)) / max(abs(float(u)), abs(float(v)), 1e-300)
-        except ValueError:  # not a number
-            rel = float("inf")
+        x, y = _number(u), _number(v)
+        if x == x and y == y:
+            rel, of_peak = (abs(x - y) / max(scale, 1e-300)
+                            for scale in (max(abs(x), abs(y)), peak[col]))
+        else:  # not a number
+            rel = of_peak = float("inf")
         worst[col] = max(worst.get(col, 0.0), rel)
-    spread = ", ".join(f"{col} {rel:.3g}" for col, rel in worst.items())
-    return "{}: row {} {} {} vs {} (ref); largest relative difference {}".format(
-        name, *cells[0], spread)
+        worst_of_peak[col] = max(worst_of_peak.get(col, 0.0), of_peak)
+    spread, of_peak = (", ".join(f"{col} {rel:.3g}" for col, rel in w.items())
+                       for w in (worst, worst_of_peak))
+    return ("{}: row {} {} {} vs {} (ref); largest relative difference {}; "
+            "relative to the column's peak |value| {}").format(name, *cells[0], spread,
+                                                                of_peak)
 
 
 def main(ref: str) -> int:
