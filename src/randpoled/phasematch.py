@@ -40,7 +40,8 @@ _POWER_FLOOR = -42.0  # avg_f2_rps drops H^m below m Re log H = -42: |H^m| < 2^-
 # lag sums take at most this many (element, lag) terms at a time
 _LAG_TERMS = 1 << 16
 # Boundary sums take longer dk arrays in blocks of this many points, which
-# bounds their (nodes x N_L) and (n_dk x N_L) work arrays.
+# bounds their (nodes x N_L) and (n_dk x N_L) work arrays; spatial's
+# correlated_area takes its (theta_i x omega x phi_i) grid in blocks as big.
 _BLOCK = 4096
 
 

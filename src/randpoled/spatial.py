@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
+from .phasematch import _BLOCK
 from .spectra import ProcessConfig, _f2, coupling_g, fwhm
 
 
@@ -117,12 +118,18 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
     """
     omega_s = grid.omega_s
     k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
-    f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
-                             grid.theta_i, grid.phi_i)
-    integ = np.trapezoid((g2 * f2)[..., None] * trans, omega_s, axis=1)
-    values = np.sin(grid.theta_i)[:, None] * integ
+    values = np.empty((grid.theta_i.size, grid.phi_i.size))
+    # theta_i rows in blocks of at most _BLOCK (theta_i x omega x phi_i)
+    # points: each row reduces along omega alone, in cache
+    rows = max(1, _BLOCK // max(1, omega_s.size * grid.phi_i.size))
+    for r0 in range(0, grid.theta_i.size, rows):
+        theta_i = grid.theta_i[r0:r0 + rows]
+        f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
+                                 theta_i, grid.phi_i)
+        integ = np.trapezoid((g2 * f2)[..., None] * trans, omega_s, axis=1)
+        values[r0:r0 + rows] = np.sin(theta_i)[:, None] * integ
     if theta_s > 0:
-        values = values * np.sin(theta_s)
+        values *= np.sin(theta_s)
     return values
 
 

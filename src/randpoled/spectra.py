@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._brent import _brentq
 from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
 from .phasematch import BoundaryPlan, f2_chirp, f_exact, response
 from .structures import RandomSource, StructureSpec
@@ -277,8 +278,8 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     """Map chirp values to the disorder sigma giving equal width or rate.
 
     For each zeta the ensemble-mean observable of the random family is
-    root-found (bisection within a bracket located on a log grid from 5e-8
-    to 8e-6 m) to match the chirped structure's value.  Unbracketed entries
+    root-found (Brent's method within a bracket located on a log grid from
+    5e-8 to 8e-6 m) to match the chirped structure's value.  Unbracketed entries
     are returned with sigma = nan and matched = False.  The slice mismatch,
     |g|^2 |pump|^2 and the density of each sigma are computed once per call.
 
@@ -323,9 +324,8 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
                "rate_chirp": extractor_rate(grid.omega_s, chirp),
                "rate_rps": float("nan"), "matched": False}
         if usable.size:
-            from scipy.optimize import brentq  # on first use: ~0.5 s, ~0.25 s after f2_chirp
             lo, hi = probes[usable[0]], probes[usable[0] + 1]
-            sigma = brentq(mismatch, lo, hi, rtol=1e-2)
+            sigma = _brentq(mismatch, lo, hi, rtol=1e-2)
             row.update(sigma=float(sigma), observable_rps=mismatch(sigma) + goal,
                        rate_rps=extractor_rate(grid.omega_s, density("rps", sigma=sigma)),
                        matched=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._brent import _minimize_bounded
 from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _cw_slice, _f2,
                       fwhm, map_realizations, two_photon_amplitude)
 from .structures import RandomSource, StructureSpec
@@ -343,10 +344,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     band = np.sqrt(np.sum(weights * x ** 2) / np.sum(weights))
     scale = max(abs(c2), 1.0 / band ** 2)
     base_width = width_at(c2)
-    from scipy.optimize import minimize_scalar  # on first use: ~0.5 s, ~0.25 s after f_chirp
-    res = minimize_scalar(
-        width_at, bounds=(c2 - 5.0 * scale, c2 + 5.0 * scale),
-        method="bounded", options={"xatol": scale * 1e-4},
-    )
-    best = float(res.x) if res.fun < base_width * (1.0 - 1e-3) else c2
+    curv, width = _minimize_bounded(width_at, c2 - 5.0 * scale, c2 + 5.0 * scale,
+                                    xatol=scale * 1e-4)
+    best = curv if width < base_width * (1.0 - 1e-3) else c2
     return _apply_phase(slice_, c0, c1, best)

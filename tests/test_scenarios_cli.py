@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -273,8 +274,9 @@ class TestCli:
 
     def test_import_loads_only_the_scipy_it_needs(self, tmp_path):
         # scipy.special loads with the first chirped closed form (f_chirp or
-        # f2_chirp) and scipy.optimize with brentq's or minimize_scalar's: the
-        # import and the Monte-Carlo scenarios load no scipy module at all
+        # f2_chirp); the import and the Monte-Carlo scenarios load no scipy
+        # module at all, and the root search of sigma-zeta-match and the
+        # quadratic compensation of sumfreq-study no scipy.optimize
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import json, sys\n"
                 "from randpoled import cli\n"
@@ -296,10 +298,18 @@ class TestCli:
                 ["fab-error-scan", "--bases", "rps", "--sigma-er-values", "0,1e-6",
                  "--realizations", "5"]]):
             assert fresh(*args, "--out-dir", str(tmp_path / str(k))) == [0, []], args[0]
-        status, modules = fresh("spatial-study", "--n-omega", "21", "--n-theta", "40",
-                                "--pump-widths", "1e-5", "--out-dir", str(tmp_path / "s"))
-        assert status == 0 and "scipy.special" in modules
-        assert "scipy.optimize" not in modules
+        for name, args in (
+                ("spatial-study", ["--n-omega", "21", "--n-theta", "40",
+                                   "--pump-widths", "1e-5"]),
+                ("sigma-zeta-match", ["--zeta-values", "2.5e6", "--grid-points", "257"]),
+                ("sumfreq-study", ["--grid-points", "257", "--realizations", "1",
+                                   "--tau-points", "201"])):
+            status, modules = fresh(name, *args, "--out-dir", str(tmp_path / name))
+            assert status == 0 and "scipy.special" in modules, name
+            assert not [m for m in modules if m.startswith("scipy.optimize")], name
+        # the one zeta was matched: brentq ran
+        with open(tmp_path / "sigma-zeta-match" / "match.csv") as fh:
+            assert [*csv.DictReader(fh)][0]["matched"] == "1"
 
     def test_list(self, capsys):
         assert _run_cli(["list"]) == 0

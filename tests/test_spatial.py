@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from randpoled import RandomSource, StructureSpec, gen_ideal
+from randpoled import RandomSource, StructureSpec, gen_ideal, spatial
 from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
                                correlated_width_scan)
@@ -188,6 +190,25 @@ class TestWholeGridResponse:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     @pytest.mark.parametrize("n_phi", [1, 6])
+    def test_blocked_area_matches_whole_grid(self, cfg, model, source, n_phi):
+        # closed forms reduce each theta_i row alone: the same bits; boundary
+        # sums build their plan on another dk block
+        base = AngularGrid.default(cfg.omega_s0, n_phi=n_phi, n_omega=201)
+        rows = spatial._BLOCK // (base.omega_s.size * n_phi)
+        assert rows > 1
+        exact = isinstance(source, StructureSpec) and source.kind != "ideal"
+        for n_theta in (1, rows - 1, rows, rows + 1, 320):
+            grid = replace(base, theta_i=np.linspace(2e-3, 0.04, n_theta))
+            for theta_s, phi_s in ((0.0, 0.0), (0.015, 0.4)):
+                got = correlated_area(source, cfg, model, grid, theta_s, phi_s)
+                want = _whole_grid_area(source, cfg, model, grid, theta_s, phi_s)
+                assert got.shape == want.shape and want.max() > 0
+                if exact:
+                    assert np.array_equal(got, want), n_theta
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12 * want.max(), n_theta
+
+    @pytest.mark.parametrize("n_phi", [1, 6])
     def test_angular_density_matches_per_angle(self, cfg, model, source, n_phi):
         grid = AngularGrid.default(cfg.omega_s0, n_theta_s=4, theta_max=0.04,
                                    n_theta_i=24, n_phi=n_phi, n_omega=61)
@@ -202,3 +223,14 @@ class TestWholeGridResponse:
             want[:, m] *= np.sin(th_s)
         got = angular_spectral_density(source, cfg, model, grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def _whole_grid_area(source, cfg, model, grid, theta_s, phi_s):
+    """correlated_area in one shot over the whole (theta_i, omega_s, phi_i)
+    grid: the oracle of its theta_i blocks."""
+    k_s, k_i, k_p, g2 = spatial._slice_kinematics(cfg, model, grid.omega_s)
+    f2, trans = spatial._idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
+                                     grid.theta_i, grid.phi_i)
+    integ = np.trapezoid((g2 * f2)[..., None] * trans, grid.omega_s, axis=1)
+    values = np.sin(grid.theta_i)[:, None] * integ
+    return values * np.sin(theta_s) if theta_s > 0 else values
