@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._fresnel import _fresnel
 from .structures import PolingStructure, StructureSpec, gen_ideal
 
 # Relative threshold at which removable singularities switch to series
@@ -278,13 +279,12 @@ def _chirp_fresnel(delta_k, n_domains: int, l0: float, zeta: float):
     """(scalar?, dk, dk_tot, dk_tot zeta', r, dC, dS) of f_chirp's Fresnel form."""
     if zeta == 0.0:
         raise PhasematchError("zeta = 0: use the ideal-structure formulas")
-    from scipy.special import fresnel  # on first use: ~0.3 s to import
     scalar, dk, dk_tot = _detuned(delta_k, l0)
     rate = dk_tot * (zeta / (np.pi / l0))
     r = np.sqrt(np.abs(rate)) * l0
     beta = dk / (2.0 * rate * l0)
-    s, c = fresnel(np.sqrt(2.0 / np.pi) * r * np.stack([n_domains / 2.0 + beta,
-                                                        beta - n_domains / 2.0]))
+    s, c = _fresnel(np.sqrt(2.0 / np.pi) * r * np.stack([n_domains / 2.0 + beta,
+                                                         beta - n_domains / 2.0]))
     return scalar, dk, dk_tot, rate, r, c[0] - c[1], s[0] - s[1]
 
 

@@ -117,7 +117,6 @@ class EnsembleStats:
 def coupling_g(omega_s, omega_i, model: DispersionModel):
     """Coupling constant g = i sqrt(ws wi) / (2 c pi sqrt(ns ni)) chi2."""
     omega_s = np.asarray(omega_s, dtype=float)
-    omega_i = np.asarray(omega_i, dtype=float)
     n_s = model.refractive_index(omega_s)
     n_i = model.refractive_index(omega_i)
     return (

@@ -273,40 +273,39 @@ class TestCli:
             assert exc.value.code == code
 
     def test_import_loads_only_the_scipy_it_needs(self, tmp_path):
-        # scipy.special loads with the first chirped closed form (f_chirp or
-        # f2_chirp); the import and the Monte-Carlo scenarios load no scipy
-        # module at all, and the root search of sigma-zeta-match and the
-        # quadratic compensation of sumfreq-study no scipy.optimize
+        # it needs none: neither the import nor any scenario loads a scipy
+        # module, the Monte-Carlo scenarios nor the five that take the
+        # chirped closed form (Fresnel integrals), with the root search of
+        # sigma-zeta-match and the quadratic compensation of sumfreq-study
+        runs = [
+            ["histogram-study", "--realizations", "20"],
+            ["segment-scan", "--permutations", "1", "--d-values", "1,700"],
+            # the sigma_er > 0 row checks the redraw rate of 700 gaps
+            ["fab-error-scan", "--bases", "rps", "--sigma-er-values", "0,1e-6",
+             "--realizations", "5"],
+            ["sigma-zeta-match", "--zeta-values", "2.5e6", "--grid-points", "257"],
+            ["hom-study", "--grid-points", "257", "--tau-points", "101"],
+            ["sumfreq-study", "--grid-points", "257", "--realizations", "1",
+             "--tau-points", "201"],
+            ["spatial-study", "--n-omega", "21", "--n-theta", "40",
+             "--pump-widths", "1e-5"],
+            ["temperature-scan", "--t-values", "296,298", "--grid-points", "257"]]
+        runs = [[*args, "--out-dir", str(tmp_path / args[0])] for args in runs]
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import json, sys\n"
                 "from randpoled import cli\n"
-                "status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-                "print(json.dumps([status, sorted(m for m in sys.modules"
-                " if m.split('.')[0] == 'scipy')]))")
-
-        def fresh(*args):  # exit status and scipy modules after one run
-            out = subprocess.run([sys.executable, "-c", code, *args], check=True,
-                                 capture_output=True, text=True,
-                                 env=dict(os.environ, PYTHONPATH=str(src))).stdout
-            return json.loads(out)
-
-        assert fresh() == [0, []]
-        for k, args in enumerate([
-                ["histogram-study", "--realizations", "20"],
-                ["segment-scan", "--permutations", "1", "--d-values", "1,700"],
-                # the sigma_er > 0 row checks the redraw rate of 700 gaps
-                ["fab-error-scan", "--bases", "rps", "--sigma-er-values", "0,1e-6",
-                 "--realizations", "5"]]):
-            assert fresh(*args, "--out-dir", str(tmp_path / str(k))) == [0, []], args[0]
-        for name, args in (
-                ("spatial-study", ["--n-omega", "21", "--n-theta", "40",
-                                   "--pump-widths", "1e-5"]),
-                ("sigma-zeta-match", ["--zeta-values", "2.5e6", "--grid-points", "257"]),
-                ("sumfreq-study", ["--grid-points", "257", "--realizations", "1",
-                                   "--tau-points", "201"])):
-            status, modules = fresh(name, *args, "--out-dir", str(tmp_path / name))
-            assert status == 0 and "scipy.special" in modules, name
-            assert not [m for m in modules if m.startswith("scipy.optimize")], name
+                "def scipy(): return sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy')\n"
+                "out = [[0, scipy()]]\n"
+                "for args in json.loads(sys.argv[1]):\n"
+                "    out.append([cli.main(args), scipy()])\n"
+                "print(json.dumps(out))")
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src))).stdout
+        for name, result in zip(["import", *(args[0] for args in runs)], json.loads(out),
+                                strict=True):
+            assert result == [0, []], name
         # the one zeta was matched: brentq ran
         with open(tmp_path / "sigma-zeta-match" / "match.csv") as fh:
             assert [*csv.DictReader(fh)][0]["matched"] == "1"
