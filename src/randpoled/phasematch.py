@@ -17,6 +17,8 @@ data-parallel evaluation).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._fresnel import _fresnel
@@ -32,6 +34,9 @@ SERIES_SWITCH = 1e-6
 # magnifies the absolute error of S.  14 taps leave ~5e-11 there, 16 ~1e-12.
 _TAPS = 18
 _OVERSAMPLE = 2.0
+# degree of the Chebyshev series in which each tap is a function of the
+# point's offset from the nodes (see _tap_table)
+_TAP_DEGREE = 12
 # plans round layout half-lengths up to steps of 1/_HALF_STEPS octave (2.2 %)
 _HALF_STEPS = 32
 # avg_f2_rps sums the lags term by term where |m log H| < _LAG_SWITCH: there
@@ -96,6 +101,24 @@ class BoundaryPlan:
         return self._nodes[step]
 
 
+@functools.cache
+def _tap_table(beta: float):
+    """(_TAP_DEGREE + 1, _TAPS) Chebyshev coefficients, in t = 2 d - 1, of the
+    taps e^-beta psi(s_k) of a point at d = ceil(v) - v in [0, 1) past its
+    first node (v in node spacings): as a = _TAPS h / 2, tap k sits at
+    s_k / a = 1 - 2 (k + d) / _TAPS.  Fitted from I0 at the Chebyshev nodes
+    by the discrete cosine sum: off by <= 7e-16, its largest tap 0.061."""
+    n = _TAP_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    d = 0.5 * (1.0 + np.cos(theta))
+    s = 1.0 - 2.0 * (np.arange(_TAPS) + d[:, None]) / _TAPS
+    taps = np.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0))) * np.exp(-beta)
+    table = 2.0 / n * np.cos(np.outer(np.arange(n), theta)) @ taps
+    table[0] *= 0.5
+    table.flags.writeable = False  # shared by every plan of this beta
+    return table
+
+
 def _banded(dk, h, a, beta):
     """(mid, m, cols, B) of one block of the grid, or None for the direct sum."""
     if dk.size == 0 or not np.all(np.isfinite(dk)):
@@ -105,11 +128,17 @@ def _banded(dk, h, a, beta):
     if dk.size <= 2 * m + 1:
         return None
     mid = 0.5 * (lo + hi)
-    first = np.ceil((dk - a - mid) / h).astype(int)
-    cols = first[:, None] + np.arange(m, m + _TAPS)  # node j sits at m + j
-    s = (dk[:, None] - mid - (cols - m) * h) / a
-    psi = np.i0(beta * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
-    return mid, m, cols, psi * (h / a * np.exp(-beta))
+    v = (dk - mid - a) / h  # dk - mid first: d keeps ~1e-16, not ulp(dk) / h
+    first = np.ceil(v)
+    cols = first.astype(int)[:, None] + np.arange(m, m + _TAPS)  # node j sits at m + j
+    # Chebyshev polynomials T_k(t) of the points by the three-term recurrence
+    table = _tap_table(beta)
+    cheb = np.empty((table.shape[0], dk.size))
+    cheb[0] = 1.0
+    cheb[1] = 2.0 * (first - v) - 1.0
+    for k in range(2, cheb.shape[0]):
+        cheb[k] = 2.0 * cheb[1] * cheb[k - 1] - cheb[k - 2]
+    return mid, m, cols, cheb.T @ (table * (h / a))
 
 
 def _boundary_sum(z, w, dk, plan: BoundaryPlan | None = None):

@@ -28,7 +28,7 @@ from .structures import RandomSource, StructureSpec
 from .phasematch import xcorr_rps
 
 _TAU_CHUNK = 256
-_ROW_BLOCK = 32
+_ROW_BLOCK = 16  # correlator rows per block: its temporaries stay under the resident floor
 _MIRROR_TOL = 1e-12  # grid mirror asymmetry, of the peak, that the analytic trace accepts
 # largest phase error (rad) that grid rounding may cause in the transform
 _PHASE_TOL = 1e-12

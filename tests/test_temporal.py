@@ -247,6 +247,19 @@ class TestSumFrequency:
                     got = sumfreq_trace(spec, cfg, model, grid, tau).values
                 assert _peak_error(got, want) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_analytic_ensemble_independent_of_row_block(self, cfg, model, l0, n):
+        # blocks of 7 rows straddle the mirror row and blocks of 16 end at it, on
+        # odd and even grids; each row is the same whatever its block
+        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        grid = SpectralGrid.default(cfg.omega_s0, n=n)
+        traces = []
+        for rows in (1, 7, 16, 32, n):
+            with mock.patch.object(temporal, "_ROW_BLOCK", rows):
+                traces.append(sumfreq_trace(spec, cfg, model, grid, TAU_WIDE).values)
+        for got in traces[1:]:
+            assert _peak_error(got, traces[0]) <= 1e-15
+
     def test_analytic_ensemble_memory(self, cfg, model, grid, l0):
         # the row blocks never form the n x n correlator (196 MB when they did)
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)

@@ -2,8 +2,11 @@
 0 and 5, here and in a `git archive` export of git ref REF, and compare exit codes
 and output files byte for byte.  A differing CSV reports its first differing cell
 and, per differing column, the largest difference relative to each cell and to the
-column's peak |value|.  Exits 1 on any difference."""
+column's peak |value|; a differing JSON file of the same structure reports its
+largest numeric difference relative to the value, with its key path.  Exits 1 on
+any difference."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -26,7 +29,46 @@ def _number(cell: str) -> float:
         return float("nan")
 
 
+def _leaves(value, path: str = "") -> list:
+    """[(key path, leaf)] of a parsed JSON value, in document order; an empty
+    object or array is a leaf."""
+    if isinstance(value, dict) and value:
+        return [leaf for key, v in value.items()
+                for leaf in _leaves(v, f"{path}.{key}" if path else key)]
+    if isinstance(value, list) and value:
+        return [leaf for i, v in enumerate(value) for leaf in _leaves(v, f"{path}[{i}]")]
+    return [(path, value)]
+
+
+def _json_diff(name: str, ours: bytes, ref: bytes) -> str | None:
+    """The largest relative difference of two JSON files' numbers, or None
+    unless both parse to the same keys with only numbers differing."""
+    try:
+        a, b = (_leaves(json.loads(d)) for d in (ours, ref))
+    except ValueError:
+        return None
+    if [path for path, _ in a] != [path for path, _ in b]:
+        return None
+    moved = []
+    for (path, x), (_, y) in zip(a, b):
+        if x == y or x != x and y != y:  # equal, or nan on both sides
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            return None
+        rel = abs(x - y) / max(abs(x), abs(y))
+        moved.append((rel if rel == rel else float("inf"), path, x, y))
+    if not moved:
+        return None
+    rel, path, x, y = max(moved)
+    return (f"{name}: {len(moved)} numbers differ, largest relative difference "
+            f"{rel:.3g} at {path} ({x!r} vs {y!r} (ref))")
+
+
 def diff(name: str, ours, ref) -> str:
+    if name.endswith(".json") and ours and ref:
+        note = _json_diff(name, ours, ref)
+        if note:
+            return note
     a, b = ([*csv.reader(d.decode().splitlines())] for d in (ours or b"", ref or b""))
     cells = [(i, col, u, v) for i, (x, y) in enumerate(zip(a[1:], b[1:]), 1)
              for col, u, v in zip(a[0], x, y) if u != v]
