@@ -1,11 +1,10 @@
-"""Brent's scalar root finder and bounded minimizer (R. P. Brent, Algorithms
-for Minimization without Derivatives, Prentice-Hall, 1973, chs. 4 and 5).
+"""Brent's scalar root finder (R. P. Brent, Algorithms for Minimization
+without Derivatives, Prentice-Hall, 1973, ch. 4).
 
-Ports of scipy's ``brentq`` (its C routine) and of its
-``minimize_scalar(method="bounded")``: the same iterates, tolerances and
-results, without importing scipy's optimize package (~23 MB resident,
-~0.25 s).  The names are private, so bench/tracer.py, which times public
-functions, counts the searches' calls of f inside the caller's span.
+A port of scipy's ``brentq`` (its C routine): the same iterates, tolerances
+and results, without importing scipy's optimize package (~23 MB resident,
+~0.25 s).  The name is private, so bench/tracer.py, which times public
+functions, counts the search's calls of f inside the caller's span.
 """
 
 from __future__ import annotations
@@ -77,73 +76,3 @@ def _brentq(f, a, b, xtol: float = 2e-12,
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
-
-def _minimize_bounded(func, x1, x2, xatol: float = 1e-5, maxfun: int = 500):
-    """(x, func(x)) at a local minimum of func on [x1, x2]: golden-section
-    search with parabolic steps, stopped once x is known to xatol plus a
-    relative 1.5e-8 or after maxfun calls."""
-    x1, x2, xatol = float(x1), float(x2), float(xatol)
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx

@@ -17,13 +17,13 @@ leaves the dip unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import _minimize_bounded
-from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _cw_slice, _f2,
-                      fwhm, map_realizations, two_photon_amplitude)
+from .spectra import (ProcessConfig, SpectraError, SpectralGrid, SpectralSlice,
+                      _cw_slice, _f2, fwhm, map_realizations, two_photon_amplitude)
 from .structures import RandomSource, StructureSpec
 from .phasematch import xcorr_rps
 
@@ -33,6 +33,7 @@ _MIRROR_TOL = 1e-12  # grid mirror asymmetry, of the peak, that the analytic tra
 # largest phase error (rad) that grid rounding may cause in the transform
 _PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section's shrink factor
 
 
 class TemporalError(ValueError):
@@ -312,16 +313,39 @@ def _apply_phase(slice_: SpectralSlice, c0: float, c1: float, c2: float):
     return SpectralSlice(slice_.grid, slice_.values * corr, slice_.omega_p0)
 
 
+def _golden_min(f, lo: float, hi: float, xatol: float):
+    """(x, f(x)) at a local minimum of f on [lo, hi], the best point probed,
+    by golden-section search (J. Kiefer, Proc. Am. Math. Soc. 4, 502 (1953)):
+    each probe after the first two shrinks the bracket by _INV_GOLDEN, until
+    it is at most xatol long, so f is called
+    2 + ceil(ln(xatol / (hi - lo)) / ln _INV_GOLDEN) times."""
+    a, b = lo, hi
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log(xatol / (hi - lo)) / math.log(_INV_GOLDEN))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     """Spectral-phase compensation of the amplitude slice.
 
     none      -- identity.
     quadratic -- remove the best quadratic phase: start from the
                  weighted least-squares fit (exact for an injected
-                 quadratic) and refine the curvature by minimizing the
-                 sum-frequency trace width, keeping the refinement only
-                 if it strictly narrows the trace.  This models the
-                 best achievable quadratic compensator.
+                 quadratic) and refine the curvature by a golden-section
+                 search for the narrowest sum-frequency trace, keeping the
+                 refinement only if it narrows the trace by 1e-3.  A probe
+                 whose trace overruns the +-500 fs probe window counts as
+                 +inf wide.  This models the best achievable quadratic
+                 compensator.
     ideal     -- replace the amplitude by its modulus.
     """
     if mode == "none":
@@ -337,14 +361,17 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
 
     def width_at(curv: float) -> float:
         trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), omega_s0, tau)
-        return fwhm(trace.tau, trace.values)
+        try:
+            return fwhm(trace.tau, trace.values)
+        except SpectraError:  # wider than the window: never the narrowest
+            return math.inf
 
     weights = np.abs(slice_.values) ** 2
     x = omega_s - omega_s0
     band = np.sqrt(np.sum(weights * x ** 2) / np.sum(weights))
     scale = max(abs(c2), 1.0 / band ** 2)
     base_width = width_at(c2)
-    curv, width = _minimize_bounded(width_at, c2 - 5.0 * scale, c2 + 5.0 * scale,
-                                    xatol=scale * 1e-4)
+    curv, width = _golden_min(width_at, c2 - 5.0 * scale, c2 + 5.0 * scale,
+                              scale * 1e-4)
     best = curv if width < base_width * (1.0 - 1e-3) else c2
     return _apply_phase(slice_, c0, c1, best)

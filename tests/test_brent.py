@@ -1,4 +1,4 @@
-"""The Brent ports against scipy.optimize, the oracle, by exact equality:
+"""The brentq port against scipy.optimize, the oracle, by exact equality:
 the same points evaluated in the same order, the same result and the same
 exceptions."""
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from randpoled._brent import _brentq, _minimize_bounded
+from randpoled._brent import _brentq
 
 EPS4 = 4 * np.finfo(float).eps
 
@@ -107,50 +107,3 @@ class TestBrentq:
                                  lambda: optimize.brentq(fn, a, b, **kw))
             assert port == oracle == (None, exc)
 
-
-class TestMinimizeBounded:
-    @staticmethod
-    def _oracle(fn, lo, hi, **options):
-        res = optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                                       options=options)
-        return res.x, res.fun
-
-    def test_seeded_battery(self):
-        rng = np.random.default_rng(12)
-        for k in range(600):
-            c, m = rng.uniform(-1.0, 1.0, 3), rng.uniform(-2.0, 2.0)
-            shape = [lambda u: (u - m) ** 2 * (1.0 + c[0] ** 2) + c[1],
-                     lambda u: abs(u - m) ** (1.0 + abs(c[0])),
-                     lambda u: math.cos(3.0 * (u - m)) + 0.1 * c[2] * u,
-                     lambda u: 1.0 if abs(u - m) > 0.3 else (u - m) ** 4,
-                     lambda u: math.floor(16.0 * abs(u - m)) / 16.0,
-                     lambda u: abs(u - m) + 0.5 * c[0] * (u - m)][k % 6]
-            # compensate's magnitudes: curvatures ~1e-27 s^2, xatol 1e-4 of the scale
-            scale = 10.0 ** rng.integers(-30, 3)
-            lo = np.float64((m - rng.uniform(0.1, 3.0)) * scale)
-            hi = np.float64((m + rng.uniform(0.1, 3.0)) * scale)
-            xatol = np.float64(1e-4 * scale) if k % 2 else 1e-5
-
-            def fn(x, shape=shape, scale=scale):
-                return shape(x / scale)
-            f_port, port_calls = _logged(fn)
-            f_scipy, scipy_calls = _logged(fn)
-            got = _minimize_bounded(f_port, lo, hi, xatol=xatol)
-            assert got == self._oracle(f_scipy, lo, hi, xatol=xatol)
-            assert port_calls == scipy_calls
-
-    def test_maxfun(self):
-        def fn(x):
-            return math.cos(3.0 * x)
-        for maxfun in (1, 2, 5, 500):
-            f_port, port_calls = _logged(fn)
-            f_scipy, scipy_calls = _logged(fn)
-            got = _minimize_bounded(f_port, -1.0, 2.0, xatol=1e-12, maxfun=maxfun)
-            assert got == self._oracle(f_scipy, -1.0, 2.0, xatol=1e-12, maxiter=maxfun)
-            assert port_calls == scipy_calls and len(port_calls) <= max(maxfun, 2)
-
-    def test_bad_bounds_raise_like_scipy(self):
-        for lo, hi in ((1.0, -1.0), (0.0, np.inf), (np.nan, 1.0)):
-            port, oracle = _both(lambda: _minimize_bounded(abs, lo, hi),
-                                 lambda: self._oracle(abs, lo, hi))
-            assert port == oracle == (None, ValueError)

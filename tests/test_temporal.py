@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -16,9 +17,10 @@ from randpoled import (RandomSource, StructureSpec, compensate,
                        two_photon_amplitude, xcorr_rps)
 from randpoled import temporal
 from randpoled.spectra import SpectralGrid, SpectralSlice, _cw_slice, coupling_g
-from randpoled.temporal import (TemporalError, _direct_oscillatory_sum,
-                                _hom_weights, _next_fast_len, _oscillatory_sum,
-                                _trapezoid_weights, fit_quadratic_phase)
+from randpoled.temporal import (_INV_GOLDEN, TemporalError, _apply_phase,
+                                _direct_oscillatory_sum, _golden_min, _hom_weights,
+                                _next_fast_len, _oscillatory_sum, _trapezoid_weights,
+                                fit_quadratic_phase)
 
 TAU = np.linspace(-50e-15, 50e-15, 2001)
 TAU_WIDE = np.linspace(-400e-15, 400e-15, 2001)
@@ -348,6 +350,38 @@ class TestPhase:
         assert w_inj > 2.0 * w_orig
         assert w_comp < 1.05 * w_orig
 
+    @pytest.mark.parametrize("zeta", [4e6, -1e6])
+    def test_compensate_survives_probes_past_the_window(self, cfg, model, l0, zeta):
+        # some curvature probes widen the trace past the +-500 fs probe
+        # window; they must lose the search, not abort it
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        spec = StructureSpec("chirped", 700, l0, zeta=zeta)
+        sl = two_photon_amplitude(spec, cfg, model, grid)
+        fitted = _apply_phase(sl, *fit_quadratic_phase(sl))
+        w_fit = fwhm(*_trace_slice(fitted, cfg, model, grid, "none"))
+        w_quad = fwhm(*_trace(spec, cfg, model, grid, "quadratic"))
+        assert w_quad <= w_fit
+
+    @pytest.mark.parametrize("curvature", [0.0, 3e-28, -1e-27])
+    def test_compensate_keeps_exact_fit(self, cfg, curvature):
+        # a Gaussian amplitude with a purely quadratic phase: the fit is
+        # exact, no curvature narrows its trace by 1e-3, so the fit stays
+        grid = SpectralGrid.default(cfg.omega_s0, n=257)
+        x = grid.omega_s - cfg.omega_s0
+        sl = SpectralSlice(grid, np.exp(-(10.0 * x / np.ptp(x)) ** 2
+                                        + 1j * curvature * x ** 2), cfg.omega_p0)
+        fitted = _apply_phase(sl, *fit_quadratic_phase(sl))
+        assert np.array_equal(compensate(sl, "quadratic").values, fitted.values)
+
+    def test_compensate_probe_budget(self, cfg, model, grid, l0):
+        # each width probe is a 4096 x 1025 transform: the base width and
+        # 26 golden-section probes on sumfreq-study's default chirp
+        sl = two_photon_amplitude(StructureSpec("chirped", 700, l0, zeta=2.5e6),
+                                  cfg, model, grid)
+        with mock.patch.object(temporal, "fwhm", wraps=fwhm) as probe:
+            compensate(sl, "quadratic")
+        assert probe.call_count <= 27
+
 
 def _trace(spec, cfg, model, grid, mode):
     tr = sumfreq_trace(spec, cfg, model, grid, TAU_WIDE, compensation=mode)
@@ -375,3 +409,64 @@ class TestGrids:
         sl = two_photon_amplitude(s, cfg, model, bad)
         with pytest.raises(TemporalError):
             hom_trace(sl, cfg, model, bad, TAU)
+
+
+def _golden_shapes(rng, k):
+    """(f, minimizer, lo, hi) on the unit scale: a family of the bounded
+    search's battery, strictly unimodal on a bracket around its minimizer."""
+    c, m = rng.uniform(-1.0, 1.0, 3), rng.uniform(-2.0, 2.0)
+    f, x_min, reach = [
+        (lambda u: (u - m) ** 2 * (1.0 + c[0] ** 2) + c[1], m, 3.0),
+        (lambda u: abs(u - m) ** (1.0 + abs(c[0])), m, 3.0),
+        # tilted cosine, bracketed inside one well
+        (lambda u: -math.cos(3.0 * (u - m)) + 0.1 * c[2] * u,
+         m - math.asin(0.1 * c[2] / 3.0) / 3.0, 1.0),
+        (lambda u: abs(u - m) + 0.5 * c[0] * (u - m), m, 3.0)][k % 4]
+    return f, x_min, m - rng.uniform(0.1, reach), m + rng.uniform(0.1, reach)
+
+
+def _golden_probes(lo, hi, xatol):
+    return 2 + max(0, math.ceil(math.log(xatol / (hi - lo)) / math.log(_INV_GOLDEN)))
+
+
+class TestGoldenMin:
+    def test_finds_minimum_within_xatol(self):
+        # compensate's magnitudes: curvatures ~1e-28 s^2, xatol 1e-4 of the scale
+        rng = np.random.default_rng(12)
+        for k in range(400):
+            shape, m, lo, hi = _golden_shapes(rng, k)
+            scale = 10.0 ** rng.integers(-30, 3)
+            xatol = 1e-4 * scale
+            probed = []
+
+            def f(x, shape=shape, scale=scale):
+                probed.append(shape(x / scale))
+                return probed[-1]
+            x, fx = _golden_min(f, lo * scale, hi * scale, xatol)
+            assert len(probed) == _golden_probes(lo, hi, 1e-4)
+            assert abs(x - m * scale) <= xatol
+            assert fx == shape(x / scale) == min(probed)
+
+    @pytest.mark.parametrize("xatol, probes", [(5.0, 2), (2.0, 3), (0.9, 5), (0.3, 7),
+                                               (1e-3, 19), (1e-7, 38)])
+    def test_probe_count(self, xatol, probes):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(3.0 * x)
+        _golden_min(f, -1.0, 2.0, xatol)
+        assert len(calls) == _golden_probes(-1.0, 2.0, xatol) == probes
+
+    @pytest.mark.parametrize("window", [(-0.5, 0.45), (-0.05, 1.7), (-1.9, 0.05)])
+    def test_infinite_values_lose(self, window):
+        # +inf off a window around the minimum, as for the width probes whose
+        # trace overruns compensate's window; one first probe lies inside
+        m = 0.3
+
+        def f(u):
+            if not window[0] < u - m < window[1]:
+                return math.inf
+            return (u - m) ** 2
+        x, fx = _golden_min(f, m - 2.0, m + 2.0, 1e-6)
+        assert abs(x - m) <= 1e-6 and fx == (x - m) ** 2
