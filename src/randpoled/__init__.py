@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .dispersion import DispersionError, DispersionModel, omega_from_wavelength
 from .structures import (PolingStructure, RandomSource, StructureError,
-                         StructureSpec, apply_fabrication_error, gen_chirped,
-                         gen_ideal, gen_rps, shuffle_segments)
+                         StructureSpec, apply_fabrication_error,
+                         shuffle_segments)
 from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
                          f_chirp, f_exact, xcorr_rps)
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,

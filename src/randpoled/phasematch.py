@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from ._fresnel import _fresnel
-from .structures import PolingStructure, StructureSpec, gen_ideal
+from .structures import PolingStructure
 
 # Relative threshold at which removable singularities switch to series
 # or exact-summation branches.
@@ -277,7 +277,7 @@ def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float):
 def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):
     """Closed-form phase-matching function of a chirped structure.
 
-    Takes the chirp zeta of StructureSpec and gen_chirped, whose layout
+    Takes the chirp zeta of a chirped StructureSpec, whose generated layout
     z_n = -L + n l0 + zeta' (n - N_L/2)^2 l0^2 has zeta' = zeta / dk0.
     Continuum (stationary-phase) limit of its boundary sum, a difference of
     error functions, F = (2i / dk_tot) e^(i phi) sqrt(pi) / (2 a) [erf(a (N_L/2 +
@@ -387,23 +387,3 @@ def xcorr_rps(delta_k, delta_k_prime, n_domains: int, l0: float, sigma: float):
            * (2.0 / dkp_tot * np.exp(1j * n_domains * l0 * dkp)) * s)
     return complex(out[0]) if scalar and scalar_p else out
 
-
-def response(source, dk_tot):
-    """Phase-matching response of any source at total mismatch dk_tot.
-
-    Complex F for a PolingStructure, a chirped spec (closed form) or an
-    ideal or zeta = 0 chirped spec (its generated, equidistant layout);
-    real <|F|^2> for an rps spec.  Spec detunings are
-    measured from pi/l0, the fabricated design point, not the dispersion
-    operating point.
-    """
-    if isinstance(source, PolingStructure):
-        return f_exact(source, dk_tot)
-    if not isinstance(source, StructureSpec):
-        raise PhasematchError(f"unsupported source {type(source).__name__}")
-    if source.kind == "ideal" or source.kind == "chirped" and source.zeta == 0.0:
-        return f_exact(gen_ideal(source.n_domains, source.l0), dk_tot)
-    delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
-    if source.kind == "chirped":
-        return f_chirp(delta_k, source.n_domains, source.l0, source.zeta)
-    return avg_f2_rps(delta_k, source.n_domains, source.l0, source.sigma)

@@ -26,6 +26,11 @@ from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
 from .spatial import AngularGrid, correlated_area, correlated_width_scan
 
 
+# draw i of scan row r takes stream 1000 + r * _ROW_STREAMS + i, and fab-error-scan
+# numbers row e of base b as b * _BASE_ROWS + e: larger counts would share streams
+_ROW_STREAMS, _BASE_ROWS = 100_000, 100
+
+
 @dataclass(frozen=True)
 class Table:
     columns: tuple
@@ -203,9 +208,14 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
         "rps_ensemble_ideal": sumfreq_ensemble_mc(
             ens, ws.cfg, ws.model, ws.grid, realizations, seed, tau, "ideal"),
     }
-    table = _trace_table(tau, traces)
-    widths = {name: fwhm(tr.tau, tr.values) for name, tr in traces.items()}
-    return ScenarioResult({"traces": table}, {"trace_fwhm_s": widths})
+    widths = {}
+    for name, tr in traces.items():
+        try:
+            widths[name] = fwhm(tr.tau, tr.values)
+        except SpectraError as exc:
+            raise SpectraError(f"trace {name!r}: {exc} (tau within +-{tau_span:g} s); "
+                               "a larger tau_span widens the window") from exc
+    return ScenarioResult({"traces": _trace_table(tau, traces)}, {"trace_fwhm_s": widths})
 
 
 def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -276,6 +286,9 @@ def run_fab_error_scan(seed: int = 0,
     """Mean width and rate under random fabrication error of the boundaries."""
     if realizations < 1:
         raise SpectraError(f"need at least one realization, got {realizations}")
+    if realizations > _ROW_STREAMS or len(sigma_er_values) > _BASE_ROWS:
+        raise SpectraError(f"at most {_ROW_STREAMS} realizations and {_BASE_ROWS} sigma_er "
+                           f"values, got {realizations} and {len(sigma_er_values)}")
     # large error levels broaden spectra past the default span
     ws = _workspace(temperature, grid_points, span=0.6)
     # rows and streams follow this order, whatever the order of `bases`
@@ -296,7 +309,7 @@ def run_fab_error_scan(seed: int = 0,
             width, rate = _scan_means(
                 lambda i: apply_fabrication_error(
                     base, float(sigma_er),
-                    RandomSource(seed, 1000 + b * 10_000_000 + e * 100_000 + i),
+                    RandomSource(seed, 1000 + (b * _BASE_ROWS + e) * _ROW_STREAMS + i),
                     _law_checked=i > 0),
                 realizations if sigma_er > 0 else 1, ws)
             rows.append((name, float(sigma_er), float(width), float(rate)))
@@ -312,6 +325,8 @@ def run_segment_scan(seed: int = 0,
     """Mean width and rate after random reordering of chirped segments."""
     if permutations < 1:
         raise SpectraError(f"need at least one permutation, got {permutations}")
+    if permutations > _ROW_STREAMS:
+        raise SpectraError(f"at most {_ROW_STREAMS} permutations, got {permutations}")
     ws = _workspace(temperature, grid_points)
     base = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta) \
         .generate(RandomSource(seed, 0))
@@ -320,7 +335,7 @@ def run_segment_scan(seed: int = 0,
         # with d = N_L there is one run: every permutation is the same layout
         width, rate = _scan_means(
             lambda i: shuffle_segments(base, int(d),
-                                       RandomSource(seed, 1000 + e * 100_000 + i)),
+                                       RandomSource(seed, 1000 + e * _ROW_STREAMS + i)),
             1 if int(d) == n_domains else permutations, ws)
         rows.append((int(d), float(width), float(rate)))
     table = Table(("d", "width_mean", "rate_mean"), tuple(rows))

@@ -66,7 +66,7 @@ class AngularGrid:
 
 def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
                  phi_i_grid):
-    """|F|^2 over (theta_i, omega_s), from one response call, and the pump
+    """|F|^2 over (theta_i, omega_s), from one spectra._f2 call, and the pump
     factor over (theta_i, omega_s, phi_i), for the signal at (theta_s, phi_s)."""
     b = (np.sin(theta_i_grid)[:, None] * k_i)[..., None]
     dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i_grid)

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._brent import _brentq
 from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
-from .phasematch import BoundaryPlan, f2_chirp, f_exact, response
-from .structures import RandomSource, StructureSpec
+from .phasematch import BoundaryPlan, avg_f2_rps, f2_chirp, f_chirp, f_exact
+from .structures import PolingStructure, RandomSource, StructureSpec
 
 
 # effective nonlinear coefficient, m/V: rates are relative (see above)
@@ -137,14 +137,33 @@ def _cw_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
             coupling_g(grid.omega_s, omega_i, model))
 
 
+def _amplitude(source, dk_tot):
+    """F of a source at total mismatch dk_tot: f_exact of a PolingStructure,
+    or of the layout of an ideal or zeta = 0 chirped spec, and the closed
+    form f_chirp of a chirped one.  Spec detunings are measured from pi/l0,
+    the fabricated design point, not the dispersion operating point.  An rps
+    spec has no single F (only second-order moments): generate a layout."""
+    if isinstance(source, PolingStructure):
+        return f_exact(source, dk_tot)
+    if not isinstance(source, StructureSpec) or source.kind == "rps":
+        raise SpectraError("amplitude requires an explicit structure or a "
+                           "deterministic spec")
+    if not source.zeta:
+        return f_exact(source.generate(None), dk_tot)
+    delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
+    return f_chirp(delta_k, source.n_domains, source.l0, source.zeta)
+
+
 def _f2(source, dk_tot):
-    """|F|^2 of a source with an amplitude (a structure, a chirped or ideal
-    spec), else the closed-form ensemble mean <|F|^2> of an rps spec.  A
-    chirped spec's |F|^2 is taken without the phase of its F."""
-    if isinstance(source, StructureSpec) and source.kind == "chirped" and source.zeta:
-        return f2_chirp(dk_tot - np.pi / source.l0, source.n_domains, source.l0, source.zeta)
-    r = response(source, dk_tot)
-    return np.abs(r) ** 2 if np.iscomplexobj(r) else r
+    """|F|^2 of a source at total mismatch dk_tot: the closed-form ensemble
+    mean <|F|^2> of an rps spec, f2_chirp (without the phase of F) of a
+    chirped spec with zeta != 0, else |_amplitude|^2."""
+    if isinstance(source, StructureSpec) and (source.kind == "rps" or source.zeta):
+        delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
+        if source.kind == "rps":
+            return avg_f2_rps(delta_k, source.n_domains, source.l0, source.sigma)
+        return f2_chirp(delta_k, source.n_domains, source.l0, source.zeta)
+    return np.abs(_amplitude(source, dk_tot)) ** 2
 
 
 def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
@@ -155,11 +174,7 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     moments); generate a realization first.
     """
     _, dk_tot, g = _cw_slice(cfg, model, grid)
-    f = response(source, dk_tot)
-    if not np.iscomplexobj(f):
-        raise SpectraError("amplitude requires an explicit structure or a "
-                           "deterministic spec")
-    return SpectralSlice(grid, g * f, cfg.omega_p0)
+    return SpectralSlice(grid, g * _amplitude(source, dk_tot), cfg.omega_p0)
 
 
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,

@@ -2,7 +2,8 @@
 
 A structure is the ordered list of domain boundaries z_0 .. z_{N_L}
 with z_0 = -L at the entrance face.  The sign of chi(2) alternates per
-domain, with the first domain positive.  Families (StructureSpec kinds):
+domain, with the first domain positive.  A StructureSpec names one
+family, and StructureSpec.generate holds the three layout laws:
 
 * ideal    -- equidistant boundaries, z_n = -L + n*l0
 * rps      -- cumulative random walk, z_n = z_{n-1} + l0 + dl_n, spread sigma
@@ -115,13 +116,33 @@ class StructureSpec:
         if self.zeta and self.kind != "chirped":
             raise StructureError(f"zeta applies to chirped specs, not {self.kind!r}")
 
-    def generate(self, rng: RandomSource) -> PolingStructure:
-        """Draw one explicit realization of this spec."""
-        if self.kind == "ideal":
-            return gen_ideal(self.n_domains, self.l0)
-        if self.kind == "rps":
-            return gen_rps(self.n_domains, self.l0, self.sigma, rng)
-        return gen_chirped(self.n_domains, self.l0, self.zeta)
+    def generate(self, rng: RandomSource | None) -> PolingStructure:
+        """Draw one explicit layout of this spec; only rps with sigma > 0 reads rng.
+
+        rps: each domain length is l0 + N(0, sigma/sqrt(2)), nonpositive ones
+        redrawn; a law whose expected redraw rate exceeds MAX_REJECTION_RATE
+        is refused, and sigma > l0/3 warns.  chirped: z_n = -L + n l0 +
+        zeta' (n - N_L/2)^2 l0^2 with zeta' = zeta / dk0, dk0 = pi/l0, refused
+        unless monotone.  ideal, sigma = 0 and zeta = 0: z_n = -L + n l0.
+        """
+        n, l0 = self.n_domains, self.l0
+        if self.kind == "rps" and self.sigma:
+            if self.sigma > l0 / 3.0:
+                warnings.warn(f"sigma = {self.sigma:g} m exceeds l0/3; Gaussian boundary "
+                              "law will be noticeably truncated", stacklevel=2)
+            scale = self.sigma / np.sqrt(2.0)
+            _check_redraw_rate(l0, scale)
+            lengths = _jittered_lengths(np.full(n, l0), scale, rng.generator())
+            return _from_lengths(-(n * l0), lengths)
+        z = -(n * l0) + np.arange(n + 1) * l0
+        if self.kind == "chirped" and self.zeta:
+            z = z + self.zeta / (np.pi / l0) * (np.arange(n + 1) - n / 2.0) ** 2 * l0 ** 2
+            bad = np.nonzero(np.diff(z) <= 0.0)[0]
+            if bad.size:
+                raise StructureError(
+                    f"chirp too strong: boundaries not monotone at index {bad[0] + 1}"
+                )
+        return PolingStructure(z)
 
 
 def _check_redraw_rate(gap, scale: float) -> float:
@@ -151,64 +172,6 @@ def _jittered_lengths(base: np.ndarray, scale: float, gen) -> np.ndarray:
 def _from_lengths(z0: float, lengths: np.ndarray) -> PolingStructure:
     """Boundaries rebuilt cumulatively from the entrance face z0."""
     return PolingStructure(np.concatenate(([z0], z0 + np.cumsum(lengths))))
-
-
-def _warn_large_sigma(sigma: float, l0: float) -> None:
-    if sigma > l0 / 3.0:
-        warnings.warn(
-            f"sigma = {sigma:g} m exceeds l0/3; Gaussian boundary law "
-            "will be noticeably truncated",
-            stacklevel=3,
-        )
-
-
-def gen_ideal(n_domains: int, l0: float) -> PolingStructure:
-    """Equidistant structure of n_domains domains of length l0."""
-    if n_domains < 1:
-        raise StructureError("n_domains must be >= 1")
-    if l0 <= 0:
-        raise StructureError("l0 must be positive")
-    length = n_domains * l0
-    z = -length + np.arange(n_domains + 1) * l0
-    return PolingStructure(z)
-
-def gen_rps(n_domains: int, l0: float, sigma: float,
-            rng: RandomSource) -> PolingStructure:
-    """Randomly poled structure: boundaries follow a cumulative walk.
-
-    Each domain length is l0 + dl with dl ~ N(0, sigma/sqrt(2)).
-    Nonpositive lengths are rejected and redrawn; a law whose expected
-    rejection rate exceeds MAX_REJECTION_RATE is refused.
-    """
-    if sigma < 0:
-        raise StructureError("sigma must be >= 0")
-    if sigma == 0.0:
-        return gen_ideal(n_domains, l0)
-    _warn_large_sigma(sigma, l0)
-    scale = sigma / np.sqrt(2.0)
-    _check_redraw_rate(l0, scale)
-    lengths = _jittered_lengths(np.full(n_domains, l0), scale, rng.generator())
-    return _from_lengths(-(n_domains * l0), lengths)
-
-
-def gen_chirped(n_domains: int, l0: float, zeta: float) -> PolingStructure:
-    """Chirped structure: z_n = -L + n*l0 + zeta'*(n - N_L/2)^2*l0^2.
-
-    The reduced chirp is zeta' = zeta / dk0, with dk0 = pi/l0 by the
-    design relation.
-    """
-    if zeta == 0.0:
-        return gen_ideal(n_domains, l0)
-    zeta_prime = zeta / (np.pi / l0)
-    n = np.arange(n_domains + 1)
-    z = gen_ideal(n_domains, l0).boundaries \
-        + zeta_prime * (n - n_domains / 2.0) ** 2 * l0 ** 2
-    bad = np.nonzero(np.diff(z) <= 0.0)[0]
-    if bad.size:
-        raise StructureError(
-            f"chirp too strong: boundaries not monotone at index {bad[0] + 1}"
-        )
-    return PolingStructure(z)
 
 
 def apply_fabrication_error(s: PolingStructure, sigma_er: float,

@@ -53,9 +53,8 @@ class PhaseProfile:
     """Unwrapped spectral phase over the high-weight region."""
 
     omega_s: np.ndarray
-    phase: np.ndarray       # nan outside the reported segments
+    phase: np.ndarray       # nan where |Phi|^2 < WEIGHT_FLOOR of its peak
     weights: np.ndarray     # |Phi|^2
-    segments: tuple         # (start, stop) index pairs, stop exclusive
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -266,7 +265,7 @@ def spectral_phase(slice_: SpectralSlice) -> PhaseProfile:
 
     Samples where |Phi|^2 falls below WEIGHT_FLOOR of its peak are
     masked (nan); each contiguous run above the floor is unwrapped
-    independently and reported as a segment.
+    independently.
     """
     weights = np.abs(slice_.values) ** 2
     peak = weights.max()
@@ -274,16 +273,13 @@ def spectral_phase(slice_: SpectralSlice) -> PhaseProfile:
         raise TemporalError("zero amplitude everywhere")
     mask = weights >= WEIGHT_FLOOR * peak
     phase = np.full(slice_.values.size, np.nan)
-    segments = []
-    idx = np.nonzero(mask)[0]
-    if idx.size:
-        splits = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate(([idx[0]], idx[splits + 1]))
-        stops = np.concatenate((idx[splits] + 1, [idx[-1] + 1]))
-        for a, b in zip(starts, stops):
-            phase[a:b] = np.unwrap(np.angle(slice_.values[a:b]))
-            segments.append((int(a), int(b)))
-    return PhaseProfile(slice_.grid.omega_s, phase, weights, tuple(segments))
+    idx = np.nonzero(mask)[0]  # not empty: the peak is finite and positive
+    splits = np.nonzero(np.diff(idx) > 1)[0]
+    starts = np.concatenate(([idx[0]], idx[splits + 1]))
+    stops = np.concatenate((idx[splits] + 1, [idx[-1] + 1]))
+    for a, b in zip(starts, stops):
+        phase[a:b] = np.unwrap(np.angle(slice_.values[a:b]))
+    return PhaseProfile(slice_.grid.omega_s, phase, weights)
 
 
 def fit_quadratic_phase(slice_: SpectralSlice):

@@ -11,15 +11,18 @@ from scipy import special
 
 from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
                        avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
-                       f_chirp, f_exact, gen_chirped, gen_ideal,
-                       shuffle_segments, xcorr_rps)
+                       f_chirp, f_exact, shuffle_segments, xcorr_rps)
 from randpoled import phasematch
-from randpoled.phasematch import PhasematchError, f2_chirp, response
-from randpoled.spectra import SpectralGrid, _cw_slice, _f2
+from randpoled.phasematch import PhasematchError, f2_chirp
+from randpoled.spectra import SpectraError, SpectralGrid, _amplitude, _cw_slice, _f2
 from randpoled.structures import StructureError
 
 L0 = 9.489154805833549e-06
 DK0 = np.pi / L0
+
+
+def _ideal(n_domains):
+    return StructureSpec("ideal", n_domains, L0).generate(None)
 
 
 class TestFExact:
@@ -33,7 +36,7 @@ class TestFExact:
     }
 
     def test_against_quadrature_oracle(self):
-        s = gen_ideal(6, L0)
+        s = _ideal(6)
         for dk, want in self.ORACLE.items():
             val = f_exact(s, dk)
             assert val == pytest.approx(want, rel=1e-11, abs=1e-16)
@@ -41,23 +44,23 @@ class TestFExact:
     def test_zero_mismatch_limit(self):
         # alternating-sign integral of equal domains cancels pairwise;
         # odd domain count leaves exactly one domain
-        assert abs(f_exact(gen_ideal(6, L0), 0.0)) < 1e-20
-        assert f_exact(gen_ideal(7, L0), 0.0) == pytest.approx(L0, rel=1e-12)
+        assert abs(f_exact(_ideal(6), 0.0)) < 1e-20
+        assert f_exact(_ideal(7), 0.0) == pytest.approx(L0, rel=1e-12)
 
     def test_tiny_branch_continuous(self):
-        s = gen_ideal(101, L0)
+        s = _ideal(101)
         dk_switch = 1e-6 / s.length
         lo = f_exact(s, dk_switch * 0.99)
         hi = f_exact(s, dk_switch * 1.01)
         assert lo == pytest.approx(hi, rel=1e-6)
 
     def test_array_shape(self):
-        s = gen_ideal(10, L0)
+        s = _ideal(10)
         dk = np.linspace(-1e5, 1e5, 7).reshape(7, 1)
         assert f_exact(s, dk).shape == (7, 1)
 
     def test_boundary_sum_close_to_exact(self):
-        s = gen_ideal(700, L0)
+        s = _ideal(700)
         dk = np.linspace(0.8 * DK0, 1.2 * DK0, 11)
         fe = f_exact(s, dk)
         fb = f_boundary_sum(s, dk)
@@ -67,7 +70,7 @@ class TestFExact:
 
     def test_boundary_sum_rejects_zero(self):
         with pytest.raises(PhasematchError):
-            f_boundary_sum(gen_ideal(4, L0), 0.0)
+            f_boundary_sum(_ideal(4), 0.0)
 
 
 def _kernel_only():
@@ -90,9 +93,9 @@ def _peak_error(got, want):
 
 def _layout(kind, n_domains, sigma, seed):
     """One layout of the family `kind`; each draw takes its own stream of seed."""
-    chirped = gen_chirped(n_domains, L0, 2.5e6)
+    chirped = StructureSpec("chirped", n_domains, L0, zeta=2.5e6).generate(None)
     if kind == "ideal":
-        return gen_ideal(n_domains, L0)
+        return _ideal(n_domains)
     if kind == "chirped":
         return chirped
     if kind == "shuffled":
@@ -302,44 +305,62 @@ class TestExactPowers:
 
 
 class TestResponse:
+    # the source -> model seam: spectra._amplitude gives F, spectra._f2 |F|^2
     def test_maps_every_source(self):
         dk = DK0 + np.linspace(-2e4, 2e4, 9)
         s = _layout("rps", 50, 2.1e-6, 3)
-        assert np.array_equal(response(s, dk), f_exact(s, dk))
-        assert np.array_equal(response(StructureSpec("ideal", 50, L0), dk),
-                              f_exact(gen_ideal(50, L0), dk))
+        assert np.array_equal(_amplitude(s, dk), f_exact(s, dk))
+        assert np.array_equal(_f2(s, dk), np.abs(f_exact(s, dk)) ** 2)
+        ideal = StructureSpec("ideal", 50, L0)
+        assert np.array_equal(_amplitude(ideal, dk), f_exact(_ideal(50), dk))
+        assert np.array_equal(_f2(ideal, dk), np.abs(f_exact(_ideal(50), dk)) ** 2)
         chirp = StructureSpec("chirped", 50, L0, zeta=2.5e6)
-        assert np.array_equal(response(chirp, dk),
-                              f_chirp(dk - DK0, 50, L0, 2.5e6))
-        assert np.array_equal(response(StructureSpec("rps", 50, L0, sigma=1e-6), dk),
-                              avg_f2_rps(dk - DK0, 50, L0, 1e-6))
-        with pytest.raises(PhasematchError):
-            response("rps", dk)
+        assert np.array_equal(_amplitude(chirp, dk), f_chirp(dk - DK0, 50, L0, 2.5e6))
+        assert np.array_equal(_f2(chirp, dk), f2_chirp(dk - DK0, 50, L0, 2.5e6))
+        rps = StructureSpec("rps", 50, L0, sigma=1e-6)
+        assert np.array_equal(_f2(rps, dk), avg_f2_rps(dk - DK0, 50, L0, 1e-6))
+        for source in (rps, "rps", None, s.boundaries):
+            with pytest.raises(SpectraError, match="explicit structure"):
+                _amplitude(source, dk)
+        for source in ("rps", None, s.boundaries):
+            with pytest.raises(SpectraError, match="explicit structure"):
+                _f2(source, dk)
 
-    @pytest.mark.parametrize("spec,closed_form", [
-        (StructureSpec("chirped", 50, L0, zeta=2.5e6),
+    @pytest.mark.parametrize("spec,seam,closed_form", [
+        (StructureSpec("chirped", 50, L0, zeta=2.5e6), _amplitude,
          lambda s, t: f_chirp(t - np.pi / s.l0, s.n_domains, s.l0, s.zeta)),
-        (StructureSpec("chirped", 700, L0, zeta=-1e6),
+        (StructureSpec("chirped", 700, L0, zeta=-1e6), _amplitude,
          lambda s, t: f_chirp(t - np.pi / s.l0, s.n_domains, s.l0, s.zeta)),
-        (StructureSpec("rps", 700, L0, sigma=2.1e-6),
+        (StructureSpec("rps", 700, L0, sigma=2.1e-6), _f2,
          lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
-        (StructureSpec("rps", 300, L0),
+        (StructureSpec("rps", 300, L0), _f2,
          lambda s, t: avg_f2_rps(t - np.pi / s.l0, s.n_domains, s.l0, s.sigma)),
-        (StructureSpec("ideal", 50, L0),
+        (StructureSpec("ideal", 50, L0), _amplitude,
          lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
-        (StructureSpec("chirped", 50, L0),
+        (StructureSpec("chirped", 50, L0), _amplitude,
          lambda s, t: f_exact(s.generate(RandomSource(0)), t)),
     ], ids=["chirped", "chirped-negative", "rps", "rps-ordered", "ideal",
             "chirped-zero"])
-    def test_spec_fields_reach_the_closed_form(self, scenario_dk, spec, closed_form):
+    def test_spec_fields_reach_the_closed_form(self, scenario_dk, spec, seam,
+                                               closed_form):
         # the seam passes the spec's own fields, zeta included, detuned from
-        # pi / l0; a zeta = 0 chirp is the layout that gen_chirped draws
+        # pi / l0; a zeta = 0 chirp is the layout that its spec generates
         grid = scenario_dk[(257, 0.6)]
         for dk_tot in (grid, float(grid[77])):
             want = closed_form(spec, dk_tot)
-            got = response(spec, dk_tot)
+            got = seam(spec, dk_tot)
             assert type(got) is type(want)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [StructureSpec("ideal", 700, L0),
+                                      StructureSpec("chirped", 700, L0)],
+                             ids=["ideal", "chirped-zero"])
+    def test_deterministic_spec_is_its_layout(self, scenario_dk, spec):
+        # bit for bit, F and |F|^2, on every scenario grid and a 2-d one
+        layout = spec.generate(None)
+        for dk_tot in (*scenario_dk.values(), scenario_dk[(257, 0.6)].reshape(-1, 1)):
+            assert np.array_equal(_amplitude(spec, dk_tot), _amplitude(layout, dk_tot))
+            assert np.array_equal(_f2(spec, dk_tot), _f2(layout, dk_tot))
 
     def test_closed_forms_return_python_scalars(self):
         assert type(avg_f2_rps(5e4, 700, L0, 2.1e-6)) is float
@@ -412,7 +433,7 @@ class TestChirp:
     def test_matches_direct_sum(self):
         # the chirp sweeps local mismatch over +- zeta N_L l0 ~ 1.7e4 1/m;
         # compare across the central 80% of that emission plateau
-        s = gen_chirped(700, L0, 2.5e6)
+        s = StructureSpec("chirped", 700, L0, zeta=2.5e6).generate(None)
         half_span = 2.5e6 * 700 * L0 / 2
         dk = np.linspace(-0.8 * half_span, 0.8 * half_span, 41)
         direct = np.abs(f_exact(s, DK0 + dk)) ** 2
@@ -428,7 +449,7 @@ class TestChirp:
     @pytest.mark.parametrize("zeta", [2.5e6, -1e6])
     def test_f2_chirp_is_squared_modulus(self, scenario_dk, zeta):
         # |F|^2 from the Fresnel differences alone, without the phase of F;
-        # _f2 takes it for a chirped spec
+        # spectra._f2 takes it for a chirped spec
         spec = StructureSpec("chirped", 700, L0, zeta=zeta)
         for dk_tot in scenario_dk.values():
             got = f2_chirp(dk_tot - DK0, 700, L0, zeta)

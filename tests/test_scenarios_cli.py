@@ -252,6 +252,38 @@ class TestScanEngine:
         assert res.tables["scan"].rows == tuple(want)
 
 
+class _Started(Exception):
+    """Raised in place of a scenario's first work: its checks have passed."""
+
+
+class TestStreamLimits:
+    # draw i of scan row r takes stream 1000 + r * 100_000 + i, and fab-error-scan
+    # row e of base b is row 100 b + e: larger counts would reuse the next row's
+    # streams (the oracle tests above pin the formula)
+    ACCEPTED = [(run_fab_error_scan, dict(realizations=100_000)),
+                (run_fab_error_scan, dict(sigma_er_values=(1e-7,) * 100)),
+                (run_segment_scan, dict(permutations=100_000))]
+    REFUSED = [(run_fab_error_scan, dict(realizations=100_001)),
+               (run_fab_error_scan, dict(sigma_er_values=(1e-7,) * 101)),
+               (run_segment_scan, dict(permutations=100_001))]
+    IDS = ["realizations", "sigma_er_values", "permutations"]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_workspace", mock.Mock(side_effect=_Started))
+
+    @pytest.mark.parametrize("run,kwargs", ACCEPTED, ids=IDS)
+    def test_limit_accepted(self, run, kwargs):
+        with pytest.raises(_Started):
+            run(**kwargs)
+
+    @pytest.mark.parametrize("run,kwargs", REFUSED, ids=IDS)
+    def test_limit_plus_one_refused(self, run, kwargs):
+        with pytest.raises(spectra.SpectraError, match="at most"):
+            run(**kwargs)
+        scenarios._workspace.assert_not_called()
+
+
 def _run_cli(args):
     return cli.main(args)
 
@@ -396,7 +428,7 @@ class TestCli:
         assert (tmp_path / "envout" / "scan.csv").exists()
 
     def test_hom_study_zero_chirp(self, tmp_path):
-        # a zeta = 0 chirped spec is the ideal layout that gen_chirped draws
+        # a zeta = 0 chirped spec is the ideal layout that its spec generates
         code = _run_cli(["hom-study", "--zeta", "0", "--grid-points", "513",
                          "--tau-points", "201", "--out-dir", str(tmp_path)])
         assert code == 0
@@ -553,6 +585,28 @@ class TestCli:
         assert err["error"] == "numeric"
         assert "at least one" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_stream_overlap_is_a_domain_error(self, tmp_path, capsys):
+        code = _run_cli(["segment-scan", "--permutations", "100001",
+                         "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert "at most 100000 permutations" in err["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_sumfreq_trace_past_the_window_names_it(self, tmp_path, capsys):
+        # the uncompensated trace at zeta = -4e6 is ~670 fs wide, against the
+        # default +-300 fs window
+        code = _run_cli(["sumfreq-study", "--zeta=-4e6", "--grid-points", "257",
+                         "--realizations", "1", "--tau-points", "201",
+                         "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert "'cpps_none'" in err["message"]
+        assert "tau_span" in err["message"]
+        assert not (tmp_path / "traces.csv").exists()
 
     @pytest.mark.parametrize("scenario, config", [
         ("sigma-zeta-match", {"target": 5}),

@@ -3,12 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randpoled import RandomSource, StructureSpec, gen_ideal, spatial
+from randpoled import RandomSource, StructureSpec, spatial
 from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
                                correlated_width_scan)
-from randpoled.phasematch import response
-from randpoled.spectra import coupling_g
+from randpoled.spectra import _f2, coupling_g
 
 
 @pytest.fixture(scope="module")
@@ -138,20 +137,20 @@ class TestCorrelatedArea:
 
     def test_ideal_spec_matches_its_layout(self, cfg, model, agrid, l0):
         spec = correlated_area(StructureSpec("ideal", 700, l0), cfg, model, agrid)
-        layout = correlated_area(gen_ideal(700, l0), cfg, model, agrid)
+        layout = correlated_area(StructureSpec("ideal", 700, l0).generate(None), cfg,
+                                 model, agrid)
         assert np.array_equal(spec, layout)
         assert layout.max() > 0
 
 
 def _row_terms(source, cfg, model, om, theta_s, phi_s, th_i, phi_i):
     """Oracle terms of one theta_i row: g2, |F|^2 over omega_s from its own
-    response call, and the pump factor over (omega_s, phi_i)."""
+    spectra._f2 call, and the pump factor over (omega_s, phi_i)."""
     wi = cfg.omega_p0 - om
     k_s, k_i = model.wavenumber(om), model.wavenumber(wi)
     k_p = model.wavenumber(np.full_like(om, cfg.omega_p0))
     g2 = np.abs(coupling_g(om, wi, model)) ** 2
-    r = response(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i))
-    f2 = np.abs(r) ** 2 if np.iscomplexobj(r) else r
+    f2 = _f2(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i))
     b = (k_i * np.sin(th_i))[:, None]
     dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i)
     dky = (k_s * np.sin(theta_s) * np.cos(phi_s))[:, None] + b * np.cos(phi_i)

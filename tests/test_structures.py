@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from randpoled import (PolingStructure, RandomSource, StructureError,
-                       StructureSpec, apply_fabrication_error, gen_chirped,
-                       gen_ideal, gen_rps, shuffle_segments, structures)
+                       StructureSpec, apply_fabrication_error, shuffle_segments,
+                       structures)
 from randpoled.structures import MAX_REJECTION_RATE, _check_redraw_rate
 
 L0 = 9.489154805833549e-06
@@ -32,7 +32,7 @@ class TestRandomSource:
 
 class TestPolingStructure:
     def test_basic_properties(self):
-        s = gen_ideal(4, L0)
+        s = StructureSpec("ideal", 4, L0).generate(None)
         assert s.n_domains == 4
         assert s.length == pytest.approx(4 * L0)
         assert np.allclose(s.domain_lengths, L0)
@@ -54,34 +54,53 @@ class TestGenerators:
         # per-boundary std is sigma/sqrt(2) by the characteristic-function
         # convention exp(-sigma^2 dk^2/4)
         sigma = 1.5e-6
-        s = gen_rps(20000, L0, sigma, RandomSource(1))
+        s = StructureSpec("rps", 20000, L0, sigma=sigma).generate(RandomSource(1))
         lengths = s.domain_lengths
         assert lengths.mean() == pytest.approx(L0, rel=1e-3)
         assert lengths.std() == pytest.approx(sigma / np.sqrt(2), rel=2e-2)
 
     def test_rps_zero_sigma_is_ideal(self):
-        s = gen_rps(10, L0, 0.0, RandomSource(1))
+        s = StructureSpec("rps", 10, L0, sigma=0.0).generate(RandomSource(1))
         assert np.allclose(s.domain_lengths, L0)
 
     def test_rps_excessive_sigma_fails(self):
         # sigma comparable to l0 drives the rejection rate over the cap
         with pytest.warns(UserWarning), pytest.raises(StructureError):
-            gen_rps(5000, L0, 3 * L0, RandomSource(1))
+            StructureSpec("rps", 5000, L0, sigma=3 * L0).generate(RandomSource(1))
+
+    def test_large_sigma_warns_past_l0_over_3(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            StructureSpec("rps", 50, L0, sigma=L0 / 3.0).generate(RandomSource(0))
+        with pytest.warns(UserWarning, match="exceeds l0/3") as record:
+            StructureSpec("rps", 50, L0, sigma=1.01 * L0 / 3.0).generate(RandomSource(0))
+        assert record[0].filename == __file__  # attributed to the caller
 
     def test_chirped_layout(self):
-        s = gen_chirped(700, L0, 2.5e6)
+        s = StructureSpec("chirped", 700, L0, zeta=2.5e6).generate(None)
         n = np.arange(701)
         zeta_prime = 2.5e6 / (np.pi / L0)
         expect = -700 * L0 + n * L0 + zeta_prime * (n - 350.0) ** 2 * L0 ** 2
         assert np.allclose(s.boundaries, expect, rtol=0, atol=1e-18)
 
+    @pytest.mark.parametrize("n", [1, 10, 700])
+    def test_layouts_match_former_generators(self, n):
+        # oracles: the former ideal and chirped generators, to the last bit
+        ideal = -(n * L0) + np.arange(n + 1) * L0
+        chirped = ideal + 2.5e6 / (np.pi / L0) * (np.arange(n + 1) - n / 2.0) ** 2 * L0 ** 2
+        for spec, want in ((StructureSpec("ideal", n, L0), ideal),
+                           (StructureSpec("chirped", n, L0), ideal),
+                           (StructureSpec("rps", n, L0), ideal),
+                           (StructureSpec("chirped", n, L0, zeta=2.5e6), chirped)):
+            assert np.array_equal(spec.generate(None).boundaries, want)
+
     def test_chirped_zero_zeta_is_ideal(self):
-        s = gen_chirped(100, L0, 0.0)
+        s = StructureSpec("chirped", 100, L0, zeta=0.0).generate(None)
         assert np.allclose(s.domain_lengths, L0)
 
     def test_chirp_too_strong_names_index(self):
         with pytest.raises(StructureError, match="index 1"):
-            gen_chirped(700, L0, 5e9)
+            StructureSpec("chirped", 700, L0, zeta=5e9).generate(None)
 
     def test_spec_generate_dispatch(self):
         for kind, kw in [("ideal", {}), ("rps", dict(sigma=1e-6)),
@@ -124,11 +143,12 @@ class TestRedrawGate:
     @pytest.mark.parametrize("sigma_er", [pytest.param(3.1e-6, id="length-3.1e-06")])
     def test_fabrication_law_over_cap_raises(self, sigma_er):
         with pytest.raises(StructureError, match="redraw rate"):
-            apply_fabrication_error(gen_ideal(2, L0), sigma_er, RandomSource(0))
+            apply_fabrication_error(StructureSpec("ideal", 2, L0).generate(None),
+                                    sigma_er, RandomSource(0))
 
     @pytest.mark.parametrize("sigma_er", [pytest.param(2.5e-6, id="length-2.5e-06")])
     def test_fabrication_law_under_cap_draws(self, sigma_er):
-        s = gen_ideal(700, L0)
+        s = StructureSpec("ideal", 700, L0).generate(None)
         for seed in range(20):
             p = apply_fabrication_error(s, sigma_er, RandomSource(seed))
             assert np.all(np.diff(p.boundaries) > 0)
@@ -136,7 +156,8 @@ class TestRedrawGate:
 
 class TestRedrawRate:
     # oracle: the former rate, the mean of scipy's ndtr
-    GAPS = gen_rps(700, L0, 2.1e-6, RandomSource(4)).domain_lengths
+    GAPS = StructureSpec("rps", 700, L0, sigma=2.1e-6).generate(
+        RandomSource(4)).domain_lengths
 
     @staticmethod
     def _ndtr_rate(gap, scale):
@@ -179,8 +200,9 @@ class TestRedrawRate:
         monkeypatch.setattr(structures, "_check_redraw_rate", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gen_rps(700, L0, 1e-318, RandomSource(0))
-            apply_fabrication_error(gen_ideal(700, L0), 1e-318, RandomSource(0))
+            StructureSpec("rps", 700, L0, sigma=1e-318).generate(RandomSource(0))
+            apply_fabrication_error(StructureSpec("ideal", 700, L0).generate(None),
+                                    1e-318, RandomSource(0))
         assert rates == [0.0, 0.0]
 
 
@@ -198,12 +220,12 @@ class TestSharedLengthRedraw:
                 bad = bad[lengths[bad] <= 0.0]
             length = 700 * L0
             want = np.concatenate(([-length], -length + np.cumsum(lengths)))
-            got = gen_rps(700, L0, 2.1e-6, RandomSource(seed))
+            got = StructureSpec("rps", 700, L0, sigma=2.1e-6).generate(RandomSource(seed))
             assert np.array_equal(got.boundaries, want)
 
     def test_length_error_matches_inline_loop(self):
         # a 10 nm domain makes redraws happen at this error level
-        z = gen_chirped(700, L0, 2.5e6).boundaries.copy()
+        z = StructureSpec("chirped", 700, L0, zeta=2.5e6).generate(None).boundaries.copy()
         z[1] = z[0] + 0.01e-6
         s = PolingStructure(z)
         redrawn = 0
@@ -224,11 +246,11 @@ class TestSharedLengthRedraw:
 
 class TestFabricationError:
     def test_zero_error_is_identity(self):
-        s = gen_chirped(100, L0, 2.5e6)
+        s = StructureSpec("chirped", 100, L0, zeta=2.5e6).generate(None)
         assert apply_fabrication_error(s, 0.0, RandomSource(0)) is s
 
     def test_length_mode_accumulates(self):
-        s = gen_ideal(4000, L0)
+        s = StructureSpec("ideal", 4000, L0).generate(None)
         p = apply_fabrication_error(s, 5e-7, RandomSource(2))
         assert p.boundaries[0] == s.boundaries[0]
         dev = p.boundaries - s.boundaries
@@ -240,20 +262,20 @@ class TestFabricationError:
 
 class TestShuffle:
     def test_conserves_lengths_and_total(self):
-        s = gen_chirped(700, L0, 2.5e6)
+        s = StructureSpec("chirped", 700, L0, zeta=2.5e6).generate(None)
         t = shuffle_segments(s, 35, RandomSource(9))
         assert t.length == pytest.approx(s.length, rel=1e-14)
         assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))
 
     def test_d_equals_n_is_identity_layout(self):
-        s = gen_chirped(100, L0, 2.5e6)
+        s = StructureSpec("chirped", 100, L0, zeta=2.5e6).generate(None)
         t = shuffle_segments(s, 100, RandomSource(0))
         assert np.allclose(t.boundaries, s.boundaries)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 69, 70, 350, 699, 700])
     def test_matches_run_list_form(self, d):
         # oracle: the runs as a list of slices, concatenated in the drawn order
-        s = gen_chirped(700, L0, 2.5e6)
+        s = StructureSpec("chirped", 700, L0, zeta=2.5e6).generate(None)
         for seed in range(20):
             gen = RandomSource(seed).generator()
             runs = [s.domain_lengths[i:i + d] for i in range(0, 700, d)]
@@ -265,13 +287,13 @@ class TestShuffle:
             assert np.array_equal(got.boundaries, want)
 
     def test_short_final_run_participates(self):
-        s = gen_chirped(10, L0, 2.5e6)
+        s = StructureSpec("chirped", 10, L0, zeta=2.5e6).generate(None)
         t = shuffle_segments(s, 3, RandomSource(4))
         assert t.n_domains == 10
         assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))
 
     def test_invalid_d(self):
-        s = gen_ideal(10, L0)
+        s = StructureSpec("ideal", 10, L0).generate(None)
         with pytest.raises(StructureError):
             shuffle_segments(s, 0, RandomSource(0))
         with pytest.raises(StructureError):
@@ -280,7 +302,8 @@ class TestShuffle:
 
 class TestHistogram:
     def test_histogram_counts(self):
-        lengths = gen_rps(5000, L0, 1e-6, RandomSource(6)).domain_lengths
+        spec = StructureSpec("rps", 5000, L0, sigma=1e-6)
+        lengths = spec.generate(RandomSource(6)).domain_lengths
         bins = np.arange(np.floor(lengths.min() / 0.2e-6),
                          np.ceil(lengths.max() / 0.2e-6) + 1) * 0.2e-6
         counts, edges = np.histogram(lengths, bins=bins)
@@ -304,7 +327,7 @@ def test_generated_structures_valid(seed, n, sigma_um):
 @given(seed=st.integers(0, 2**16), d=st.integers(1, 50))
 @settings(max_examples=examples(40), deadline=None)
 def test_shuffle_total_length_invariant(seed, d):
-    s = gen_chirped(50, L0, 2.5e6)
+    s = StructureSpec("chirped", 50, L0, zeta=2.5e6).generate(None)
     t = shuffle_segments(s, d, RandomSource(seed))
     assert t.length == pytest.approx(s.length, rel=1e-13)
     assert np.allclose(np.sort(t.domain_lengths), np.sort(s.domain_lengths))

@@ -17,7 +17,7 @@ from randpoled import (RandomSource, StructureSpec, compensate,
                        two_photon_amplitude, xcorr_rps)
 from randpoled import temporal
 from randpoled.spectra import SpectralGrid, SpectralSlice, _cw_slice, coupling_g
-from randpoled.temporal import (_INV_GOLDEN, TemporalError, _apply_phase,
+from randpoled.temporal import (_INV_GOLDEN, WEIGHT_FLOOR, TemporalError, _apply_phase,
                                 _direct_oscillatory_sum, _golden_min, _hom_weights,
                                 _next_fast_len, _oscillatory_sum, _trapezoid_weights,
                                 fit_quadratic_phase)
@@ -301,15 +301,27 @@ class TestSumFrequency:
 
 class TestPhase:
     def test_spectral_phase_masks_low_weight(self, cfg, model, grid513, l0):
-        s = StructureSpec("chirped", 700, l0, zeta=2.5e6)
-        sl = two_photon_amplitude(s, cfg, model, grid513)
-        prof = spectral_phase(sl)
-        assert len(prof.segments) >= 1
-        inside = np.zeros(grid513.n_points, dtype=bool)
-        for a, b in prof.segments:
-            inside[a:b] = True
-        assert np.all(np.isfinite(prof.phase[inside]))
-        assert np.all(np.isnan(prof.phase[~inside]))
+        # the chirped band fills this grid; the ideal sinc^2 has masked side lobes.
+        # Each run above the floor is unwrapped on its own, also across a gap
+        # where the phase jumps by more than pi
+        slices = [two_photon_amplitude(s, cfg, model, grid513)
+                  for s in (StructureSpec("chirped", 700, l0, zeta=2.5e6),
+                            StructureSpec("ideal", 700, l0))]
+        half = grid513.n_points // 2
+        jump = np.where(np.arange(grid513.n_points) < half, np.exp(-0.5j), np.exp(3.0j))
+        jump[half - 5:half + 5] = 0.0
+        slices.append(SpectralSlice(grid513, jump, cfg.omega_p0))
+        runs = []
+        for sl in slices:
+            prof = spectral_phase(sl)
+            weight = np.abs(sl.values) ** 2
+            inside = weight >= WEIGHT_FLOOR * weight.max()
+            assert np.all(np.isnan(prof.phase[~inside]))
+            edges = np.flatnonzero(np.diff(np.concatenate(([0], inside, [0]))))
+            for a, b in zip(edges[::2], edges[1::2]):
+                assert np.array_equal(prof.phase[a:b], np.unwrap(np.angle(sl.values[a:b])))
+            runs.append(edges.size // 2)
+        assert runs[0] == 1 and runs[1] > 1 and runs[2] == 2
 
     def test_quadratic_fit_recovers_injection(self, cfg, model, grid513, l0):
         ideal = StructureSpec("ideal", 700, l0).generate(RandomSource(0))
