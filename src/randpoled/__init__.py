@@ -19,8 +19,7 @@ from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,
                       SpectralSlice, ensemble_run, fwhm, joint_density,
                       match_parameter, two_photon_amplitude)
-from .temporal import (PhaseProfile, TemporalTrace, compensate,
-                       entanglement_time, hom_trace, spectral_phase,
+from .temporal import (TemporalTrace, compensate, entanglement_time, hom_trace,
                        sumfreq_ensemble_mc, sumfreq_trace)
 from .spatial import (AngularGrid, angular_spectral_density, correlated_area,
                       correlated_width_scan)

@@ -171,9 +171,9 @@ def run(config: RunConfig) -> int:
     metadata = {
         "scenario": config.scenario,
         "seed": config.seed,
-        "parameters": {k: _jsonable(v) for k, v in resolved.items()},
+        "parameters": resolved,
         "version": __version__,
-        "extra": _jsonable(result.metadata),
+        "extra": result.metadata,
     }
     files["metadata.json"] = json_text(metadata)
     try:
@@ -184,16 +184,6 @@ def run(config: RunConfig) -> int:
     print(f"randpoled: wrote {len(files)} files to {config.out_dir}",
           file=sys.stderr)
     return EXIT_OK
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
 
 
 def _emit_error(kind: str, message: str) -> None:

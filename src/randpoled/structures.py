@@ -10,7 +10,8 @@ family, and StructureSpec.generate holds the three layout laws:
 * chirped  -- quadratic-in-index boundary displacement, chirp zeta
 
 A spec takes only its family's field: sigma on an ideal or chirped
-spec, or zeta on an ideal or rps one, is refused.
+spec, or zeta on an ideal or rps one, is refused, and so is a chirp
+too strong for monotone boundaries.
 
 Any layout can further take fabrication error (apply_fabrication_error)
 or have its domain runs permuted (shuffle_segments).
@@ -115,6 +116,8 @@ class StructureSpec:
             raise StructureError(f"sigma applies to rps specs, not {self.kind!r}")
         if self.zeta and self.kind != "chirped":
             raise StructureError(f"zeta applies to chirped specs, not {self.kind!r}")
+        if self.zeta:  # the closed forms describe only layouts generate accepts
+            self.generate(None)
 
     def generate(self, rng: RandomSource | None) -> PolingStructure:
         """Draw one explicit layout of this spec; only rps with sigma > 0 reads rng.

@@ -1,7 +1,7 @@
 """Temporal correlations of the photon pair.
 
 Hong-Ou-Mandel (HOM) coincidence traces, sum-frequency intensity
-traces, and spectral-phase extraction/compensation, all in the cw-pump
+traces, and quadratic spectral-phase fit/compensation, all in the cw-pump
 regime where the two-photon state lives on the slice
 omega_i = omega_p0 - omega_s.  Every trace takes its delay grid tau
 explicitly.
@@ -46,15 +46,6 @@ class TemporalTrace:
 
     tau: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Unwrapped spectral phase over the high-weight region."""
-
-    omega_s: np.ndarray
-    phase: np.ndarray       # nan where |Phi|^2 < WEIGHT_FLOOR of its peak
-    weights: np.ndarray     # |Phi|^2
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -260,46 +251,26 @@ def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
     return _area_normalized(tau, sum(traces))
 
 
-def spectral_phase(slice_: SpectralSlice) -> PhaseProfile:
-    """Argument of the amplitude, unwrapped over high-weight segments.
+def fit_quadratic_phase(slice_: SpectralSlice):
+    """Weighted least-squares quadratic fit of the unwrapped phase.
 
-    Samples where |Phi|^2 falls below WEIGHT_FLOOR of its peak are
-    masked (nan); each contiguous run above the floor is unwrapped
-    independently.
+    Samples where |Phi|^2 falls below WEIGHT_FLOOR of its peak are left
+    out; each contiguous run above the floor is unwrapped on its own.
+    Squared residuals weigh |Phi|^2 (polyfit's w = |Phi|); returns the
+    coefficients (c0, c1, c2) of c0 + c1 x + c2 x^2 in
+    x = omega_s - omega_s0.
     """
     weights = np.abs(slice_.values) ** 2
     peak = weights.max()
     if peak <= 0:
         raise TemporalError("zero amplitude everywhere")
-    mask = weights >= WEIGHT_FLOOR * peak
-    phase = np.full(slice_.values.size, np.nan)
-    idx = np.nonzero(mask)[0]  # not empty: the peak is finite and positive
-    splits = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([idx[0]], idx[splits + 1]))
-    stops = np.concatenate((idx[splits] + 1, [idx[-1] + 1]))
-    for a, b in zip(starts, stops):
-        phase[a:b] = np.unwrap(np.angle(slice_.values[a:b]))
-    return PhaseProfile(slice_.grid.omega_s, phase, weights)
-
-
-def fit_quadratic_phase(slice_: SpectralSlice):
-    """Weighted least-squares quadratic fit of the unwrapped phase.
-
-    Weights are |Phi|^2 over the high-weight region; returns the
-    coefficients (c0, c1, c2) of c0 + c1 x + c2 x^2 in
-    x = omega_s - omega_s0.
-    """
-    profile = spectral_phase(slice_)
-    mask = np.isfinite(profile.phase)
-    if np.count_nonzero(mask) < 3:
+    idx = np.nonzero(weights >= WEIGHT_FLOOR * peak)[0]
+    if idx.size < 3:
         raise TemporalError("degenerate fit: fewer than three weighted samples")
-    omega_s0 = 0.5 * slice_.omega_p0
-    x = profile.omega_s[mask] - omega_s0
-    if np.ptp(x) == 0:
-        raise TemporalError("degenerate fit: all weight at one frequency")
-    coeffs = np.polynomial.polynomial.polyfit(
-        x, profile.phase[mask], 2, w=np.sqrt(profile.weights[mask])
-    )
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
+    phase = np.concatenate([np.unwrap(np.angle(slice_.values[r])) for r in runs])
+    x = slice_.grid.omega_s[idx] - 0.5 * slice_.omega_p0
+    coeffs = np.polynomial.polynomial.polyfit(x, phase, 2, w=np.sqrt(weights[idx]))
     return tuple(float(c) for c in coeffs)
 
 

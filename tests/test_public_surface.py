@@ -17,6 +17,7 @@ and the acceptance criteria build.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,3 +125,27 @@ def test_every_structure_kind_is_built():
     built = _spec_kinds_built(SRC / "scenarios.py",
                               ROOT / "tests" / "test_acceptance.py")
     assert sorted(accepted - built) == []
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    # the program's one dependency is numpy (pyproject.toml); scipy and the
+    # rest of the test extra serve the tests alone
+    imported = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                # a module named by a string would escape the parse
+                assert not (isinstance(node, ast.Name) and node.id == "__import__"
+                            or isinstance(node, ast.Attribute)
+                            and node.attr == "import_module"), path.name
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], set()).add(path.name)
+    assert "numpy" in imported
+    foreign = {top: sorted(files) for top, files in imported.items()
+               if top not in sys.stdlib_module_names | {"numpy", "randpoled"}}
+    assert foreign == {}

@@ -595,6 +595,16 @@ class TestCli:
         assert "at most 100000 permutations" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_non_monotone_chirp_is_a_domain_error(self, tmp_path, capsys):
+        # the closed forms would give this crystal a spectrum; its layout
+        # does not exist, as segment-scan's generate already says
+        code = _run_cli(["spatial-study", "--zeta=6e7", "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert err["message"] == "chirp too strong: boundaries not monotone at index 1"
+        assert not (tmp_path / "correlated_area.csv").exists()
+
     def test_sumfreq_trace_past_the_window_names_it(self, tmp_path, capsys):
         # the uncompensated trace at zeta = -4e6 is ~670 fs wide, against the
         # default +-300 fs window

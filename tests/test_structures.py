@@ -102,6 +102,18 @@ class TestGenerators:
         with pytest.raises(StructureError, match="index 1"):
             StructureSpec("chirped", 700, L0, zeta=5e9).generate(None)
 
+    @pytest.mark.parametrize("n", [2, 700])
+    def test_spec_refuses_non_monotone_chirp(self, n):
+        # z_1 - z_0 = l0 (1 - zeta' l0 (N_L - 1)) with zeta' = zeta / dk0: at
+        # zeta > 0 the first domain closes first, at zeta < 0 the last one
+        limit = np.pi / (L0 ** 2 * (n - 1))
+        StructureSpec("chirped", n, L0, zeta=0.99 * limit)
+        StructureSpec("chirped", n, L0, zeta=-0.99 * limit)
+        with pytest.raises(StructureError, match="monotone at index 1$"):
+            StructureSpec("chirped", n, L0, zeta=1.01 * limit)
+        with pytest.raises(StructureError, match="chirp too strong"):
+            StructureSpec("chirped", n, L0, zeta=-1.01 * limit)
+
     def test_spec_generate_dispatch(self):
         for kind, kw in [("ideal", {}), ("rps", dict(sigma=1e-6)),
                          ("chirped", dict(zeta=2.5e6))]:

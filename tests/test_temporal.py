@@ -12,7 +12,7 @@ from scipy import fft
 from conftest import dispersion_cancellation_check, examples
 
 from randpoled import (RandomSource, StructureSpec, compensate,
-                       entanglement_time, fwhm, hom_trace, spectral_phase,
+                       entanglement_time, fwhm, hom_trace,
                        sumfreq_ensemble_mc, sumfreq_trace,
                        two_photon_amplitude, xcorr_rps)
 from randpoled import temporal
@@ -301,9 +301,10 @@ class TestSumFrequency:
 
 class TestPhase:
     def test_spectral_phase_masks_low_weight(self, cfg, model, grid513, l0):
-        # the chirped band fills this grid; the ideal sinc^2 has masked side lobes.
-        # Each run above the floor is unwrapped on its own, also across a gap
-        # where the phase jumps by more than pi
+        # the chirped band fills this grid; the ideal sinc^2 has side lobes
+        # below the floor; the synthetic slice's phase jumps by 3.5 rad
+        # across a gap below the floor.  Oracle: each run above the floor
+        # unwrapped on its own, then polyfit with w = |Phi|, to the last bit
         slices = [two_photon_amplitude(s, cfg, model, grid513)
                   for s in (StructureSpec("chirped", 700, l0, zeta=2.5e6),
                             StructureSpec("ideal", 700, l0))]
@@ -313,15 +314,39 @@ class TestPhase:
         slices.append(SpectralSlice(grid513, jump, cfg.omega_p0))
         runs = []
         for sl in slices:
-            prof = spectral_phase(sl)
             weight = np.abs(sl.values) ** 2
             inside = weight >= WEIGHT_FLOOR * weight.max()
-            assert np.all(np.isnan(prof.phase[~inside]))
             edges = np.flatnonzero(np.diff(np.concatenate(([0], inside, [0]))))
-            for a, b in zip(edges[::2], edges[1::2]):
-                assert np.array_equal(prof.phase[a:b], np.unwrap(np.angle(sl.values[a:b])))
+            phase = np.concatenate([np.unwrap(np.angle(sl.values[a:b]))
+                                    for a, b in zip(edges[::2], edges[1::2])])
+            x = grid513.omega_s[inside] - cfg.omega_s0
+            w = np.sqrt(weight[inside])
+            want = np.polynomial.polynomial.polyfit(x, phase, 2, w=w)
+            assert fit_quadratic_phase(sl) == tuple(float(c) for c in want)
             runs.append(edges.size // 2)
         assert runs[0] == 1 and runs[1] > 1 and runs[2] == 2
+        # one unwrap over both runs would carry the jump into the fit
+        joint = np.polynomial.polynomial.polyfit(
+            x, np.unwrap(np.angle(sl.values[inside])), 2, w=w)
+        assert not np.array_equal(joint, want)
+
+    def test_fit_needs_a_nonzero_amplitude(self, cfg, grid513):
+        zero = SpectralSlice(grid513, np.zeros(grid513.n_points), cfg.omega_p0)
+        with pytest.raises(TemporalError, match="zero amplitude everywhere"):
+            fit_quadratic_phase(zero)
+
+    @pytest.mark.parametrize("kept", [[200], [200, 201], [10, 400]])
+    def test_fit_needs_three_samples_above_the_floor(self, cfg, grid513, kept):
+        # a sample just below WEIGHT_FLOOR of the peak does not count
+        values = np.zeros(grid513.n_points, dtype=complex)
+        values[kept] = np.exp(0.3j)
+        values[300] = np.sqrt(0.99 * WEIGHT_FLOOR)
+        with pytest.raises(TemporalError, match="fewer than three weighted samples"):
+            fit_quadratic_phase(SpectralSlice(grid513, values, cfg.omega_p0))
+        if len(kept) == 2:  # just above the floor it is the third sample
+            values[300] = np.sqrt(1.01 * WEIGHT_FLOOR)
+            sl = SpectralSlice(grid513, values, cfg.omega_p0)
+            assert np.all(np.isfinite(fit_quadratic_phase(sl)))
 
     def test_quadratic_fit_recovers_injection(self, cfg, model, grid513, l0):
         ideal = StructureSpec("ideal", 700, l0).generate(RandomSource(0))
