@@ -14,8 +14,7 @@ from .dispersion import DispersionError, DispersionModel, omega_from_wavelength
 from .structures import (PolingStructure, RandomSource, StructureError,
                          StructureSpec, apply_fabrication_error,
                          shuffle_segments)
-from .phasematch import (avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
-                         f_chirp, f_exact, xcorr_rps)
+from .phasematch import avg_f2_rps, f_chirp, f_exact, xcorr_rps
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,
                       SpectralSlice, ensemble_run, fwhm, joint_density,
                       match_parameter, two_photon_amplitude)

@@ -64,15 +64,12 @@ def _coerce(value, default):
     if isinstance(default, (tuple, list)):
         if isinstance(value, str):
             value = [v.strip() for v in value.split(",") if v]
-        # list elements take their type from the default's
-        if {type(v) for v in default} in ({int}, {float}, {str}):
-            return tuple(_coerce(v, default[0]) for v in value)
-        return tuple(value)
+        # list elements take their type from the default's, whose elements
+        # all share one type: int, float or str
+        return tuple(_coerce(v, default[0]) for v in value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ValueError(f"{value!r} is not a string")
-        return value
-    if not isinstance(default, (int, float)):
         return value
     if isinstance(value, str):
         value = _parse_token(value)

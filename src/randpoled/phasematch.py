@@ -209,20 +209,6 @@ def f_exact(s: PolingStructure, dk_total, plan: BoundaryPlan | None = None):
     return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
 
 
-def f_boundary_sum(s: PolingStructure, dk_total):
-    """Boundary-sum approximation F = (2i/dk) sum_n (-1)^n exp(i dk z_n).
-
-    Differs from f_exact only by end-face terms of relative order
-    1/N_L.  Rejects dk_total = 0.  Builds its own BoundaryPlan.
-    """
-    dk = np.asarray(dk_total, dtype=float)
-    if np.any(dk == 0.0):
-        raise PhasematchError("boundary sum undefined at zero mismatch; use f_exact")
-    w = (-1.0) ** np.arange(s.n_domains + 1)
-    out = 2j / dk.ravel() * _boundary_sum(s.boundaries, w, dk.ravel())
-    return out[0] if dk.ndim == 0 else out.reshape(dk.shape)
-
-
 def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float):
     """Ensemble mean of |F|^2 for randomly poled (random-walk) structures.
 
@@ -249,29 +235,6 @@ def avg_f2_rps(delta_k, n_domains: int, l0: float, sigma: float):
         powers = np.exp(np.multiply.outer(u[~ok], lag))
         out[~ok] = 4.0 / dk_tot[~ok] ** 2 * (m + 2.0 * np.real(powers) @ (m - lag))
     return float(out[0]) if scalar else out
-
-
-def avg_f2_rps_asymptotic(delta_k, n_domains: int, l0: float, sigma: float):
-    """Large-disorder asymptote of avg_f2_rps.
-
-    Single-fraction simplification obtained by dropping the bounded
-    H^(N_L+1) boundary term of the exact mean, leaving
-
-        4 (N_L+1) (1 - G^2) / [dk_tot^2 |1 - H|^2].
-
-    Valid when v = sigma^2 dk0^2 N_L / 2 >> 1.  Returns
-    (values, validity_metric); the caller judges v.  Note the local
-    dephasing vanishes as dk_tot -> 0, so the pointwise error grows at
-    the small-mismatch edge of the band even when v is large.
-    """
-    scalar, dk, dk_tot = _detuned(delta_k, l0)
-    g = np.exp(-sigma ** 2 * dk_tot ** 2 / 4.0)
-    value = (
-        4.0 * (n_domains + 1) / dk_tot ** 2
-        * (1.0 - g ** 2) / (1.0 - 2.0 * g * np.cos(dk * l0) + g ** 2)
-    )
-    validity = sigma ** 2 * (np.pi / l0) ** 2 * n_domains / 2.0
-    return (float(value[0]) if scalar else value), validity
 
 
 def f_chirp(delta_k, n_domains: int, l0: float, zeta: float):

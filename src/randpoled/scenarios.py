@@ -53,8 +53,16 @@ class Workspace:
     l0: float
 
 
+def _check_counts(**counts):
+    """Refuse a sample count below 1 before any grid is built."""
+    for name, n in counts.items():
+        if n < 1:
+            raise SpectraError(f"{name} must be at least 1, got {n}")
+
+
 def _workspace(temperature: float = 297.0, grid_points: int = 1025,
                span: float = 0.35, design_temperature: float = 297.0) -> Workspace:
+    _check_counts(grid_points=grid_points)
     cfg = ProcessConfig()
     model = DispersionModel(temperature=temperature)
     design = (model if temperature == design_temperature
@@ -174,6 +182,7 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                   tau_span: float = 100e-15, tau_points: int = 2001,
                   temperature: float = 297.0) -> ScenarioResult:
     """HOM coincidence traces: one realization, ensemble, chirped."""
+    _check_counts(tau_points=tau_points)
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
@@ -196,6 +205,7 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       temperature: float = 297.0) -> ScenarioResult:
     """Sum-frequency traces of the chirped structure under the three
     compensation modes, plus the ideally compensated ensemble mean."""
+    _check_counts(tau_points=tau_points)
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
@@ -224,6 +234,7 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       n_omega: int = 201, n_theta: int = 320,
                       temperature: float = 297.0) -> ScenarioResult:
     """Correlated-area profiles and their width versus pump focusing."""
+    _check_counts(n_omega=n_omega, n_theta=n_theta)
     ws = _workspace(temperature)
     cfg = replace(ws.cfg, pump_width=pump_width)
     omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, n_omega)

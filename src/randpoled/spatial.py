@@ -42,17 +42,6 @@ class AngularGrid:
             raise SpatialError("radial angles must be nonnegative")
 
     @classmethod
-    def default(cls, omega_s0: float, n_theta_s: int = 64, theta_max: float = 0.05,
-                n_theta_i: int = 128, n_phi: int = 64, n_omega: int = 201,
-                span: float = 0.35):
-        return cls(
-            theta_s=np.linspace(0.0, theta_max, n_theta_s),
-            theta_i=np.linspace(0.0, theta_max, n_theta_i),
-            phi_i=np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
-            omega_s=np.linspace(omega_s0 * (1 - span), omega_s0 * (1 + span), n_omega),
-        )
-
-    @classmethod
     def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, omega_s,
                 n_theta: int):
         """On-axis signal, one idler azimuth, and theta_i out to 14 / (k_i0 w)

@@ -110,8 +110,8 @@ class EnsembleStats:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     realizations: int
-    failures: int = 0
-    values: np.ndarray = field(default=None, repr=False)
+    failures: int
+    values: np.ndarray = field(repr=False)
 
 
 def coupling_g(omega_s, omega_i, model: DispersionModel):

@@ -18,18 +18,17 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from conftest import dispersion_cancellation_check
+from conftest import (angular_grid, avg_f2_rps_asymptotic,
+                      dispersion_cancellation_check, f_boundary_sum)
 
 from randpoled import (RandomSource, StructureSpec, cli, entanglement_time,
                        fwhm, hom_trace, joint_density, match_parameter,
                        sumfreq_ensemble_mc, sumfreq_trace)
-from randpoled.phasematch import (avg_f2_rps, avg_f2_rps_asymptotic,
-                                  f_boundary_sum, f_chirp, f_exact)
+from randpoled.phasematch import avg_f2_rps, f_chirp, f_exact
 from randpoled.scenarios import (_workspace, run_fab_error_scan,
                                  run_rate_vs_nl, run_segment_scan,
                                  run_sigma_zeta_match)
-from randpoled.spatial import (AngularGrid, angular_spectral_density,
-                               correlated_width_scan)
+from randpoled.spatial import angular_spectral_density, correlated_width_scan
 from randpoled.spectra import (SpectralGrid, ensemble_run, extractor_rate,
                                extractor_width)
 
@@ -249,8 +248,8 @@ def test_criterion_09_sum_frequency(cfg, model, l0, matched_sigma):
 def test_criterion_10_spatial(cfg, model, l0, matched_sigma):
     rps = StructureSpec("rps", N_DOMAINS, l0, sigma=matched_sigma)
     cpps = StructureSpec("chirped", N_DOMAINS, l0, zeta=ZETA_REF)
-    agrid = AngularGrid.default(cfg.omega_s0, n_theta_s=48, theta_max=0.04,
-                                n_theta_i=96, n_phi=48, n_omega=151)
+    agrid = angular_grid(cfg.omega_s0, n_theta_s=48, theta_max=0.04,
+                         n_theta_i=96, n_phi=48, n_omega=151)
     dm = angular_spectral_density(rps, cfg, model, agrid)
     col = dm[:, -1]
     splitting = col[agrid.omega_s.size // 2] < 0.7 * col.max()

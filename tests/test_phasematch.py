@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import avg_f2_rps_asymptotic, examples, f_boundary_sum
 
 from scipy import special
 
 from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
-                       avg_f2_rps, avg_f2_rps_asymptotic, f_boundary_sum,
-                       f_chirp, f_exact, shuffle_segments, xcorr_rps)
+                       avg_f2_rps, f_chirp, f_exact, shuffle_segments,
+                       xcorr_rps)
 from randpoled import phasematch
 from randpoled.phasematch import PhasematchError, f2_chirp
 from randpoled.spectra import SpectraError, SpectralGrid, _amplitude, _cw_slice, _f2

@@ -25,11 +25,6 @@ SRC = ROOT / "src" / "randpoled"
 
 # public code that no scenario reaches, kept on purpose
 ALLOWED = {
-    # the direct boundary sum of acceptance criterion 1; it leaves with
-    # the closed-form/Monte-Carlo reconciliation (ROADMAP item M)
-    "phasematch.f_boundary_sum",
-    # the asymptotic rate law of acceptance criteria 3 and 5
-    "phasematch.avg_f2_rps_asymptotic",
     # the angular spectral density of acceptance criterion 10 and aim 1
     "spatial.angular_spectral_density",
     # the benchmark's tracer reads it to count (tau x omega) elements

@@ -586,6 +586,26 @@ class TestCli:
         assert "at least one" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("args, name", [
+        (["hom-study", "--tau-points", "0"], "tau_points"),
+        (["hom-study", "--tau-points", "-1"], "tau_points"),
+        (["sumfreq-study", "--tau-points", "-1"], "tau_points"),
+        (["rate-vs-NL", "--grid-points", "-1"], "grid_points"),
+        (["spatial-study", "--n-theta", "0"], "n_theta"),
+        (["spatial-study", "--n-theta", "-1"], "n_theta"),
+        (["spatial-study", "--n-omega", "-1"], "n_omega"),
+    ])
+    def test_bad_sample_count_is_a_domain_error(self, tmp_path, capsys, args,
+                                                name):
+        # refused before any grid is built, not a traceback from np.linspace
+        # or from a reduction over an empty trace
+        code = _run_cli(args + ["--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert err["message"].startswith(f"{name} must be at least 1")
+        assert list(tmp_path.iterdir()) == []
+
     def test_stream_overlap_is_a_domain_error(self, tmp_path, capsys):
         code = _run_cli(["segment-scan", "--permutations", "100001",
                          "--out-dir", str(tmp_path)])
@@ -650,6 +670,16 @@ class TestCli:
         })
         assert cfg.params["nl_values"] == (100, 200, 300)
         assert cfg.params["sigmas"] == (0, 1e-6)
+
+    def test_defaults_coerce_element_wise(self):
+        # _coerce gives list elements the type of the default's first element:
+        # every tuple default must be non-empty and of one element type
+        for scenario in SCENARIOS:
+            for name, default in cli.scenario_defaults(scenario).items():
+                if isinstance(default, tuple):
+                    assert {type(v) for v in default} in ({int}, {float}, {str}), name
+                else:
+                    assert type(default) in (int, float, str), name
 
     def test_no_scenario_error(self):
         with pytest.raises(cli.ConfigError, match="no scenario"):

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import angular_grid
+
 from randpoled import RandomSource, StructureSpec, spatial
 from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
@@ -22,13 +24,13 @@ def cpps(l0):
 
 @pytest.fixture(scope="module")
 def agrid(cfg):
-    return AngularGrid.default(cfg.omega_s0, n_theta_s=48, theta_max=0.04,
-                               n_theta_i=96, n_phi=48, n_omega=151)
+    return angular_grid(cfg.omega_s0, n_theta_s=48, theta_max=0.04,
+                        n_theta_i=96, n_phi=48, n_omega=151)
 
 
 class TestGrid:
     def test_default_shapes(self, cfg):
-        g = AngularGrid.default(cfg.omega_s0)
+        g = angular_grid(cfg.omega_s0)
         assert g.theta_s.size == 64 and g.theta_i.size == 128
         assert g.phi_i.size == 64 and g.omega_s.size == 201
         assert g.theta_s[0] == 0.0 and g.theta_s[-1] == 0.05
@@ -173,8 +175,8 @@ class TestWholeGridResponse:
 
     @pytest.mark.parametrize("n_phi", [1, 6])
     def test_correlated_area_matches_per_angle(self, cfg, model, source, n_phi):
-        grid = AngularGrid.default(cfg.omega_s0, theta_max=0.04, n_theta_i=24,
-                                   n_phi=n_phi, n_omega=61)
+        grid = angular_grid(cfg.omega_s0, theta_max=0.04, n_theta_i=24,
+                            n_phi=n_phi, n_omega=61)
         for theta_s, phi_s in ((0.0, 0.0), (0.015, 0.4)):
             want = np.empty((grid.theta_i.size, n_phi))
             for j, th_i in enumerate(grid.theta_i):
@@ -192,7 +194,7 @@ class TestWholeGridResponse:
     def test_blocked_area_matches_whole_grid(self, cfg, model, source, n_phi):
         # closed forms reduce each theta_i row alone: the same bits; boundary
         # sums build their plan on another dk block
-        base = AngularGrid.default(cfg.omega_s0, n_phi=n_phi, n_omega=201)
+        base = angular_grid(cfg.omega_s0, n_phi=n_phi, n_omega=201)
         rows = spatial._BLOCK // (base.omega_s.size * n_phi)
         assert rows > 1
         exact = isinstance(source, StructureSpec) and source.kind != "ideal"
@@ -209,8 +211,8 @@ class TestWholeGridResponse:
 
     @pytest.mark.parametrize("n_phi", [1, 6])
     def test_angular_density_matches_per_angle(self, cfg, model, source, n_phi):
-        grid = AngularGrid.default(cfg.omega_s0, n_theta_s=4, theta_max=0.04,
-                                   n_theta_i=24, n_phi=n_phi, n_omega=61)
+        grid = angular_grid(cfg.omega_s0, n_theta_s=4, theta_max=0.04,
+                            n_theta_i=24, n_phi=n_phi, n_omega=61)
         wt = np.gradient(grid.theta_i)
         dphi = 2 * np.pi / n_phi
         want = np.zeros((grid.omega_s.size, grid.theta_s.size))

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import fab_error_mean_f2
+
 from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
-                       ensemble_run, fwhm, joint_density, match_parameter,
-                       two_photon_amplitude)
+                       apply_fabrication_error, ensemble_run, fwhm,
+                       joint_density, match_parameter, two_photon_amplitude)
 from randpoled.dispersion import SPEED_OF_LIGHT
-from randpoled.phasematch import BoundaryPlan, f_exact
+from randpoled.phasematch import BoundaryPlan, avg_f2_rps, f_exact
+from randpoled.scenarios import _BASE_ROWS, _ROW_STREAMS, _workspace
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
                                SpectralSlice, _cw_slice, _f2, coupling_g,
                                extractor_rate, extractor_width,
@@ -227,6 +230,51 @@ class TestEnsemble:
         with pytest.raises(RuntimeError, match="a bug"):
             ensemble_run(spec, {"rate": extractor_rate, "buggy": buggy}, 10, 0,
                          cfg, model, grid)
+
+
+class TestFabricationErrorMean:
+    """conftest.fab_error_mean_f2, the exact mean of |F|^2 under fabrication
+    error, as the oracle of apply_fabrication_error plus map_realizations."""
+
+    SIGMA_ERS = (2.5e-7, 5e-7, 1e-6)
+
+    @pytest.fixture(scope="class")
+    def ws(self):
+        # fab-error-scan's grid
+        return _workspace(297.0, 257, span=0.6)
+
+    @pytest.mark.parametrize("b, kind, kw", [
+        (0, "chirped", {"zeta": 2.5e6}), (1, "rps", {"sigma": 2.1e-6})])
+    def test_monte_carlo_rate_within_four_standard_errors(self, ws, b, kind,
+                                                          kw):
+        # fab-error-scan's bases at seed 0 (cpps from stream 0, rps from
+        # stream 1) and its streams for rows e = 1, 2, 3 of base b
+        base = StructureSpec(kind, 700, ws.l0, **kw).generate(RandomSource(0, b))
+        _, dk_tot, g = _cw_slice(ws.cfg, ws.model, ws.grid)
+        omega_s, n = ws.grid.omega_s, 400
+        for e, sigma_er in enumerate(self.SIGMA_ERS, start=1):
+            first = 1000 + (b * _BASE_ROWS + e) * _ROW_STREAMS
+            rates = np.array(map_realizations(
+                lambda i: apply_fabrication_error(base, sigma_er,
+                                                  RandomSource(0, first + i)),
+                n, ws.cfg, ws.model, ws.grid,
+                lambda g, f: extractor_rate(omega_s, np.abs(g) ** 2 * np.abs(f) ** 2)))
+            exact = extractor_rate(
+                omega_s, np.abs(g) ** 2 * fab_error_mean_f2(base, sigma_er, dk_tot))
+            se = rates.std(ddof=1) / np.sqrt(n)
+            assert abs(rates.mean() - exact) <= 4.0 * se, (kind, sigma_er)
+
+    def test_full_end_weights_give_the_rps_mean(self, ws):
+        # on an ideal base the error's walk is the rps walk of spread
+        # sqrt(2) sigma_er, and full end weights are avg_f2_rps's model
+        _, dk_tot, _ = _cw_slice(ws.cfg, ws.model, ws.grid)
+        base = StructureSpec("ideal", 700, ws.l0).generate(None)
+        for sigma_er in self.SIGMA_ERS:
+            got = fab_error_mean_f2(base, sigma_er, dk_tot, end_weight=1.0)
+            want = avg_f2_rps(dk_tot - np.pi / ws.l0, 700, ws.l0,
+                              np.sqrt(2.0) * sigma_er)
+            # measured at 0.5e-14 to 1.5e-14 of the peak
+            assert np.max(np.abs(got - want)) <= 1e-13 * want.max(), sigma_er
 
 
 class TestMatching:
