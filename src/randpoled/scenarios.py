@@ -53,20 +53,20 @@ class Workspace:
     l0: float
 
 
-def _check_counts(**counts):
-    """Refuse a sample count below 1 before any grid is built."""
+def _check_counts(floor: int, **counts):
+    """Refuse a count below floor before any grid is built: 2 for a grid's
+    samples, 1 for the layouts an ensemble averages."""
     for name, n in counts.items():
-        if n < 1:
-            raise SpectraError(f"{name} must be at least 1, got {n}")
+        if n < floor:
+            raise SpectraError(f"{name} must be at least {floor}, got {n}")
 
 
 def _workspace(temperature: float = 297.0, grid_points: int = 1025,
                span: float = 0.35, design_temperature: float = 297.0) -> Workspace:
-    _check_counts(grid_points=grid_points)
+    _check_counts(2, grid_points=grid_points)
     cfg = ProcessConfig()
     model = DispersionModel(temperature=temperature)
-    design = (model if temperature == design_temperature
-              else DispersionModel(temperature=design_temperature))
+    design = DispersionModel(temperature=design_temperature)
     l0 = design.qpm_period(cfg.omega_s0, cfg.omega_s0)
     grid = SpectralGrid.default(cfg.omega_s0, n=grid_points, span=span)
     return Workspace(cfg, model, grid, float(l0))
@@ -182,7 +182,7 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                   tau_span: float = 100e-15, tau_points: int = 2001,
                   temperature: float = 297.0) -> ScenarioResult:
     """HOM coincidence traces: one realization, ensemble, chirped."""
-    _check_counts(tau_points=tau_points)
+    _check_counts(2, tau_points=tau_points)
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
@@ -205,7 +205,7 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       temperature: float = 297.0) -> ScenarioResult:
     """Sum-frequency traces of the chirped structure under the three
     compensation modes, plus the ideally compensated ensemble mean."""
-    _check_counts(tau_points=tau_points)
+    _check_counts(2, tau_points=tau_points)
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
@@ -234,7 +234,7 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       n_omega: int = 201, n_theta: int = 320,
                       temperature: float = 297.0) -> ScenarioResult:
     """Correlated-area profiles and their width versus pump focusing."""
-    _check_counts(n_omega=n_omega, n_theta=n_theta)
+    _check_counts(2, n_omega=n_omega, n_theta=n_theta)
     ws = _workspace(temperature)
     cfg = replace(ws.cfg, pump_width=pump_width)
     omega = np.linspace(ws.cfg.omega_s0 * 0.65, ws.cfg.omega_s0 * 1.35, n_omega)
@@ -295,8 +295,7 @@ def run_fab_error_scan(seed: int = 0,
                        realizations: int = 1000, grid_points: int = 257,
                        temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate under random fabrication error of the boundaries."""
-    if realizations < 1:
-        raise SpectraError(f"need at least one realization, got {realizations}")
+    _check_counts(1, realizations=realizations)
     if realizations > _ROW_STREAMS or len(sigma_er_values) > _BASE_ROWS:
         raise SpectraError(f"at most {_ROW_STREAMS} realizations and {_BASE_ROWS} sigma_er "
                            f"values, got {realizations} and {len(sigma_er_values)}")
@@ -334,8 +333,7 @@ def run_segment_scan(seed: int = 0,
                      permutations: int = 1000, grid_points: int = 257,
                      temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate after random reordering of chirped segments."""
-    if permutations < 1:
-        raise SpectraError(f"need at least one permutation, got {permutations}")
+    _check_counts(1, permutations=permutations)
     if permutations > _ROW_STREAMS:
         raise SpectraError(f"at most {_ROW_STREAMS} permutations, got {permutations}")
     ws = _workspace(temperature, grid_points)

@@ -24,6 +24,7 @@ from .structures import PolingStructure, RandomSource, StructureSpec
 
 # effective nonlinear coefficient, m/V: rates are relative (see above)
 CHI2_EFFECTIVE = 1e-12
+PUMP_WAVELENGTH = 775e-9  # m, the cw pump's vacuum wavelength
 
 
 class SpectraError(ValueError):
@@ -32,18 +33,17 @@ class SpectraError(ValueError):
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """The cw pump of unit spectral amplitude: wavelength and beam width."""
+    """The cw pump of unit spectral amplitude at PUMP_WAVELENGTH: its beam width."""
 
-    pump_wavelength: float = 775e-9     # m
     pump_width: float = 1e-5            # m, transverse 1/e half-width
 
     def __post_init__(self):
-        if self.pump_wavelength <= 0 or self.pump_width <= 0:
-            raise SpectraError("pump wavelength and width must be positive")
+        if self.pump_width <= 0:
+            raise SpectraError("pump width must be positive")
 
     @property
     def omega_p0(self) -> float:
-        return omega_from_wavelength(self.pump_wavelength)
+        return omega_from_wavelength(PUMP_WAVELENGTH)
 
     @property
     def omega_s0(self) -> float:

@@ -12,7 +12,10 @@ cross-correlator entering the HOM trace collapses onto its diagonal,
 the mean squared phase-matching function.  This makes the HOM dip a
 pure Fourier transform of the spectral density -- the origin of
 nonlocal dispersion cancellation: a phase common to signal and idler
-leaves the dip unchanged.
+leaves the dip unchanged.  The HOM trace of a SpectralSlice reads its
+reversed amplitude as the exchanged one, and the analytic ensemble
+sum-frequency trace halves its correlator by the same exchange: both
+refuse a grid not mirrored about omega_s0 to _MIRROR_TOL of omega_s0.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .phasematch import xcorr_rps
 
 _TAU_CHUNK = 256
 _ROW_BLOCK = 16  # correlator rows per block: its temporaries stay under the resident floor
-_MIRROR_TOL = 1e-12  # grid mirror asymmetry, of the peak, that the analytic trace accepts
+_MIRROR_TOL = 1e-12  # grid asymmetry about omega_s0, per unit omega_s0, that exchange allows
 # largest phase error (rad) that grid rounding may cause in the transform
 _PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
@@ -112,19 +115,19 @@ def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
     return out
 
 
-def _check_symmetric_grid(grid: SpectralGrid, omega_s0: float) -> None:
-    mid = 0.5 * (grid.omega_s[0] + grid.omega_s[-1])
-    if abs(mid - omega_s0) > 1e-6 * omega_s0:
-        raise TemporalError("slice-based traces need a grid symmetric about omega_s0")
+def _check_mirror_grid(omega_s: np.ndarray, omega_s0: float) -> None:
+    """Refuse a grid that exchange omega_s <-> omega_i = 2 omega_s0 - omega_s
+    does not reverse, to _MIRROR_TOL of omega_s0."""
+    if np.max(np.abs(omega_s + omega_s[::-1] - 2.0 * omega_s0)) > _MIRROR_TOL * omega_s0:
+        raise TemporalError("exchange-symmetric traces need a grid symmetric "
+                            "about omega_s0")
 
 
 def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
     """Spectral weights W(omega_s) whose transform gives the dip."""
     if isinstance(source, SpectralSlice):
-        _check_symmetric_grid(source.grid, 0.5 * source.omega_p0)
-        omega_s = source.grid.omega_s
-        omega_i = source.omega_p0 - omega_s
-        phi = source.values
+        omega_s, omega_i, phi = source.grid.omega_s, source.omega_i, source.values
+        _check_mirror_grid(omega_s, 0.5 * source.omega_p0)
         # exchange omega_s <-> omega_i reverses the symmetric grid
         return omega_s, omega_s * omega_i * phi * np.conj(phi[::-1]), \
             omega_s * omega_i * np.abs(phi) ** 2
@@ -208,14 +211,11 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     omega_i makes M_qc the conjugate of M at (n-1-c, n-1-q), at the same lag:
     only c <= min(q, n-1-q) is made, _ROW_BLOCK rows at a time, as 2 Re M_qc."""
     omega_s = grid.omega_s
+    _check_mirror_grid(omega_s, cfg.omega_s0)
     omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
     # detuning from the structure's design point
     delta_k = dk_tot - np.pi / spec.l0
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
-    for x in (dk_tot, a):
-        if np.max(np.abs(x - x[::-1])) > _MIRROR_TOL * np.max(np.abs(x)):
-            raise TemporalError("the analytic ensemble trace needs a grid "
-                                "symmetric about omega_s0")
     n = omega_s.size
     lag_sums = np.zeros(n)
     for r0 in range(0, n, _ROW_BLOCK):

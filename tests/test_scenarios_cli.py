@@ -573,19 +573,6 @@ class TestCli:
         assert "xyz" in err["message"]
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("args", [
-        ["segment-scan", "--permutations", "0", "--d-values", "1,700"],
-        ["fab-error-scan", "--realizations", "0", "--bases", "rps"],
-    ])
-    def test_empty_ensemble_is_a_domain_error(self, tmp_path, capsys, args):
-        # no layouts to average: an error, not a row of NaN means
-        code = _run_cli(args + ["--out-dir", str(tmp_path)])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "numeric"
-        assert "at least one" in err["message"]
-        assert not (tmp_path / "scan.csv").exists()
-
     @pytest.mark.parametrize("args, name", [
         (["hom-study", "--tau-points", "0"], "tau_points"),
         (["hom-study", "--tau-points", "-1"], "tau_points"),
@@ -594,16 +581,25 @@ class TestCli:
         (["spatial-study", "--n-theta", "0"], "n_theta"),
         (["spatial-study", "--n-theta", "-1"], "n_theta"),
         (["spatial-study", "--n-omega", "-1"], "n_omega"),
+        (["hom-study", "--tau-points", "1"], "tau_points"),
+        (["rate-vs-NL", "--grid-points", "1"], "grid_points"),
+        (["spatial-study", "--n-theta", "1"], "n_theta"),
+        (["spatial-study", "--n-omega", "1"], "n_omega"),
+        # no layouts to average: an error, not a row of NaN means
+        (["segment-scan", "--permutations", "0", "--d-values", "1,700"], "permutations"),
+        (["fab-error-scan", "--realizations", "0", "--bases", "rps"], "realizations"),
     ])
     def test_bad_sample_count_is_a_domain_error(self, tmp_path, capsys, args,
                                                 name):
-        # refused before any grid is built, not a traceback from np.linspace
-        # or from a reduction over an empty trace
+        # refused before any grid is built, not a traceback from np.linspace,
+        # a reduction over an empty trace or the width of a one-sample grid:
+        # a grid needs two samples, an ensemble one layout
+        floor = 1 if name in ("permutations", "realizations") else 2
         code = _run_cli(args + ["--out-dir", str(tmp_path)])
         assert code == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "numeric"
-        assert err["message"].startswith(f"{name} must be at least 1")
+        assert err["message"].startswith(f"{name} must be at least {floor}, got")
         assert list(tmp_path.iterdir()) == []
 
     def test_stream_overlap_is_a_domain_error(self, tmp_path, capsys):

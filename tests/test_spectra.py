@@ -21,12 +21,12 @@ from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
 
 class TestConfigAndGrid:
     def test_defaults(self, cfg):
-        assert cfg.pump_wavelength == 775e-9
+        assert spectra.PUMP_WAVELENGTH == 775e-9
         assert cfg.omega_s0 == pytest.approx(0.5 * cfg.omega_p0, rel=1e-15)
 
     def test_invalid_config(self):
         with pytest.raises(SpectraError):
-            ProcessConfig(pump_wavelength=-1.0)
+            ProcessConfig(pump_width=-1.0)
 
     def test_grid_validation(self):
         with pytest.raises(SpectraError):

