@@ -155,7 +155,7 @@ def _boundary_sum(z, w, dk, plan: BoundaryPlan | None = None):
     """
     if plan is None:
         plan = BoundaryPlan(dk)
-    elif not np.array_equal(plan.dk, dk, equal_nan=True):
+    elif plan.dk is not dk and not np.array_equal(plan.dk, dk, equal_nan=True):
         raise PhasematchError("boundary-sum plan built on another dk grid")
     zc, half = 0.5 * (z[0] + z[-1]), 0.5 * (z[-1] - z[0])
     h, a, beta, blocks = plan.nodes(half)
@@ -194,7 +194,7 @@ def f_exact(s: PolingStructure, dk_total, plan: BoundaryPlan | None = None):
     its own.  Either way the result is the same to the last bit.
     """
     dk = np.asarray(dk_total, dtype=float)
-    flat = dk.ravel()
+    flat = dk if dk.ndim == 1 else dk.ravel()  # a plan's grid stays itself
     w = np.ones(s.n_domains + 1)
     w[1::2] = -1.0
     w[[0, -1]] *= 0.5

@@ -18,7 +18,7 @@ import numpy as np
 from .dispersion import DispersionModel
 from .spectra import (ProcessConfig, SpectraError, SpectralGrid,
                       ensemble_run, extractor_rate, extractor_width, fwhm,
-                      joint_density, map_realizations, match_parameter)
+                      joint_density, match_parameter)
 from .structures import (RandomSource, StructureError, StructureSpec,
                          apply_fabrication_error, shuffle_segments)
 from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
@@ -55,7 +55,7 @@ class Workspace:
 
 def _check_counts(floor: int, **counts):
     """Refuse a count below floor before any grid is built: 2 for a grid's
-    samples, 1 for the layouts an ensemble averages."""
+    samples or a histogram's layouts, 1 for the layouts a mean averages."""
     for name, n in counts.items():
         if n < floor:
             raise SpectraError(f"{name} must be at least {floor}, got {n}")
@@ -73,17 +73,11 @@ def _workspace(temperature: float = 297.0, grid_points: int = 1025,
 
 
 def _scan_means(draw, count: int, ws: Workspace):
-    """Mean width and rate over the layouts draw(0) .. draw(count - 1);
-    a width that falls off the grid ends the scan."""
-    omega_s = ws.grid.omega_s
-
-    def observe(g, f):
-        density = np.abs(g) ** 2 * np.abs(f) ** 2
-        return extractor_width(omega_s, density), extractor_rate(omega_s, density)
-
-    rows = map_realizations(draw, count, ws.cfg, ws.model, ws.grid, observe)
-    widths, rates = np.reshape(rows, (count, 2)).T
-    return widths.mean(), rates.mean()
+    """Mean width and rate over the layouts draw(0) .. draw(count - 1), with
+    ensemble_run's failure rule."""
+    stats = ensemble_run(draw, {"width": extractor_width, "rate": extractor_rate},
+                         count, ws.cfg, ws.model, ws.grid)
+    return stats["width"].mean, stats["rate"].mean
 
 
 def _trace_table(tau, traces: dict) -> Table:
@@ -146,20 +140,21 @@ def run_histogram_study(seed: int = 0, sigma: float = 2.1e-6,
                         grid_points: int = 257,
                         temperature: float = 297.0) -> ScenarioResult:
     """Ensemble histograms of pair rate and spectral width."""
+    _check_counts(2, realizations=realizations)
     # the widest disorder realizations spill past the default span
     ws = _workspace(temperature, grid_points, span=0.6)
     spec = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
     stats = ensemble_run(
-        spec, {"rate": extractor_rate, "width": extractor_width},
-        realizations, seed, ws.cfg, ws.model, ws.grid,
+        lambda i: spec.generate(RandomSource(seed, i)),
+        {"rate": extractor_rate, "width": extractor_width},
+        realizations, ws.cfg, ws.model, ws.grid,
     )
     tables = {}
     summary_rows = []
     for name, st in stats.items():
-        hist_rows = tuple(
-            (float(st.hist_edges[i]), float(st.hist_edges[i + 1]), int(c))
-            for i, c in enumerate(st.hist_counts)
-        )
+        counts, edges = np.histogram(st.values, bins=40)
+        hist_rows = tuple((float(lo), float(hi), int(c))
+                          for lo, hi, c in zip(edges[:-1], edges[1:], counts))
         tables[f"histogram_{name}"] = Table(("bin_lo", "bin_hi", "count"), hist_rows)
         summary_rows.append((
             name, st.mean, st.variance, st.rel_fluctuation,
@@ -206,6 +201,7 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     """Sum-frequency traces of the chirped structure under the three
     compensation modes, plus the ideally compensated ensemble mean."""
     _check_counts(2, tau_points=tau_points)
+    _check_counts(1, realizations=realizations)
     ws = _workspace(temperature, grid_points)
     tau = np.linspace(-tau_span, tau_span, tau_points)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)

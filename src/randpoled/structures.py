@@ -23,6 +23,7 @@ length increment, has standard deviation sigma/sqrt(2), NOT sigma.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -134,7 +135,7 @@ class StructureSpec:
                 warnings.warn(f"sigma = {self.sigma:g} m exceeds l0/3; Gaussian boundary "
                               "law will be noticeably truncated", stacklevel=2)
             scale = self.sigma / np.sqrt(2.0)
-            _check_redraw_rate(l0, scale)
+            _check_rps_law(l0, scale)
             lengths = _jittered_lengths(np.full(n, l0), scale, rng.generator())
             return _from_lengths(-(n * l0), lengths)
         z = -(n * l0) + np.arange(n + 1) * l0
@@ -160,6 +161,12 @@ def _check_redraw_rate(gap, scale: float) -> float:
             f"expected redraw rate {rate:.3g} exceeds {MAX_REJECTION_RATE}"
         )
     return rate
+
+
+@functools.cache  # a Monte Carlo run draws one law many times
+def _check_rps_law(l0: float, scale: float) -> float:
+    """_check_redraw_rate of the rps law on domains l0, once per (l0, scale)."""
+    return _check_redraw_rate(l0, scale)
 
 
 def _jittered_lengths(base: np.ndarray, scale: float, gen) -> np.ndarray:

@@ -177,8 +177,9 @@ def test_criterion_06_sigma_zeta_matching():
 def test_criterion_07_ensemble_histograms(cfg, model, l0):
     grid = SpectralGrid.default(cfg.omega_s0, n=257, span=0.6)
     extractors = {"rate": extractor_rate, "width": extractor_width}
-    stats = ensemble_run(StructureSpec("rps", N_DOMAINS, l0, sigma=2.1e-6),
-                         extractors, 10_000, 0, cfg, model, grid)
+    spec = StructureSpec("rps", N_DOMAINS, l0, sigma=2.1e-6)
+    stats = ensemble_run(lambda i: spec.generate(RandomSource(0, i)),
+                         extractors, 10_000, cfg, model, grid)
     shape = {}
     for name, st in stats.items():
         shape[name] = (float(sstats.skew(st.values)),
@@ -187,8 +188,9 @@ def test_criterion_07_ensemble_histograms(cfg, model, l0):
                    for sk, ku in shape.values())
     fluct = []
     for sigma in (0.5e-6, 1.0e-6, 2.1e-6):
-        st = ensemble_run(StructureSpec("rps", N_DOMAINS, l0, sigma=sigma),
-                          extractors, 2000, 1, cfg, model, grid)
+        ens = StructureSpec("rps", N_DOMAINS, l0, sigma=sigma)
+        st = ensemble_run(lambda i: ens.generate(RandomSource(1, i)),
+                          extractors, 2000, cfg, model, grid)
         fluct.append(st["rate"].rel_fluctuation)
     fluct_ok = fluct[0] > fluct[1] > fluct[2] and 0.3 <= fluct[0] <= 0.45
     detail = "; ".join(f"{n}: skew {sk:.2f}, kurt {ku:.2f}"

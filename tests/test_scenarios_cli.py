@@ -19,7 +19,8 @@ from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _wor
                                  run_sigma_zeta_match, run_spatial_study,
                                  run_sumfreq_study, run_temperature_scan)
 from randpoled.spatial import AngularGrid, correlated_area
-from randpoled.spectra import extractor_rate, fwhm, joint_density
+from randpoled.spectra import (extractor_rate, extractor_width, fwhm, joint_density,
+                               map_realizations)
 from randpoled.structures import (RandomSource, StructureSpec,
                                   apply_fabrication_error, shuffle_segments)
 
@@ -64,6 +65,15 @@ class TestScenarios:
         counts = [row[2] for row in res.tables["histogram_rate"].rows]
         assert sum(counts) == 300
         assert len(res.tables["realizations"].rows) == 300
+
+    def test_histograms_hold_the_finite_values(self):
+        # at seed 3 one of the 300 widths falls off the grid: NaN, counted
+        res = run_histogram_study(seed=3, realizations=300)
+        summary = {row[0]: row for row in res.tables["summary"].rows}
+        assert summary["width"][7] == 1
+        for name in ("rate", "width"):
+            counts = [row[2] for row in res.tables[f"histogram_{name}"].rows]
+            assert sum(counts) == summary[name][6] - summary[name][7]
 
     @pytest.mark.parametrize("n", [10, 300, 10000])
     @pytest.mark.parametrize("draw", ["normal", "lognormal"])
@@ -250,6 +260,33 @@ class TestScanEngine:
                 width, rate = _oracle_means(layouts, ws)
                 want.append((name, sigma_er, float(width), float(rate)))
         assert res.tables["scan"].rows == tuple(want)
+
+    def test_fab_error_scan_finishes_past_a_failed_width(self):
+        # realization 15 of the rps sigma_er = 1e-6 row at seed 0 widens past
+        # the grid: its width is left out of the mean, its rate is not
+        res = run_fab_error_scan(seed=0, bases=("rps",), sigma_er_values=(0.0, 1e-6),
+                                 realizations=100)
+        ws = _workspace(297.0, 257, span=0.6)
+        base = StructureSpec("rps", 700, ws.l0, sigma=2.1e-6) \
+            .generate(RandomSource(0, 1))
+
+        def observe(g, f):
+            density = np.abs(g) ** 2 * np.abs(f) ** 2
+            try:
+                width = extractor_width(ws.grid.omega_s, density)
+            except spectra.SpectraError:
+                width = np.nan
+            return width, extractor_rate(ws.grid.omega_s, density)
+
+        widths, rates = np.array(map_realizations(
+            lambda i: apply_fabrication_error(
+                base, 1e-6, RandomSource(0, 1000 + 1 * 100_000 + i)),  # row 1 of base 0
+            100, ws.cfg, ws.model, ws.grid, observe)).T
+        assert np.flatnonzero(np.isnan(widths)).tolist() == [15]
+        row = res.tables["scan"].rows[1]
+        assert row[:2] == ("rps", 1e-6)
+        assert row[2] == np.mean(widths[np.isfinite(widths)])
+        assert row[3] == np.mean(rates)
 
 
 class _Started(Exception):
@@ -588,13 +625,18 @@ class TestCli:
         # no layouts to average: an error, not a row of NaN means
         (["segment-scan", "--permutations", "0", "--d-values", "1,700"], "permutations"),
         (["fab-error-scan", "--realizations", "0", "--bases", "rps"], "realizations"),
+        (["sumfreq-study", "--realizations", "0"], "realizations"),
+        # a histogram needs two layouts
+        (["histogram-study", "--realizations", "1"], "realizations"),
+        (["histogram-study", "--realizations", "0"], "realizations"),
     ])
     def test_bad_sample_count_is_a_domain_error(self, tmp_path, capsys, args,
                                                 name):
         # refused before any grid is built, not a traceback from np.linspace,
         # a reduction over an empty trace or the width of a one-sample grid:
-        # a grid needs two samples, an ensemble one layout
-        floor = 1 if name in ("permutations", "realizations") else 2
+        # a grid needs two samples, a histogram two layouts, a mean one
+        floor = 2 if name not in ("permutations", "realizations") \
+            or args[0] == "histogram-study" else 1
         code = _run_cli(args + ["--out-dir", str(tmp_path)])
         assert code == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])

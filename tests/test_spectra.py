@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -146,27 +147,33 @@ class TestSpectrumHelpers:
         with pytest.raises(SpectraError, match="finite"):
             fwhm([0.0, 1.0, np.inf, 3.0, 4.0], [0.0, 1.0, 2.0, 1.0, 0.0])
 
+
+def _draws(spec, seed):
+    """draw(i) of ensemble_run: layout i of spec from stream i of seed."""
+    return lambda i: spec.generate(RandomSource(seed, i))
+
+
 class TestEnsemble:
     def test_stats_and_determinism(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
         spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
         extractors = {"rate": extractor_rate, "width": extractor_width}
-        a = ensemble_run(spec, extractors, 50, 11, cfg, model, grid)
-        b = ensemble_run(spec, extractors, 50, 11, cfg, model, grid)
+        a = ensemble_run(_draws(spec, 11), extractors, 50, cfg, model, grid)
+        b = ensemble_run(_draws(spec, 11), extractors, 50, cfg, model, grid)
         for name in extractors:
             assert a[name].mean == b[name].mean
             assert a[name].variance == b[name].variance
             assert np.array_equal(a[name].values, b[name].values)
         assert a["rate"].realizations == 50
         assert a["rate"].failures == 0
-        assert a["rate"].hist_counts.sum() == 50
+        assert a["rate"].values.size == 50
         assert a["rate"].rel_fluctuation == pytest.approx(
             np.sqrt(a["rate"].variance) / a["rate"].mean, rel=1e-12)
 
     def test_mean_matches_analytic(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
         spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
-        stats = ensemble_run(spec, {"rate": extractor_rate}, 200, 5,
+        stats = ensemble_run(_draws(spec, 5), {"rate": extractor_rate}, 200,
                              cfg, model, grid)["rate"]
         ana = extractor_rate(grid.omega_s, joint_density(spec, cfg, model, grid))
         se = np.sqrt(stats.variance / stats.realizations)
@@ -175,8 +182,19 @@ class TestEnsemble:
     def test_too_few_realizations(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
         spec = StructureSpec("rps", 700, l0, sigma=1.5e-6)
-        with pytest.raises(SpectraError):
-            ensemble_run(spec, {"rate": extractor_rate}, 1, 0, cfg, model, grid)
+        with pytest.raises(SpectraError, match="at least one"):
+            ensemble_run(_draws(spec, 0), {"rate": extractor_rate}, 0, cfg, model, grid)
+        # one layout: its own value is the mean, and it has no variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = ensemble_run(_draws(spec, 0), {"rate": extractor_rate}, 1, cfg,
+                              model, grid)["rate"]
+        want = extractor_rate(grid.omega_s, joint_density(
+            spec.generate(RandomSource(0, 0)), cfg, model, grid))
+        assert st.mean == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(st.values, [st.mean])
+        assert np.isnan(st.variance) and np.isnan(st.rel_fluctuation)
+        assert (st.realizations, st.failures) == (1, 0)
 
     def test_failing_extractor_reported(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
@@ -186,7 +204,7 @@ class TestEnsemble:
             raise ValueError("no value")
 
         with pytest.raises(SpectraError, match="broken"):
-            ensemble_run(spec, {"broken": broken}, 10, 0, cfg, model, grid)
+            ensemble_run(_draws(spec, 0), {"broken": broken}, 10, cfg, model, grid)
 
     def test_rare_failure_counted(self, cfg, model, l0):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
@@ -199,8 +217,8 @@ class TestEnsemble:
                 raise SpectraError("off the grid")
             return extractor_rate(omega, density)
 
-        stats = ensemble_run(spec, {"rate": first_fails}, 100, 0, cfg, model,
-                             grid)["rate"]
+        stats = ensemble_run(_draws(spec, 0), {"rate": first_fails}, 100, cfg,
+                             model, grid)["rate"]
         assert stats.failures == 1
         assert stats.values.size == 99
 
@@ -228,8 +246,8 @@ class TestEnsemble:
             raise RuntimeError("a bug, not a failed extraction")
 
         with pytest.raises(RuntimeError, match="a bug"):
-            ensemble_run(spec, {"rate": extractor_rate, "buggy": buggy}, 10, 0,
-                         cfg, model, grid)
+            ensemble_run(_draws(spec, 0), {"rate": extractor_rate, "buggy": buggy},
+                         10, cfg, model, grid)
 
 
 class TestFabricationErrorMean:
