@@ -15,6 +15,7 @@ import argparse
 import difflib
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -77,7 +78,10 @@ def _coerce(value, default):
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     if isinstance(default, float):
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a finite number")
+        return value
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)

@@ -54,6 +54,11 @@ class DispersionModel:
 
     temperature: float = 297.0  # kelvin
 
+    def __post_init__(self):
+        if not 0.0 < self.temperature < np.inf:
+            raise DispersionError(f"temperature must be a positive finite number of "
+                                  f"kelvin, got {self.temperature!r}")
+
     def refractive_index(self, omega):
         """Extraordinary refractive index at angular frequency omega.
 

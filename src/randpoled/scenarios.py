@@ -61,6 +61,14 @@ def _check_counts(floor: int, **counts):
             raise SpectraError(f"{name} must be at least {floor}, got {n}")
 
 
+def _delays(tau_span: float, tau_points: int) -> np.ndarray:
+    """tau_points >= 2 delays on [-tau_span, tau_span], tau_span > 0."""
+    _check_counts(2, tau_points=tau_points)
+    if not tau_span > 0:
+        raise SpectraError(f"tau_span must be positive, got {tau_span:g}")
+    return np.linspace(-tau_span, tau_span, tau_points)
+
+
 def _workspace(temperature: float = 297.0, grid_points: int = 1025,
                span: float = 0.35, design_temperature: float = 297.0) -> Workspace:
     _check_counts(2, grid_points=grid_points)
@@ -177,9 +185,8 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                   tau_span: float = 100e-15, tau_points: int = 2001,
                   temperature: float = 297.0) -> ScenarioResult:
     """HOM coincidence traces: one realization, ensemble, chirped."""
-    _check_counts(2, tau_points=tau_points)
+    tau = _delays(tau_span, tau_points)
     ws = _workspace(temperature, grid_points)
-    tau = np.linspace(-tau_span, tau_span, tau_points)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
     single = ens.generate(RandomSource(seed, 0))
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
@@ -200,10 +207,9 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       temperature: float = 297.0) -> ScenarioResult:
     """Sum-frequency traces of the chirped structure under the three
     compensation modes, plus the ideally compensated ensemble mean."""
-    _check_counts(2, tau_points=tau_points)
+    tau = _delays(tau_span, tau_points)
     _check_counts(1, realizations=realizations)
     ws = _workspace(temperature, grid_points)
-    tau = np.linspace(-tau_span, tau_span, tau_points)
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
     traces = {
@@ -212,7 +218,8 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                                         "quadratic"),
         "cpps_ideal": sumfreq_trace(chirp, ws.cfg, ws.model, ws.grid, tau, "ideal"),
         "rps_ensemble_ideal": sumfreq_ensemble_mc(
-            ens, ws.cfg, ws.model, ws.grid, realizations, seed, tau, "ideal"),
+            lambda i: ens.generate(RandomSource(seed, i)), ws.cfg, ws.model,
+            ws.grid, realizations, tau, "ideal"),
     }
     widths = {}
     for name, tr in traces.items():

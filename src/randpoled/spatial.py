@@ -40,6 +40,8 @@ class AngularGrid:
                 raise SpatialError(f"{name} must be one-dimensional")
         if np.any(self.theta_s < 0) or np.any(self.theta_i < 0):
             raise SpatialError("radial angles must be nonnegative")
+        if np.any(self.omega_s >= ProcessConfig.omega_p0):
+            raise SpatialError("frequency grid extends past the pump frequency")
 
     @classmethod
     def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, omega_s,
@@ -67,8 +69,6 @@ def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
 
 def _slice_kinematics(cfg, model, omega_s):
     omega_i = cfg.omega_p0 - omega_s
-    if np.any(omega_i <= 0):
-        raise SpatialError("frequency grid extends past the pump frequency")
     k_s = model.wavenumber(omega_s)
     k_i = model.wavenumber(omega_i)
     k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))

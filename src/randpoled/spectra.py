@@ -18,7 +18,7 @@ import numpy as np
 
 from ._brent import _brentq
 from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
-from .phasematch import BoundaryPlan, avg_f2_rps, f2_chirp, f_chirp, f_exact
+from .phasematch import BoundaryPlan, avg_f2_rps, f2_chirp, f_chirp, f_exact, xcorr_rps
 from .structures import PolingStructure, StructureSpec
 
 
@@ -33,22 +33,16 @@ class SpectraError(ValueError):
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """The cw pump of unit spectral amplitude at PUMP_WAVELENGTH: its beam width."""
+    """The cw pump of unit spectral amplitude at PUMP_WAVELENGTH: its beam width,
+    with the constants omega_p0 and the design point omega_s0 = omega_p0 / 2."""
 
     pump_width: float = 1e-5            # m, transverse 1/e half-width
+    omega_p0 = omega_from_wavelength(PUMP_WAVELENGTH)
+    omega_s0 = 0.5 * omega_p0
 
     def __post_init__(self):
         if self.pump_width <= 0:
             raise SpectraError("pump width must be positive")
-
-    @property
-    def omega_p0(self) -> float:
-        return omega_from_wavelength(PUMP_WAVELENGTH)
-
-    @property
-    def omega_s0(self) -> float:
-        """Degenerate design point: half the pump frequency."""
-        return 0.5 * self.omega_p0
 
 
 @dataclass(frozen=True)
@@ -67,6 +61,8 @@ class SpectralGrid:
             raise SpectraError("grid must be uniform and increasing")
         if w[0] <= 0:
             raise SpectraError("grid frequencies must be positive")
+        if w[-1] >= ProcessConfig.omega_p0:
+            raise SpectraError("grid extends past the pump frequency (idler <= 0)")
 
     @classmethod
     def default(cls, omega_s0: float, n: int = 4096, span: float = 0.35):
@@ -83,7 +79,6 @@ class SpectralSlice:
 
     grid: SpectralGrid
     values: np.ndarray
-    omega_p0: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -92,12 +87,10 @@ class SpectralSlice:
             raise SpectraError("values and grid shapes differ")
         if not np.all(np.isfinite(v)):
             raise SpectraError("amplitude contains non-finite values")
-        if np.any(self.omega_i <= 0):
-            raise SpectraError("grid extends past the pump frequency (idler <= 0)")
 
     @property
     def omega_i(self) -> np.ndarray:
-        return self.omega_p0 - self.grid.omega_s
+        return ProcessConfig.omega_p0 - self.grid.omega_s
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,6 @@ def _cw_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
     the collinear mismatch and the coupling pumped at unit amplitude,
     which is the amplitude per unit F."""
     omega_i = cfg.omega_p0 - grid.omega_s
-    if np.any(omega_i <= 0):
-        raise SpectraError("grid extends past the pump frequency (idler <= 0)")
     return (omega_i, model.collinear_mismatch(grid.omega_s, omega_i),
             coupling_g(grid.omega_s, omega_i, model))
 
@@ -164,6 +155,13 @@ def _f2(source, dk_tot):
     return np.abs(_amplitude(source, dk_tot)) ** 2
 
 
+def _xcorr(spec: StructureSpec, dk_tot, dk_tot_prime):
+    """<F(dk_tot) F*(dk_tot')> of an rps spec, whose diagonal is _f2's <|F|^2>."""
+    design = np.pi / spec.l0
+    return xcorr_rps(dk_tot - design, dk_tot_prime - design, spec.n_domains,
+                     spec.l0, spec.sigma)
+
+
 def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
                          grid: SpectralGrid) -> SpectralSlice:
     """Complex amplitude slice for one realization or a deterministic spec.
@@ -172,7 +170,7 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     moments); generate a realization first.
     """
     _, dk_tot, g = _cw_slice(cfg, model, grid)
-    return SpectralSlice(grid, g * _amplitude(source, dk_tot), cfg.omega_p0)
+    return SpectralSlice(grid, g * _amplitude(source, dk_tot))
 
 
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,

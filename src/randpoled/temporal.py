@@ -3,8 +3,10 @@
 Hong-Ou-Mandel (HOM) coincidence traces, sum-frequency intensity
 traces, and quadratic spectral-phase fit/compensation, all in the cw-pump
 regime where the two-photon state lives on the slice
-omega_i = omega_p0 - omega_s.  Every trace takes its delay grid tau
-explicitly.
+omega_i = omega_p0 - omega_s (ProcessConfig's constants).  Only trace
+math lives here: a source reaches its model through spectra (_f2,
+_xcorr), an ensemble draws its layouts through the caller's draw(i),
+and every trace takes its delay grid tau explicitly.
 
 For the degenerate same-polarization process the collinear mismatch is
 symmetric under exchange of the signal and idler frequencies, so the
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (ProcessConfig, SpectraError, SpectralGrid, SpectralSlice,
-                      _cw_slice, _f2, fwhm, map_realizations, two_photon_amplitude)
-from .structures import RandomSource, StructureSpec
-from .phasematch import xcorr_rps
+from .spectra import (ProcessConfig, SpectraError, SpectralGrid, SpectralSlice, _cw_slice,
+                      _f2, _xcorr, fwhm, map_realizations, two_photon_amplitude)
+from .structures import StructureSpec
 
 _TAU_CHUNK = 256
 _ROW_BLOCK = 16  # correlator rows per block: its temporaries stay under the resident floor
@@ -115,9 +116,10 @@ def _oscillatory_sum(tau: np.ndarray, freq: np.ndarray, amp: np.ndarray):
     return out
 
 
-def _check_mirror_grid(omega_s: np.ndarray, omega_s0: float) -> None:
+def _check_mirror_grid(omega_s: np.ndarray) -> None:
     """Refuse a grid that exchange omega_s <-> omega_i = 2 omega_s0 - omega_s
     does not reverse, to _MIRROR_TOL of omega_s0."""
+    omega_s0 = ProcessConfig.omega_s0
     if np.max(np.abs(omega_s + omega_s[::-1] - 2.0 * omega_s0)) > _MIRROR_TOL * omega_s0:
         raise TemporalError("exchange-symmetric traces need a grid symmetric "
                             "about omega_s0")
@@ -127,7 +129,7 @@ def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
     """Spectral weights W(omega_s) whose transform gives the dip."""
     if isinstance(source, SpectralSlice):
         omega_s, omega_i, phi = source.grid.omega_s, source.omega_i, source.values
-        _check_mirror_grid(omega_s, 0.5 * source.omega_p0)
+        _check_mirror_grid(omega_s)
         # exchange omega_s <-> omega_i reverses the symmetric grid
         return omega_s, omega_s * omega_i * phi * np.conj(phi[::-1]), \
             omega_s * omega_i * np.abs(phi) ** 2
@@ -171,12 +173,11 @@ def _area_normalized(tau: np.ndarray, intensity: np.ndarray) -> TemporalTrace:
     return TemporalTrace(tau, intensity / area)
 
 
-def _slice_trace(slice_: SpectralSlice, omega_s0: float,
-                 tau: np.ndarray) -> TemporalTrace:
+def _slice_trace(slice_: SpectralSlice, tau: np.ndarray) -> TemporalTrace:
     """Area-normalized sum-frequency trace of an amplitude slice."""
     omega_s = slice_.grid.omega_s
     amp = np.sqrt(omega_s * slice_.omega_i) * slice_.values
-    field = _oscillatory_sum(tau, omega_s - omega_s0,
+    field = _oscillatory_sum(tau, omega_s - ProcessConfig.omega_s0,
                              _trapezoid_weights(omega_s) * amp)
     return _area_normalized(tau, np.abs(field) ** 2)
 
@@ -200,7 +201,7 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
         return _sumfreq_ensemble_analytic(source, cfg, model, grid, tau)
     slice_ = source if isinstance(source, SpectralSlice) \
         else two_photon_amplitude(source, cfg, model, grid)
-    return _slice_trace(compensate(slice_, compensation), cfg.omega_s0, tau)
+    return _slice_trace(compensate(slice_, compensation), tau)
 
 
 def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
@@ -211,18 +212,15 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     omega_i makes M_qc the conjugate of M at (n-1-c, n-1-q), at the same lag:
     only c <= min(q, n-1-q) is made, _ROW_BLOCK rows at a time, as 2 Re M_qc."""
     omega_s = grid.omega_s
-    _check_mirror_grid(omega_s, cfg.omega_s0)
+    _check_mirror_grid(omega_s)
     omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
-    # detuning from the structure's design point
-    delta_k = dk_tot - np.pi / spec.l0
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
     n = omega_s.size
     lag_sums = np.zeros(n)
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
         width = min(r1, n - r0)  # the columns c <= min(q, n-1-q) of these rows
-        block = xcorr_rps(delta_k[r0:r1, None], delta_k[None, :width],
-                          spec.n_domains, spec.l0, spec.sigma)
+        block = _xcorr(spec, dk_tot[r0:r1, None], dk_tot[None, :width])
         block *= a[r0:r1, None] * np.conj(a[:width])
         for i, q in enumerate(range(r0, r1)):
             c = min(q, n - 1 - q)
@@ -235,19 +233,19 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     return _area_normalized(tau, intensity)
 
 
-def sumfreq_ensemble_mc(spec: StructureSpec, cfg: ProcessConfig, model,
-                        grid: SpectralGrid, realizations: int, seed: int,
-                        tau: np.ndarray, compensation: str = "none") -> TemporalTrace:
-    """Monte Carlo ensemble mean of per-realization sum-frequency traces."""
+def sumfreq_ensemble_mc(draw, cfg: ProcessConfig, model, grid: SpectralGrid,
+                        realizations: int, tau: np.ndarray,
+                        compensation: str = "none") -> TemporalTrace:
+    """Monte Carlo ensemble mean of the sum-frequency traces of the layouts
+    draw(0) .. draw(realizations - 1)."""
     if realizations < 1:
         raise TemporalError("need at least one realization")
 
     def observe(g, f):
-        slice_ = SpectralSlice(grid, g * f, cfg.omega_p0)
-        return _slice_trace(compensate(slice_, compensation), cfg.omega_s0, tau).values
+        slice_ = SpectralSlice(grid, g * f)
+        return _slice_trace(compensate(slice_, compensation), tau).values
 
-    traces = map_realizations(lambda i: spec.generate(RandomSource(seed, i)),
-                              realizations, cfg, model, grid, observe)
+    traces = map_realizations(draw, realizations, cfg, model, grid, observe)
     return _area_normalized(tau, sum(traces))
 
 
@@ -269,15 +267,15 @@ def fit_quadratic_phase(slice_: SpectralSlice):
         raise TemporalError("degenerate fit: fewer than three weighted samples")
     runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
     phase = np.concatenate([np.unwrap(np.angle(slice_.values[r])) for r in runs])
-    x = slice_.grid.omega_s[idx] - 0.5 * slice_.omega_p0
+    x = slice_.grid.omega_s[idx] - ProcessConfig.omega_s0
     coeffs = np.polynomial.polynomial.polyfit(x, phase, 2, w=np.sqrt(weights[idx]))
     return tuple(float(c) for c in coeffs)
 
 
 def _apply_phase(slice_: SpectralSlice, c0: float, c1: float, c2: float):
-    x = slice_.grid.omega_s - 0.5 * slice_.omega_p0
+    x = slice_.grid.omega_s - ProcessConfig.omega_s0
     corr = np.exp(-1j * (c0 + c1 * x + c2 * x ** 2))
-    return SpectralSlice(slice_.grid, slice_.values * corr, slice_.omega_p0)
+    return SpectralSlice(slice_.grid, slice_.values * corr)
 
 
 def _golden_min(f, lo: float, hi: float, xatol: float):
@@ -318,23 +316,21 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     if mode == "none":
         return slice_
     if mode == "ideal":
-        return SpectralSlice(slice_.grid, np.abs(slice_.values), slice_.omega_p0)
+        return SpectralSlice(slice_.grid, np.abs(slice_.values))
     if mode != "quadratic":
         raise TemporalError(f"unknown compensation mode {mode!r}")
     c0, c1, c2 = fit_quadratic_phase(slice_)
-    omega_s = slice_.grid.omega_s
-    omega_s0 = 0.5 * slice_.omega_p0
     tau = np.linspace(-500e-15, 500e-15, 4096)  # width probes over +-500 fs
 
     def width_at(curv: float) -> float:
-        trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), omega_s0, tau)
+        trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), tau)
         try:
             return fwhm(trace.tau, trace.values)
         except SpectraError:  # wider than the window: never the narrowest
             return math.inf
 
     weights = np.abs(slice_.values) ** 2
-    x = omega_s - omega_s0
+    x = slice_.grid.omega_s - ProcessConfig.omega_s0
     band = np.sqrt(np.sum(weights * x ** 2) / np.sum(weights))
     scale = max(abs(c2), 1.0 / band ** 2)
     base_width = width_at(c2)

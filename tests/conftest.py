@@ -32,11 +32,10 @@ def dispersion_cancellation_check(source, cfg: ProcessConfig, model,
         else two_photon_amplitude(source, cfg, model, grid)
     base = hom_trace(slice_, cfg, model, slice_.grid, tau)
     omega_s = slice_.grid.omega_s
-    omega_i = slice_.omega_p0 - omega_s
+    omega_i = slice_.omega_i
     phased = SpectralSlice(
         slice_.grid,
         slice_.values * np.exp(1j * (phase_fn(omega_s) + phase_fn(omega_i))),
-        slice_.omega_p0,
     )
     mod = hom_trace(phased, cfg, model, slice_.grid, tau)
     return float(np.max(np.abs(mod.values - base.values)))

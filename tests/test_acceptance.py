@@ -237,7 +237,8 @@ def test_criterion_09_sum_frequency(cfg, model, l0, matched_sigma):
     w_ideal = fwhm(tau, sumfreq_trace(cpps, cfg, model, grid, tau,
                                       "ideal").values)
     rps = StructureSpec("rps", N_DOMAINS, l0, sigma=matched_sigma)
-    ens = sumfreq_ensemble_mc(rps, cfg, model, grid, 100, 0, tau, "ideal")
+    ens = sumfreq_ensemble_mc(lambda i: rps.generate(RandomSource(0, i)), cfg, model,
+                              grid, 100, tau, "ideal")
     w_ens = fwhm(tau, ens.values)
     ratio = w_quad / w_ideal
     ens_rel = abs(w_ens / w_ideal - 1.0)

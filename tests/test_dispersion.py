@@ -34,6 +34,11 @@ class TestRefractiveIndex:
         omega = omega_from_wavelength(1.55e-6)
         assert hot.refractive_index(omega) > cold.refractive_index(omega)
 
+    @pytest.mark.parametrize("temperature", [-5.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_temperature_must_be_positive_kelvin(self, temperature):
+        with pytest.raises(DispersionError, match="positive finite number of kelvin"):
+            DispersionModel(temperature=temperature)
+
     def test_out_of_band_rejected(self, model):
         with pytest.raises(DispersionError):
             model.refractive_index(omega_from_wavelength(0.3e-6))

@@ -144,3 +144,32 @@ def test_imports_only_numpy_and_the_standard_library():
     foreign = {top: sorted(files) for top, files in imported.items()
                if top not in sys.stdlib_module_names | {"numpy", "randpoled"}}
     assert foreign == {}
+
+
+# the phase-matching kernels: the boundary sum and the closed forms
+KERNELS = {"f_exact", "avg_f2_rps", "xcorr_rps", "f_chirp", "f2_chirp"}
+
+
+def _names(path):
+    """Every name the code of path mentions: plain names, attributes,
+    imported names and the modules they are imported from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+    return names
+
+
+def test_only_spectra_maps_a_source_to_its_model():
+    # spectra._amplitude, _f2 and _xcorr are the one map from a source to a
+    # kernel; the package __init__ re-exports the kernels, phasematch defines them
+    users = {path.stem for path in SRC.glob("*.py") if _names(path) & KERNELS}
+    assert sorted(users - {"phasematch"}) == ["__init__", "spectra"]
+    # temporal keeps trace math: it neither reaches phasematch nor draws layouts
+    assert sorted(_names(SRC / "temporal.py") & {"phasematch", "RandomSource"}) == []

@@ -644,6 +644,34 @@ class TestCli:
         assert err["message"].startswith(f"{name} must be at least {floor}, got")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario, tau_span", [
+        ("hom-study", "-100e-15"), ("hom-study", "0"), ("sumfreq-study", "-3e-13"),
+    ])
+    def test_non_positive_tau_span_is_a_domain_error(self, tmp_path, capsys,
+                                                     monkeypatch, scenario, tau_span):
+        # refused before any grid is built: not a reversed tau column with a
+        # negative dip width, nor a trace of "zero area"
+        monkeypatch.setattr(scenarios, "_workspace", mock.Mock(side_effect=_Started))
+        code = _run_cli([scenario, f"--tau-span={tau_span}", "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert err["message"].startswith("tau_span must be positive, got")
+        assert list(tmp_path.iterdir()) == []
+        scenarios._workspace.assert_not_called()
+
+    @pytest.mark.parametrize("args", [["temperature-scan", "--t-values=296,-5"],
+                                      ["hom-study", "--temperature=-3"],
+                                      ["rate-vs-NL", "--temperature", "0"]])
+    def test_temperature_below_absolute_zero_is_a_domain_error(self, tmp_path, capsys,
+                                                               args):
+        code = _run_cli(args + ["--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert "temperature must be a positive finite number of kelvin" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_stream_overlap_is_a_domain_error(self, tmp_path, capsys):
         code = _run_cli(["segment-scan", "--permutations", "100001",
                          "--out-dir", str(tmp_path)])
@@ -690,6 +718,43 @@ class TestCli:
         assert err["error"] == "config"
         assert next(iter(config)) in err["message"]
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["spatial-study", "--pump-width", "nan"], "pump_width"),
+        (["sumfreq-study", "--zeta", "nan"], "zeta"),
+        (["rate-vs-NL", "--temperature", "inf"], "temperature"),
+        (["hom-study", "--tau-span=-inf"], "tau_span"),
+        (["fab-error-scan", "--sigma-er-values", "0,nan", "--realizations", "2",
+          "--bases", "rps"], "sigma_er_values"),
+        (["spatial-study", "--pump-widths", "1e-5,-inf"], "pump_widths"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, args, name):
+        # a real that is NaN or infinite is a configuration error naming its
+        # key: not a run that writes nan tables or fails without the name
+        code = _run_cli(args + ["--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert f"invalid value for {name!r}" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario, entry, name", [
+        ("spatial-study", '"pump_width": NaN', "pump_width"),
+        ("spatial-study", '"parameters": {"pump_width": Infinity}', "pump_width"),
+        ("fab-error-scan", '"sigma_er_values": [0.0, -Infinity]', "sigma_er_values"),
+    ])
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, scenario,
+                                              entry, name):
+        # Python's json reads NaN and +-Infinity, which JSON itself lacks
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{%s}" % entry)
+        out = tmp_path / "out"
+        code = _run_cli([scenario, "--config", str(cfgfile), "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert f"invalid value for {name!r}" in err["message"]
+        assert not out.exists()
 
     def test_coercion_of_string_flags(self):
         cfg = cli.parse_config(None, {

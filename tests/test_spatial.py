@@ -79,12 +79,11 @@ class TestAngularDensity:
         center = col[agrid.omega_s.size // 2]
         assert center < 0.7 * col.max()
 
-    def test_frequency_past_pump_rejected(self, cfg, model, rps):
-        bad = AngularGrid(np.array([0.0, 0.01]), np.array([0.0, 0.01]),
-                          np.array([0.0]),
-                          np.array([0.5 * cfg.omega_p0, 1.5 * cfg.omega_p0]))
+    def test_frequency_past_pump_rejected(self, cfg):
         with pytest.raises(SpatialError):
-            angular_spectral_density(rps, cfg, model, bad)
+            AngularGrid(np.array([0.0, 0.01]), np.array([0.0, 0.01]),
+                        np.array([0.0]),
+                        np.array([0.5 * cfg.omega_p0, 1.5 * cfg.omega_p0]))
 
 
 class TestCorrelatedArea:

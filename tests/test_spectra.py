@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -11,7 +12,7 @@ from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
                        apply_fabrication_error, ensemble_run, fwhm,
                        joint_density, match_parameter, two_photon_amplitude)
-from randpoled.dispersion import SPEED_OF_LIGHT
+from randpoled.dispersion import SPEED_OF_LIGHT, omega_from_wavelength
 from randpoled.phasematch import BoundaryPlan, avg_f2_rps, f_exact
 from randpoled.scenarios import _BASE_ROWS, _ROW_STREAMS, _workspace
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
@@ -44,9 +45,17 @@ class TestConfigAndGrid:
         assert g.omega_s[-1] == pytest.approx(1.2 * cfg.omega_s0)
 
     def test_slice_idler_positive(self, cfg):
-        g = SpectralGrid(np.linspace(0.9, 1.1, 11) * cfg.omega_p0)
         with pytest.raises(SpectraError):
-            SpectralSlice(g, np.ones(11, dtype=complex), cfg.omega_p0)
+            SpectralGrid(np.linspace(0.9, 1.1, 11) * cfg.omega_p0)
+
+    def test_pump_is_a_constant(self, cfg, grid):
+        # the pump frequency is no field: a slice derives its idler from it
+        assert [f.name for f in dataclasses.fields(ProcessConfig)] == ["pump_width"]
+        assert ProcessConfig.omega_p0 == omega_from_wavelength(spectra.PUMP_WAVELENGTH)
+        assert cfg.omega_s0 == 0.5 * ProcessConfig.omega_p0
+        assert [f.name for f in dataclasses.fields(SpectralSlice)] == ["grid", "values"]
+        slice_ = SpectralSlice(grid, np.ones(grid.n_points))
+        assert np.array_equal(slice_.omega_i, cfg.omega_p0 - grid.omega_s)
 
 
 class TestCoupling:

@@ -93,7 +93,7 @@ class TestHom:
         # HOM dip depends only on the spectral density, not the phase
         s = StructureSpec("chirped", 700, l0, zeta=2.5e6)
         sl = two_photon_amplitude(s, cfg, model, grid513)
-        flat = SpectralSlice(grid513, np.abs(sl.values), cfg.omega_p0)
+        flat = SpectralSlice(grid513, np.abs(sl.values))
         a = hom_trace(sl, cfg, model, grid513, TAU)
         b = hom_trace(flat, cfg, model, grid513, TAU)
         assert np.max(np.abs(a.values - b.values)) < 1e-10
@@ -209,7 +209,8 @@ class TestSumFrequency:
         tau = np.linspace(-60e-15, 60e-15, 801)
         spec = StructureSpec("rps", 300, l0, sigma=1.5e-6)
         ana = sumfreq_trace(spec, cfg, model, grid, tau)
-        mc = sumfreq_ensemble_mc(spec, cfg, model, grid, 600, 31, tau)
+        mc = sumfreq_ensemble_mc(lambda i: spec.generate(RandomSource(31, i)), cfg,
+                                 model, grid, 600, tau)
         scale = ana.values.max()
         assert np.max(np.abs(ana.values - mc.values)) / scale < 0.08
 
@@ -219,7 +220,8 @@ class TestSumFrequency:
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
         tau = np.linspace(-100e-15, 100e-15, 401)
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
-        mc = sumfreq_ensemble_mc(spec, cfg, model, grid, 3, 7, tau, compensation)
+        mc = sumfreq_ensemble_mc(lambda i: spec.generate(RandomSource(7, i)), cfg,
+                                 model, grid, 3, tau, compensation)
         mean = np.mean([sumfreq_trace(spec.generate(RandomSource(7, i)), cfg,
                                       model, grid, tau, compensation).values
                         for i in range(3)], axis=0)
@@ -277,7 +279,7 @@ class TestSumFrequency:
 
     def test_zero_area_rejected(self, cfg, model):
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
-        zero = SpectralSlice(grid, np.zeros(257), cfg.omega_p0)
+        zero = SpectralSlice(grid, np.zeros(257))
         with pytest.raises(TemporalError, match="zero area"):
             sumfreq_trace(zero, cfg, model, grid, TAU)
 
@@ -286,7 +288,8 @@ class TestSumFrequency:
         spec = StructureSpec("rps", 300, l0, sigma=1.5e-6)
         for realizations in (0, -1):
             with pytest.raises(TemporalError):
-                sumfreq_ensemble_mc(spec, cfg, model, grid, realizations, 0, TAU)
+                sumfreq_ensemble_mc(lambda i: spec.generate(RandomSource(0, i)), cfg,
+                                    model, grid, realizations, TAU)
 
     def test_ensemble_compensation_requires_mc(self, cfg, model, grid513, l0):
         spec = StructureSpec("rps", 700, l0, sigma=2.1e-6)
@@ -311,7 +314,7 @@ class TestPhase:
         half = grid513.n_points // 2
         jump = np.where(np.arange(grid513.n_points) < half, np.exp(-0.5j), np.exp(3.0j))
         jump[half - 5:half + 5] = 0.0
-        slices.append(SpectralSlice(grid513, jump, cfg.omega_p0))
+        slices.append(SpectralSlice(grid513, jump))
         runs = []
         for sl in slices:
             weight = np.abs(sl.values) ** 2
@@ -330,22 +333,22 @@ class TestPhase:
             x, np.unwrap(np.angle(sl.values[inside])), 2, w=w)
         assert not np.array_equal(joint, want)
 
-    def test_fit_needs_a_nonzero_amplitude(self, cfg, grid513):
-        zero = SpectralSlice(grid513, np.zeros(grid513.n_points), cfg.omega_p0)
+    def test_fit_needs_a_nonzero_amplitude(self, grid513):
+        zero = SpectralSlice(grid513, np.zeros(grid513.n_points))
         with pytest.raises(TemporalError, match="zero amplitude everywhere"):
             fit_quadratic_phase(zero)
 
     @pytest.mark.parametrize("kept", [[200], [200, 201], [10, 400]])
-    def test_fit_needs_three_samples_above_the_floor(self, cfg, grid513, kept):
+    def test_fit_needs_three_samples_above_the_floor(self, grid513, kept):
         # a sample just below WEIGHT_FLOOR of the peak does not count
         values = np.zeros(grid513.n_points, dtype=complex)
         values[kept] = np.exp(0.3j)
         values[300] = np.sqrt(0.99 * WEIGHT_FLOOR)
         with pytest.raises(TemporalError, match="fewer than three weighted samples"):
-            fit_quadratic_phase(SpectralSlice(grid513, values, cfg.omega_p0))
+            fit_quadratic_phase(SpectralSlice(grid513, values))
         if len(kept) == 2:  # just above the floor it is the third sample
             values[300] = np.sqrt(1.01 * WEIGHT_FLOOR)
-            sl = SpectralSlice(grid513, values, cfg.omega_p0)
+            sl = SpectralSlice(grid513, values)
             assert np.all(np.isfinite(fit_quadratic_phase(sl)))
 
     def test_quadratic_fit_recovers_injection(self, cfg, model, grid513, l0):
@@ -354,8 +357,7 @@ class TestPhase:
         base = fit_quadratic_phase(sl)
         x = grid513.omega_s - cfg.omega_s0
         inj = SpectralSlice(
-            grid513, sl.values * np.exp(1j * (0.3 + 1e-15 * x + 4e-29 * x ** 2)),
-            cfg.omega_p0)
+            grid513, sl.values * np.exp(1j * (0.3 + 1e-15 * x + 4e-29 * x ** 2)))
         got = fit_quadratic_phase(inj)
         assert got[0] - base[0] == pytest.approx(0.3, rel=1e-9)
         assert got[1] - base[1] == pytest.approx(1e-15, rel=1e-9)
@@ -379,8 +381,7 @@ class TestPhase:
         ideal = StructureSpec("ideal", 700, l0).generate(RandomSource(0))
         sl = two_photon_amplitude(ideal, cfg, model, grid513)
         x = grid513.omega_s - cfg.omega_s0
-        inj = SpectralSlice(grid513, sl.values * np.exp(1j * 3e-28 * x ** 2),
-                            cfg.omega_p0)
+        inj = SpectralSlice(grid513, sl.values * np.exp(1j * 3e-28 * x ** 2))
         w_orig = fwhm(*_trace_slice(sl, cfg, model, grid513, "none"))
         w_inj = fwhm(*_trace_slice(inj, cfg, model, grid513, "none"))
         w_comp = fwhm(*_trace_slice(inj, cfg, model, grid513, "quadratic"))
@@ -406,7 +407,7 @@ class TestPhase:
         grid = SpectralGrid.default(cfg.omega_s0, n=257)
         x = grid.omega_s - cfg.omega_s0
         sl = SpectralSlice(grid, np.exp(-(10.0 * x / np.ptp(x)) ** 2
-                                        + 1j * curvature * x ** 2), cfg.omega_p0)
+                                        + 1j * curvature * x ** 2))
         fitted = _apply_phase(sl, *fit_quadratic_phase(sl))
         assert np.array_equal(compensate(sl, "quadratic").values, fitted.values)
 
@@ -455,7 +456,7 @@ class TestGrids:
         # measured to at most 4.1e-16 of omega_s0
         for n in range(257, 4097):
             temporal._check_mirror_grid(
-                SpectralGrid.default(cfg.omega_s0, n=n, span=span).omega_s, cfg.omega_s0)
+                SpectralGrid.default(cfg.omega_s0, n=n, span=span).omega_s)
 
     def test_asymmetric_grid_rejected(self, cfg, model, l0):
         bad = SpectralGrid(np.linspace(0.8, 1.5, 257) * cfg.omega_s0)
