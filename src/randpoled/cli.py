@@ -134,6 +134,9 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         if key not in _RESERVED:
             raw_params[key] = value
     scenario = overrides.get("scenario") or data.get("scenario")
+    if data.get("scenario") not in (None, scenario):
+        raise ConfigError(f"config names scenario {data['scenario']!r}, "
+                          f"but the command is {scenario!r}")
     if scenario is None:
         raise ConfigError("no scenario given (config key 'scenario' or subcommand)")
     if scenario not in SCENARIOS:
@@ -206,7 +209,8 @@ def build_parser(scenarios) -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", help="output directory "
                         f"(default: ${OUT_DIR_ENV} or '.')")
         sp.add_argument("--threads", type=int,
-                        help="accepted and ignored: runs are single-threaded")
+                        help="accepted and ignored: the program starts no threads, "
+                        "but NumPy's BLAS is multithreaded; OPENBLAS_NUM_THREADS=1 pins it")
         for name, default in scenario_defaults(scenario).items():
             sp.add_argument("--" + name.replace("_", "-"),
                             metavar="V1,V2,..." if isinstance(default, tuple) else None)

@@ -5,7 +5,8 @@ its spatial spectrum at the transverse mismatch multiplies the
 longitudinal response |F|^2 at the longitudinal one.  Emission angles are
 internal to the crystal; exact sines and cosines are used so results
 stay valid to tens of milliradians.  The frequency integral over the
-idler collapses under cw pumping (omega_i = omega_p0 - omega_s).
+idler collapses under cw pumping (omega_i = omega_p0 - omega_s): the
+slice's wavenumbers and coupling come from spectra._cw_slice.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dispersion import DispersionModel
 from .phasematch import _BLOCK
-from .spectra import ProcessConfig, _f2, coupling_g, fwhm
+from .spectra import ProcessConfig, _cw_slice, _f2, fwhm
 
 
 class SpatialError(ValueError):
@@ -67,14 +68,6 @@ def _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s, theta_i_grid,
     return _f2(source, dkz), np.exp(-(dkx ** 2 * w ** 2 + dky ** 2 * w ** 2) / 2.0)
 
 
-def _slice_kinematics(cfg, model, omega_s):
-    omega_i = cfg.omega_p0 - omega_s
-    k_s = model.wavenumber(omega_s)
-    k_i = model.wavenumber(omega_i)
-    k_p = model.wavenumber(np.full_like(omega_s, cfg.omega_p0))
-    return k_s, k_i, k_p, np.abs(coupling_g(omega_s, omega_i, model)) ** 2
-
-
 def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
                              grid: AngularGrid) -> np.ndarray:
     """Signal spectral density over (omega_s, theta_s).
@@ -83,7 +76,7 @@ def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
     factors; the idler frequency is slaved to the signal one (cw).
     """
     omega_s = grid.omega_s
-    k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
+    _, k_s, k_i, k_p, _, g = _cw_slice(cfg, model, omega_s)
     # sin(theta_i) measure with the theta_i and phi_i quadrature weights
     wt = np.gradient(grid.theta_i) if grid.theta_i.size > 1 else np.array([1.0])
     wt = wt * np.sin(grid.theta_i)
@@ -92,7 +85,7 @@ def angular_spectral_density(source, cfg: ProcessConfig, model: DispersionModel,
     for m, th_s in enumerate(grid.theta_s):
         f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, th_s, 0.0,
                                  grid.theta_i, grid.phi_i)
-        values[:, m] = np.sin(th_s) * g2 * (wt @ (f2 * trans.sum(axis=2))) * dphi
+        values[:, m] = np.sin(th_s) * np.abs(g) ** 2 * (wt @ (f2 * trans.sum(axis=2))) * dphi
     return values
 
 
@@ -106,7 +99,7 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
     is dropped, as only the relative distribution is meaningful.
     """
     omega_s = grid.omega_s
-    k_s, k_i, k_p, g2 = _slice_kinematics(cfg, model, omega_s)
+    _, k_s, k_i, k_p, _, g = _cw_slice(cfg, model, omega_s)
     values = np.empty((grid.theta_i.size, grid.phi_i.size))
     # theta_i rows in blocks of at most _BLOCK (theta_i x omega x phi_i)
     # points: each row reduces along omega alone, in cache
@@ -115,7 +108,7 @@ def correlated_area(source, cfg: ProcessConfig, model: DispersionModel,
         theta_i = grid.theta_i[r0:r0 + rows]
         f2, trans = _idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
                                  theta_i, grid.phi_i)
-        integ = np.trapezoid((g2 * f2)[..., None] * trans, omega_s, axis=1)
+        integ = np.trapezoid((np.abs(g) ** 2 * f2)[..., None] * trans, omega_s, axis=1)
         values[r0:r0 + rows] = np.sin(theta_i)[:, None] * integ
     if theta_s > 0:
         values *= np.sin(theta_s)

@@ -2,7 +2,8 @@
 
 The pump is cw, so the idler frequency is slaved to the signal one,
 omega_i = omega_p0 - omega_s, and every two-dimensional spectral object
-collapses to a one-dimensional slice along the signal frequency.
+collapses to a one-dimensional slice along the signal frequency, whose
+kinematics _cw_slice alone computes, for spatial and temporal too.
 
 Rates are reported in relative units: all known prefactors are applied
 but the absolute calibration (pump power to photon pairs per second)
@@ -41,8 +42,8 @@ class ProcessConfig:
     omega_s0 = 0.5 * omega_p0
 
     def __post_init__(self):
-        if self.pump_width <= 0:
-            raise SpectraError("pump width must be positive")
+        if not 0.0 < self.pump_width < np.inf:
+            raise SpectraError("pump width must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -105,25 +106,21 @@ class EnsembleStats:
     values: np.ndarray = field(repr=False)
 
 
-def coupling_g(omega_s, omega_i, model: DispersionModel):
-    """Coupling constant g = i sqrt(ws wi) / (2 c pi sqrt(ns ni)) chi2."""
-    omega_s = np.asarray(omega_s, dtype=float)
+def _cw_slice(cfg: ProcessConfig, model: DispersionModel, omega_s):
+    """(omega_i, k_s, k_i, k_p, dk_tot, g) on the cw slice, from one n(omega_s)
+    and one n(omega_i): wavenumbers k = n omega / c, the collinear mismatch
+    dk_tot = k_p - k_s - k_i, and the coupling g = i sqrt(ws wi) /
+    (2 c pi sqrt(ns ni)) chi2 pumped at unit amplitude (amplitude per unit F)."""
+    omega_i = cfg.omega_p0 - omega_s
     n_s = model.refractive_index(omega_s)
     n_i = model.refractive_index(omega_i)
-    return (
-        1j * np.sqrt(omega_s * omega_i)
-        / (2.0 * SPEED_OF_LIGHT * np.pi * np.sqrt(n_s * n_i))
-        * CHI2_EFFECTIVE
-    )
-
-
-def _cw_slice(cfg: ProcessConfig, model: DispersionModel, grid: SpectralGrid):
-    """(omega_i, dk_tot, g) on the cw slice: the idler omega_p0 - omega_s,
-    the collinear mismatch and the coupling pumped at unit amplitude,
-    which is the amplitude per unit F."""
-    omega_i = cfg.omega_p0 - grid.omega_s
-    return (omega_i, model.collinear_mismatch(grid.omega_s, omega_i),
-            coupling_g(grid.omega_s, omega_i, model))
+    k_s = n_s * omega_s / SPEED_OF_LIGHT
+    k_i = n_i * omega_i / SPEED_OF_LIGHT
+    k_p = model.wavenumber(omega_s + omega_i)  # = omega_p0 exactly for in-band omega_s
+    g = (1j * np.sqrt(omega_s * omega_i)
+         / (2.0 * SPEED_OF_LIGHT * np.pi * np.sqrt(n_s * n_i))
+         * CHI2_EFFECTIVE)
+    return omega_i, k_s, k_i, k_p, k_p - k_s - k_i, g
 
 
 def _amplitude(source, dk_tot):
@@ -169,14 +166,14 @@ def two_photon_amplitude(source, cfg: ProcessConfig, model: DispersionModel,
     An rps StructureSpec has no single amplitude (only second-order
     moments); generate a realization first.
     """
-    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    *_, dk_tot, g = _cw_slice(cfg, model, grid.omega_s)
     return SpectralSlice(grid, g * _amplitude(source, dk_tot))
 
 
 def joint_density(source, cfg: ProcessConfig, model: DispersionModel,
                   grid: SpectralGrid) -> np.ndarray:
     """Spectral density n(omega_s) = |g|^2 |pump|^2 <|F|^2> on the slice."""
-    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    *_, dk_tot, g = _cw_slice(cfg, model, grid.omega_s)
     return np.abs(g) ** 2 * _f2(source, dk_tot)
 
 
@@ -223,7 +220,7 @@ def map_realizations(draw, count: int, cfg: ProcessConfig, model: DispersionMode
     builds the nodes for each length class of layout once.  Failures are
     the observable's to handle: one that raises ends the run.
     """
-    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    *_, dk_tot, g = _cw_slice(cfg, model, grid.omega_s)
     plan = BoundaryPlan(dk_tot)
     return [observe(g, f_exact(draw(i), dk_tot, plan)) for i in range(count)]
 
@@ -296,7 +293,7 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
     probes = np.geomspace(5e-8, 8e-6, 25)
-    _, dk_tot, g = _cw_slice(cfg, model, grid)
+    *_, dk_tot, g = _cw_slice(cfg, model, grid.omega_s)
     weight = np.abs(g) ** 2
 
     @functools.cache  # the probes' densities serve every zeta

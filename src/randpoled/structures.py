@@ -65,7 +65,10 @@ class PolingStructure:
         object.__setattr__(self, "boundaries", b)
         if b.ndim != 1 or b.size < 2:
             raise StructureError("need at least two boundaries")
-        bad = np.nonzero(np.diff(b) <= 0.0)[0]
+        if not math.isfinite(b[-1] - b[0]):
+            raise StructureError("boundaries must be finite")
+        # NaN is not > 0, and increasing steps between finite ends are finite
+        bad = np.nonzero(~(np.diff(b) > 0.0))[0]
         if bad.size:
             raise StructureError(
                 f"boundaries not strictly increasing at index {bad[0] + 1}"
@@ -107,12 +110,14 @@ class StructureSpec:
     def __post_init__(self):
         if self.kind not in ("ideal", "rps", "chirped"):
             raise StructureError(f"unknown structure kind {self.kind!r}")
-        if self.n_domains < 1:
-            raise StructureError("n_domains must be >= 1")
-        if self.l0 <= 0:
-            raise StructureError("l0 must be positive")
-        if self.sigma < 0:
-            raise StructureError("sigma must be >= 0")
+        if not 1 <= self.n_domains < math.inf:
+            raise StructureError("n_domains must be >= 1 and finite")
+        if not 0.0 < self.l0 < math.inf:
+            raise StructureError("l0 must be positive and finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise StructureError("sigma must be >= 0 and finite")
+        if not math.isfinite(self.zeta):
+            raise StructureError("zeta must be finite")
         if self.sigma and self.kind != "rps":
             raise StructureError(f"sigma applies to rps specs, not {self.kind!r}")
         if self.zeta and self.kind != "chirped":
@@ -195,8 +200,8 @@ def apply_fabrication_error(s: PolingStructure, sigma_er: float,
     process.  Nonpositive lengths are redrawn; a law whose expected rejection
     rate exceeds MAX_REJECTION_RATE is refused, unless ``_law_checked``.
     """
-    if sigma_er < 0:
-        raise StructureError("sigma_er must be >= 0")
+    if not 0.0 <= sigma_er < math.inf:
+        raise StructureError("sigma_er must be >= 0 and finite")
     if sigma_er == 0.0:
         return s
     if not _law_checked:

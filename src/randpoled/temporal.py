@@ -134,7 +134,7 @@ def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
         return omega_s, omega_s * omega_i * phi * np.conj(phi[::-1]), \
             omega_s * omega_i * np.abs(phi) ** 2
     omega_s = grid.omega_s
-    omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
+    omega_i, *_, dk_tot, g = _cw_slice(cfg, model, omega_s)
     w = omega_s * omega_i * np.abs(g) ** 2 * _f2(source, dk_tot)
     return omega_s, w.astype(complex), w
 
@@ -213,7 +213,7 @@ def _sumfreq_ensemble_analytic(spec: StructureSpec, cfg, model,
     only c <= min(q, n-1-q) is made, _ROW_BLOCK rows at a time, as 2 Re M_qc."""
     omega_s = grid.omega_s
     _check_mirror_grid(omega_s)
-    omega_i, dk_tot, g = _cw_slice(cfg, model, grid)
+    omega_i, *_, dk_tot, g = _cw_slice(cfg, model, omega_s)
     a = np.sqrt(omega_s * omega_i) * g * _trapezoid_weights(omega_s)
     n = omega_s.size
     lag_sums = np.zeros(n)

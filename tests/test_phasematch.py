@@ -114,7 +114,7 @@ SCENARIO_GRIDS = ((257, 0.6), (513, 0.35), (1025, 0.35), (2049, 0.35))
 @pytest.fixture(scope="module")
 def scenario_dk(cfg, model):
     return {key: _cw_slice(cfg, model, SpectralGrid.default(
-        cfg.omega_s0, n=key[0], span=key[1]))[1] for key in SCENARIO_GRIDS}
+        cfg.omega_s0, n=key[0], span=key[1]).omega_s)[4] for key in SCENARIO_GRIDS}
 
 
 class TestChebyshevKernel:

@@ -431,6 +431,21 @@ class TestCli:
         assert err["error"] == "config"
         assert "sigmas" in err["message"]
 
+    def test_config_naming_another_scenario_refused(self, tmp_path, capsys):
+        # the command may not silently replace the config's scenario (this would
+        # run hom-study at rate-vs-NL's 296 K)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"scenario": "rate-vs-NL",
+                                       "temperature": 296.0}))
+        out = tmp_path / "out"
+        code = _run_cli(["hom-study", "--config", str(cfgfile), "--grid-points",
+                         "257", "--tau-points", "201", "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "'rate-vs-NL'" in err["message"] and "'hom-study'" in err["message"]
+        assert not out.exists()
+
     def test_unknown_scenario_suggestion(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps({"scenario": "rate-vs-NLL"}))

@@ -9,7 +9,8 @@ from randpoled import RandomSource, StructureSpec, spatial
 from randpoled.spatial import (AngularGrid, SpatialError,
                                angular_spectral_density, correlated_area,
                                correlated_width_scan)
-from randpoled.spectra import _f2, coupling_g
+from randpoled.dispersion import SPEED_OF_LIGHT
+from randpoled.spectra import CHI2_EFFECTIVE, _cw_slice, _f2
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +147,13 @@ class TestCorrelatedArea:
 
 def _row_terms(source, cfg, model, om, theta_s, phi_s, th_i, phi_i):
     """Oracle terms of one theta_i row: g2, |F|^2 over omega_s from its own
-    spectra._f2 call, and the pump factor over (omega_s, phi_i)."""
+    spectra._f2 call, and the pump factor over (omega_s, phi_i), from its own
+    wavenumbers and coupling |g|^2 = ws wi chi2^2 / (2 c pi)^2 / (ns ni)."""
     wi = cfg.omega_p0 - om
     k_s, k_i = model.wavenumber(om), model.wavenumber(wi)
     k_p = model.wavenumber(np.full_like(om, cfg.omega_p0))
-    g2 = np.abs(coupling_g(om, wi, model)) ** 2
+    g2 = (om * wi * CHI2_EFFECTIVE ** 2 / (2 * SPEED_OF_LIGHT * np.pi) ** 2
+          / (model.refractive_index(om) * model.refractive_index(wi)))
     f2 = _f2(source, k_p - k_s * np.cos(theta_s) - k_i * np.cos(th_i))
     b = (k_i * np.sin(th_i))[:, None]
     dkx = (k_s * np.sin(theta_s) * np.sin(phi_s))[:, None] + b * np.sin(phi_i)
@@ -228,7 +231,8 @@ class TestWholeGridResponse:
 def _whole_grid_area(source, cfg, model, grid, theta_s, phi_s):
     """correlated_area in one shot over the whole (theta_i, omega_s, phi_i)
     grid: the oracle of its theta_i blocks."""
-    k_s, k_i, k_p, g2 = spatial._slice_kinematics(cfg, model, grid.omega_s)
+    _, k_s, k_i, k_p, _, g = _cw_slice(cfg, model, grid.omega_s)
+    g2 = np.abs(g) ** 2
     f2, trans = spatial._idler_terms(source, cfg, k_s, k_i, k_p, theta_s, phi_s,
                                      grid.theta_i, grid.phi_i)
     integ = np.trapezoid((g2 * f2)[..., None] * trans, grid.omega_s, axis=1)

@@ -12,11 +12,11 @@ from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
                        apply_fabrication_error, ensemble_run, fwhm,
                        joint_density, match_parameter, two_photon_amplitude)
-from randpoled.dispersion import SPEED_OF_LIGHT, omega_from_wavelength
+from randpoled.dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
 from randpoled.phasematch import BoundaryPlan, avg_f2_rps, f_exact
 from randpoled.scenarios import _BASE_ROWS, _ROW_STREAMS, _workspace
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
-                               SpectralSlice, _cw_slice, _f2, coupling_g,
+                               SpectralSlice, _cw_slice, _f2,
                                extractor_rate, extractor_width,
                                map_realizations)
 
@@ -29,6 +29,11 @@ class TestConfigAndGrid:
     def test_invalid_config(self):
         with pytest.raises(SpectraError):
             ProcessConfig(pump_width=-1.0)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_pump_width_must_be_finite(self, width):
+        with pytest.raises(SpectraError, match="finite"):
+            ProcessConfig(pump_width=width)
 
     def test_grid_validation(self):
         with pytest.raises(SpectraError):
@@ -58,17 +63,52 @@ class TestConfigAndGrid:
         assert np.array_equal(slice_.omega_i, cfg.omega_p0 - grid.omega_s)
 
 
-class TestCoupling:
-    def test_magnitude_and_phase(self, cfg, model):
-        g = coupling_g(cfg.omega_s0, cfg.omega_s0, model)
+class TestCwSlice:
+    def test_coupling_magnitude_and_phase(self, cfg, model):
+        g = _cw_slice(cfg, model, cfg.omega_s0)[5]
         n = model.refractive_index(cfg.omega_s0)
         want = cfg.omega_s0 / (2.0 * SPEED_OF_LIGHT * np.pi * n) * CHI2_EFFECTIVE
         assert g == pytest.approx(1j * want, rel=1e-12)
 
-    def test_symmetric(self, cfg, model):
-        ws, wi = 1.1 * cfg.omega_s0, 0.9 * cfg.omega_s0
-        assert coupling_g(ws, wi, model) == pytest.approx(
-            coupling_g(wi, ws, model), rel=1e-14)
+    def test_coupling_exchange_symmetric(self, cfg, model, grid):
+        # the default grid is mirrored about omega_s0: reversing it exchanges
+        # signal and idler
+        g = _cw_slice(cfg, model, grid.omega_s)[5]
+        assert np.allclose(g, g[::-1], rtol=1e-14, atol=0.0)
+
+    def test_three_index_evaluations(self, cfg, model, grid, monkeypatch):
+        # n(omega_s), n(omega_i) and the pump's n, each once
+        calls = []
+        original = DispersionModel.refractive_index
+
+        def counted(self, omega):
+            calls.append(1)
+            return original(self, omega)
+
+        monkeypatch.setattr(DispersionModel, "refractive_index", counted)
+        _cw_slice(cfg, model, grid.omega_s)
+        assert len(calls) == 3
+
+    def test_wavenumbers_and_mismatch_to_the_bit(self, cfg, model, grid):
+        omega_s = grid.omega_s
+        omega_i, k_s, k_i, k_p, dk_tot, _ = _cw_slice(cfg, model, omega_s)
+        assert np.array_equal(omega_i, cfg.omega_p0 - omega_s)
+        assert np.array_equal(k_s, model.wavenumber(omega_s))
+        assert np.array_equal(k_i, model.wavenumber(omega_i))
+        assert np.array_equal(k_p, model.wavenumber(np.full_like(omega_s, cfg.omega_p0)))
+        assert np.array_equal(dk_tot, model.collinear_mismatch(omega_s, omega_i))
+
+    def test_idler_sums_back_to_the_pump(self, cfg):
+        # k_p = n(omega_s + omega_i) omega / c is the pump's to the bit because
+        # the sum rounds back to omega_p0 for every omega_s the band admits
+        # (vacuum wavelengths up to 4 um: 0.3875 omega_s0): above omega_s0 the
+        # subtraction is exact, below it omega_i lies one binade under omega_p0
+        band = np.linspace(0.3875 * cfg.omega_s0, cfg.omega_p0, 1_000_001,
+                           endpoint=False)
+        near = cfg.omega_s0 + np.arange(-1000, 1001) * np.spacing(cfg.omega_s0)
+        spatial_study = np.linspace(cfg.omega_s0 * 0.65, cfg.omega_s0 * 1.35, 201)
+        for omega_s in (band, near, spatial_study):
+            assert np.all(omega_s + (cfg.omega_p0 - omega_s) == cfg.omega_p0)
 
 
 class TestDensities:
@@ -110,7 +150,7 @@ class TestDensities:
         # the explicit realization closely near the peak region
         spec = StructureSpec("chirped", 700, l0, zeta=2.5e6)
         s = spec.generate(RandomSource(0))
-        _, dk_tot, _ = _cw_slice(cfg, model, grid)
+        *_, dk_tot, _ = _cw_slice(cfg, model, grid.omega_s)
         fa = _f2(spec, dk_tot)
         fe = _f2(s, dk_tot)
         sel = fe > 0.2 * fe.max()
@@ -240,7 +280,7 @@ class TestEnsemble:
             got = map_realizations(layouts.__getitem__, len(layouts), cfg, model,
                                    grid, lambda g, f: f)
         build.assert_called_once()
-        _, dk_tot, _ = _cw_slice(cfg, model, grid)
+        *_, dk_tot, _ = _cw_slice(cfg, model, grid.omega_s)
         for s, f in zip(layouts, got):
             want = f_exact(s, dk_tot)
             assert np.max(np.abs(f - want)) <= 1e-12 * np.max(np.abs(want))
@@ -277,7 +317,7 @@ class TestFabricationErrorMean:
         # fab-error-scan's bases at seed 0 (cpps from stream 0, rps from
         # stream 1) and its streams for rows e = 1, 2, 3 of base b
         base = StructureSpec(kind, 700, ws.l0, **kw).generate(RandomSource(0, b))
-        _, dk_tot, g = _cw_slice(ws.cfg, ws.model, ws.grid)
+        *_, dk_tot, g = _cw_slice(ws.cfg, ws.model, ws.grid.omega_s)
         omega_s, n = ws.grid.omega_s, 400
         for e, sigma_er in enumerate(self.SIGMA_ERS, start=1):
             first = 1000 + (b * _BASE_ROWS + e) * _ROW_STREAMS
@@ -294,7 +334,7 @@ class TestFabricationErrorMean:
     def test_full_end_weights_give_the_rps_mean(self, ws):
         # on an ideal base the error's walk is the rps walk of spread
         # sqrt(2) sigma_er, and full end weights are avg_f2_rps's model
-        _, dk_tot, _ = _cw_slice(ws.cfg, ws.model, ws.grid)
+        *_, dk_tot, _ = _cw_slice(ws.cfg, ws.model, ws.grid.omega_s)
         base = StructureSpec("ideal", 700, ws.l0).generate(None)
         for sigma_er in self.SIGMA_ERS:
             got = fab_error_mean_f2(base, sigma_er, dk_tot, end_weight=1.0)

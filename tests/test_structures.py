@@ -48,6 +48,17 @@ class TestPolingStructure:
         with pytest.raises(StructureError):
             PolingStructure(np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, message", [(0, "finite"), (2, "index [23]"),
+                                                (3, "finite")])
+    def test_non_finite_boundary_rejected(self, bad, where, message):
+        # NaN fails every comparison: a non-finite end is refused as such, and an
+        # inner one as a step that does not increase
+        b = np.array([0.0, 1.0, 2.0, 3.0])
+        b[where] = bad
+        with pytest.raises(StructureError, match=message):
+            PolingStructure(b)
+
 
 class TestGenerators:
     def test_rps_mean_and_spread(self):
@@ -130,6 +141,16 @@ class TestGenerators:
             StructureSpec("rps", 10, -1.0)
         with pytest.raises(StructureError):
             StructureSpec("rps", 10, L0, sigma=-1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["n_domains", "l0", "sigma", "zeta"])
+    def test_spec_refuses_non_finite(self, field, bad):
+        # NaN fails every comparison and +inf passes sign checks: each field
+        # must be finite as well (a NaN chirp would give NaN boundaries)
+        kw = {"kind": "chirped" if field == "zeta" else "rps", "n_domains": 700,
+              "l0": L0, field: bad}
+        with pytest.raises(StructureError, match="finite"):
+            StructureSpec(**kw)
 
     @pytest.mark.parametrize("kind,field", [("ideal", "sigma"), ("chirped", "sigma"),
                                             ("ideal", "zeta"), ("rps", "zeta")])
@@ -260,6 +281,12 @@ class TestFabricationError:
     def test_zero_error_is_identity(self):
         s = StructureSpec("chirped", 100, L0, zeta=2.5e6).generate(None)
         assert apply_fabrication_error(s, 0.0, RandomSource(0)) is s
+
+    @pytest.mark.parametrize("sigma_er", [np.nan, np.inf])
+    def test_non_finite_error_rejected(self, sigma_er):
+        s = StructureSpec("ideal", 100, L0).generate(None)
+        with pytest.raises(StructureError, match="finite"):
+            apply_fabrication_error(s, sigma_er, RandomSource(0))
 
     def test_length_mode_accumulates(self):
         s = StructureSpec("ideal", 4000, L0).generate(None)

@@ -16,7 +16,7 @@ from randpoled import (RandomSource, StructureSpec, compensate,
                        sumfreq_ensemble_mc, sumfreq_trace,
                        two_photon_amplitude, xcorr_rps)
 from randpoled import temporal
-from randpoled.spectra import SpectralGrid, SpectralSlice, _cw_slice, coupling_g
+from randpoled.spectra import SpectralGrid, SpectralSlice, _cw_slice
 from randpoled.temporal import (_INV_GOLDEN, WEIGHT_FLOOR, TemporalError, _apply_phase,
                                 _direct_oscillatory_sum, _golden_min, _hom_weights,
                                 _next_fast_len, _oscillatory_sum, _trapezoid_weights,
@@ -236,11 +236,10 @@ class TestSumFrequency:
         for n in (257, 1000, 1025):
             grid = SpectralGrid.default(cfg.omega_s0, n=n)
             omega_s = grid.omega_s
-            omega_i = cfg.omega_p0 - omega_s
-            delta_k = _cw_slice(cfg, model, grid)[1] - np.pi / l0
+            omega_i, *_, dk_tot, g = _cw_slice(cfg, model, omega_s)
+            delta_k = dk_tot - np.pi / l0
             fmat = xcorr_rps(delta_k[:, None], delta_k[None, :], 700, l0, spec.sigma)
-            a = (np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s)
-                 * coupling_g(omega_s, omega_i, model))
+            a = np.sqrt(omega_s * omega_i) * _trapezoid_weights(omega_s) * g
             m = (a[:, None] * np.conj(a[None, :])) * fmat
             e = np.exp(-1j * np.outer(tau, omega_s - cfg.omega_s0))
             want = np.real(((e @ m) * np.conj(e)).sum(axis=1))
