@@ -1,6 +1,6 @@
 """Command-line front end: scenario dispatch with deterministic outputs.
 
-Subcommands mirror the scenario ids one-to-one; `list` prints them.
+Subcommands mirror the scenario ids one-to-one; `list` prints them with summaries.
 Parameters come from an optional JSON config file plus flags (flags
 win).  Each run writes one CSV per result table and a metadata.json
 that re-parses into an equivalent run configuration.
@@ -24,7 +24,7 @@ from . import __version__
 from .dispersion import DispersionError
 from .io import atomic_write_files, json_text, table_to_csv
 from .phasematch import PhasematchError
-from .scenarios import SCENARIO_NOTES, SCENARIOS
+from .scenarios import SCENARIOS
 from .spatial import SpatialError
 from .spectra import SpectraError
 from .structures import StructureError
@@ -58,6 +58,10 @@ def scenario_defaults(scenario: str) -> dict:
     sig = inspect.signature(SCENARIOS[scenario])
     return {name: p.default for name, p in sig.parameters.items()
             if name != "seed" and p.default is not inspect.Parameter.empty}
+
+
+def _summary(scenario: str) -> str:
+    return inspect.getdoc(SCENARIOS[scenario]).splitlines()[0]
 
 
 def _coerce(value, default):
@@ -203,7 +207,8 @@ def build_parser(scenarios) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available scenarios")
     for scenario in scenarios:
-        sp = sub.add_parser(scenario, help=SCENARIO_NOTES[scenario])
+        summary = _summary(scenario)
+        sp = sub.add_parser(scenario, help=summary, description=summary)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="random seed (default 0)")
         sp.add_argument("--out-dir", help="output directory "
@@ -224,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser(named).parse_args(argv)
     if args.command == "list":
         for scenario in SCENARIOS:
-            print(f"{scenario:20s} {SCENARIO_NOTES[scenario]}")
+            print(f"{scenario:20s} {_summary(scenario)}")
         return EXIT_OK
     arg_dict = vars(args)
     # parse_config checks and coerces flag values like config-file values

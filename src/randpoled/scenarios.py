@@ -1,8 +1,11 @@
 """Experiment drivers producing flat result tables.
 
-Each scenario is a pure function of (parameters, seed): reruns with
-identical inputs reproduce identical outputs bit for bit.  Tables are
-designed so that each one feeds a single downstream plotting command.
+SCENARIOS maps each CLI id to its function, whose docstring's first line
+describes it.  Each scenario is a pure function of (parameters, seed):
+reruns with identical inputs reproduce identical outputs bit for bit.
+Tables are designed so that each one feeds a single downstream plotting
+command.  Counts are refused before any grid is built (_check_counts),
+and a width that a grid cannot resolve names its grid (_width).
 
 Random-number streams are derived as (seed, stream) pairs with
 disjoint stream ranges per scenario sub-task, so grid points can be
@@ -21,8 +24,8 @@ from .spectra import (ProcessConfig, SpectraError, SpectralGrid,
                       joint_density, match_parameter)
 from .structures import (RandomSource, StructureError, StructureSpec,
                          apply_fabrication_error, shuffle_segments)
-from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
-                       sumfreq_trace)
+from .temporal import (TemporalError, entanglement_time, hom_trace,
+                       sumfreq_ensemble_mc, sumfreq_trace)
 from .spatial import AngularGrid, correlated_area, correlated_width_scan
 
 
@@ -53,12 +56,14 @@ class Workspace:
     l0: float
 
 
-def _check_counts(floor: int, **counts):
-    """Refuse a count below floor before any grid is built: 2 for a grid's
-    samples or a histogram's layouts, 1 for the layouts a mean averages."""
+def _check_counts(floor: int, ceiling: float = np.inf, **counts):
+    """Refuse before any grid is built a count below floor (2 for grid samples
+    and histogram layouts, 1 for a mean's layouts) or above ceiling (its streams)."""
     for name, n in counts.items():
         if n < floor:
             raise SpectraError(f"{name} must be at least {floor}, got {n}")
+        if n > ceiling:
+            raise SpectraError(f"{name} must be at most {ceiling}, got {n}")
 
 
 def _delays(tau_span: float, tau_points: int) -> np.ndarray:
@@ -88,6 +93,15 @@ def _scan_means(draw, count: int, ws: Workspace):
     return stats["width"].mean, stats["rate"].mean
 
 
+def _width(what: str, grid: str, extract, *args):
+    """extract(*args), a width or a scan of widths; a refusal keeps its reason
+    and names what was measured and the parameters that set its grid."""
+    try:
+        return extract(*args)
+    except (SpectraError, TemporalError) as exc:
+        raise type(exc)(f"{what}: {exc} (grid set by {grid})") from exc
+
+
 def _trace_table(tau, traces: dict) -> Table:
     """One row per delay, one column per named trace."""
     columns = np.column_stack([tau, *(tr.values for tr in traces.values())])
@@ -106,7 +120,9 @@ def run_rate_vs_nl(seed: int = 0,
             spec = StructureSpec("rps", int(nl), ws.l0, sigma=float(sigma))
             density = joint_density(spec, ws.cfg, ws.model, ws.grid)
             rows.append((float(sigma), int(nl), extractor_rate(ws.grid.omega_s, density),
-                         extractor_width(ws.grid.omega_s, density)))
+                         _width(f"width at sigma {sigma:g} m, N_L {nl}",
+                                f"grid_points = {grid_points}", extractor_width,
+                                ws.grid.omega_s, density)))
     table = Table(("sigma", "n_domains", "rate", "width"), tuple(rows))
     return ScenarioResult({"scan": table}, {})
 
@@ -190,14 +206,12 @@ def run_hom_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
     single = ens.generate(RandomSource(seed, 0))
     chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
-    traces = {
-        "rn_rps_single": hom_trace(single, ws.cfg, ws.model, ws.grid, tau),
-        "rn_rps_ensemble": hom_trace(ens, ws.cfg, ws.model, ws.grid, tau),
-        "rn_cpps": hom_trace(chirp, ws.cfg, ws.model, ws.grid, tau),
-    }
-    table = _trace_table(tau, traces)
-    dips = {name: entanglement_time(tr) for name, tr in traces.items()}
-    return ScenarioResult({"traces": table}, {"dip_fwhm_s": dips})
+    traces = {name: hom_trace(s, ws.cfg, ws.model, ws.grid, tau) for name, s in
+              (("rn_rps_single", single), ("rn_rps_ensemble", ens), ("rn_cpps", chirp))}
+    grid = f"tau_points = {tau_points}, tau_span = {tau_span:g} s"
+    dips = {name: _width(f"dip of {name!r}", grid, entanglement_time, tr)
+            for name, tr in traces.items()}
+    return ScenarioResult({"traces": _trace_table(tau, traces)}, {"dip_fwhm_s": dips})
 
 
 def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
@@ -205,8 +219,7 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
                       realizations: int = 100, tau_span: float = 300e-15,
                       tau_points: int = 2001,
                       temperature: float = 297.0) -> ScenarioResult:
-    """Sum-frequency traces of the chirped structure under the three
-    compensation modes, plus the ideally compensated ensemble mean."""
+    """Sum-frequency traces of chirped and random crystals under phase compensation."""
     tau = _delays(tau_span, tau_points)
     _check_counts(1, realizations=realizations)
     ws = _workspace(temperature, grid_points)
@@ -221,13 +234,9 @@ def run_sumfreq_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
             lambda i: ens.generate(RandomSource(seed, i)), ws.cfg, ws.model,
             ws.grid, realizations, tau, "ideal"),
     }
-    widths = {}
-    for name, tr in traces.items():
-        try:
-            widths[name] = fwhm(tr.tau, tr.values)
-        except SpectraError as exc:
-            raise SpectraError(f"trace {name!r}: {exc} (tau within +-{tau_span:g} s); "
-                               "a larger tau_span widens the window") from exc
+    grid = f"tau_points = {tau_points}, tau_span = {tau_span:g} s"
+    widths = {name: _width(f"trace {name!r}", grid, fwhm, tr.tau, tr.values)
+              for name, tr in traces.items()}
     return ScenarioResult({"traces": _trace_table(tau, traces)}, {"trace_fwhm_s": widths})
 
 
@@ -246,8 +255,9 @@ def run_spatial_study(seed: int = 0, sigma: float = 2.1e-6, zeta: float = 2.5e6,
     agrid = AngularGrid.on_axis(cfg, ws.model, omega, n_theta)
     scan_rows, profiles = [], []
     for spec_name, spec in (("cpps", chirp), ("rps_ensemble", ens)):
-        scan = correlated_width_scan(spec, ws.cfg, ws.model, pump_widths, omega,
-                                     n_theta=n_theta)
+        scan = _width(f"delta_theta_i of {spec_name!r}", f"n_theta = {n_theta}",
+                      correlated_width_scan, spec, ws.cfg, ws.model, pump_widths,
+                      omega, n_theta)
         scan_rows += [(spec_name, row["pump_width"], row["delta_theta_i"])
                       for row in scan]
         # the area at pump_width is the scan's row of that width, whose
@@ -278,17 +288,16 @@ def run_temperature_scan(seed: int = 0,
     ws = _workspace(design_temperature, grid_points,
                     design_temperature=design_temperature)
     ens = StructureSpec("rps", n_domains, ws.l0, sigma=sigma)
-    single = ens.generate(RandomSource(seed, 0))
-    chirp = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)
+    sources = {"width_single": ens.generate(RandomSource(seed, 0)), "width_ensemble": ens,
+               "width_cpps": StructureSpec("chirped", n_domains, ws.l0, zeta=zeta)}
     rows = []
     for t in t_values:
         model = DispersionModel(temperature=float(t))
         rows.append((float(t),) + tuple(
-            extractor_width(ws.grid.omega_s, joint_density(s, ws.cfg, model, ws.grid))
-            for s in (single, ens, chirp)))
-    table = Table(("temperature", "width_single", "width_ensemble",
-                   "width_cpps"), tuple(rows))
-    return ScenarioResult({"scan": table}, {})
+            _width(f"{name} at {t:g} K", f"grid_points = {grid_points}", extractor_width,
+                   ws.grid.omega_s, joint_density(s, ws.cfg, model, ws.grid))
+            for name, s in sources.items()))
+    return ScenarioResult({"scan": Table(("temperature", *sources), tuple(rows))}, {})
 
 
 def run_fab_error_scan(seed: int = 0,
@@ -298,10 +307,8 @@ def run_fab_error_scan(seed: int = 0,
                        realizations: int = 1000, grid_points: int = 257,
                        temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate under random fabrication error of the boundaries."""
-    _check_counts(1, realizations=realizations)
-    if realizations > _ROW_STREAMS or len(sigma_er_values) > _BASE_ROWS:
-        raise SpectraError(f"at most {_ROW_STREAMS} realizations and {_BASE_ROWS} sigma_er "
-                           f"values, got {realizations} and {len(sigma_er_values)}")
+    _check_counts(1, _ROW_STREAMS, realizations=realizations)
+    _check_counts(0, _BASE_ROWS, **{"len(sigma_er_values)": len(sigma_er_values)})
     # large error levels broaden spectra past the default span
     ws = _workspace(temperature, grid_points, span=0.6)
     # rows and streams follow this order, whatever the order of `bases`
@@ -336,9 +343,7 @@ def run_segment_scan(seed: int = 0,
                      permutations: int = 1000, grid_points: int = 257,
                      temperature: float = 297.0) -> ScenarioResult:
     """Mean width and rate after random reordering of chirped segments."""
-    _check_counts(1, permutations=permutations)
-    if permutations > _ROW_STREAMS:
-        raise SpectraError(f"at most {_ROW_STREAMS} permutations, got {permutations}")
+    _check_counts(1, _ROW_STREAMS, permutations=permutations)
     ws = _workspace(temperature, grid_points)
     base = StructureSpec("chirped", n_domains, ws.l0, zeta=zeta) \
         .generate(RandomSource(seed, 0))
@@ -366,17 +371,4 @@ SCENARIOS = {
     "temperature-scan": run_temperature_scan,
     "fab-error-scan": run_fab_error_scan,
     "segment-scan": run_segment_scan,
-}
-
-SCENARIO_NOTES = {
-    "rate-vs-NL": "pair rate versus domain count per disorder level",
-    "width-vs-NL": "spectral width versus domain count per disorder level",
-    "sigma-zeta-match": "disorder-to-chirp transformation curve",
-    "histogram-study": "ensemble histograms of rate and width",
-    "hom-study": "Hong-Ou-Mandel coincidence dips",
-    "sumfreq-study": "sum-frequency traces under phase compensation",
-    "spatial-study": "correlated emission areas versus pump focusing",
-    "temperature-scan": "spectral width versus operating temperature",
-    "fab-error-scan": "effect of fabrication error on width and rate",
-    "segment-scan": "effect of segment reordering of a chirped structure",
 }

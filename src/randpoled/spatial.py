@@ -39,6 +39,8 @@ class AngularGrid:
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise SpatialError(f"{name} must be one-dimensional")
+            if not np.isfinite(arr).all():
+                raise SpatialError(f"{name} must be finite")
         if np.any(self.theta_s < 0) or np.any(self.theta_i < 0):
             raise SpatialError("radial angles must be nonnegative")
         if np.any(self.omega_s >= ProcessConfig.omega_p0):

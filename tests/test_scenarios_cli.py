@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from scipy import stats as sstats
 
 from randpoled import cli, scenarios, spatial, spectra, structures
 from randpoled.dispersion import DispersionModel
-from randpoled.scenarios import (SCENARIO_NOTES, SCENARIOS, _skew_kurtosis, _workspace,
+from randpoled.scenarios import (SCENARIOS, _skew_kurtosis, _workspace,
                                  run_fab_error_scan, run_histogram_study,
                                  run_hom_study, run_rate_vs_nl, run_segment_scan,
                                  run_sigma_zeta_match, run_spatial_study,
@@ -29,7 +30,6 @@ FAST = ["--sigmas", "0,1e-6", "--nl-values", "100,200", "--grid-points", "257"]
 
 class TestScenarios:
     def test_registry_complete(self):
-        assert set(SCENARIOS) == set(SCENARIO_NOTES)
         assert len(SCENARIOS) == 10
 
     def test_rate_vs_nl_deterministic(self):
@@ -300,9 +300,12 @@ class TestStreamLimits:
     ACCEPTED = [(run_fab_error_scan, dict(realizations=100_000)),
                 (run_fab_error_scan, dict(sigma_er_values=(1e-7,) * 100)),
                 (run_segment_scan, dict(permutations=100_000))]
-    REFUSED = [(run_fab_error_scan, dict(realizations=100_001)),
-               (run_fab_error_scan, dict(sigma_er_values=(1e-7,) * 101)),
-               (run_segment_scan, dict(permutations=100_001))]
+    REFUSED = [(run_fab_error_scan, dict(realizations=100_001),
+                "realizations must be at most 100000, got 100001"),
+               (run_fab_error_scan, dict(sigma_er_values=(1e-7,) * 101),
+                "len(sigma_er_values) must be at most 100, got 101"),
+               (run_segment_scan, dict(permutations=100_001),
+                "permutations must be at most 100000, got 100001")]
     IDS = ["realizations", "sigma_er_values", "permutations"]
 
     @pytest.fixture(autouse=True)
@@ -314,10 +317,11 @@ class TestStreamLimits:
         with pytest.raises(_Started):
             run(**kwargs)
 
-    @pytest.mark.parametrize("run,kwargs", REFUSED, ids=IDS)
-    def test_limit_plus_one_refused(self, run, kwargs):
-        with pytest.raises(spectra.SpectraError, match="at most"):
+    @pytest.mark.parametrize("run,kwargs,message", REFUSED, ids=IDS)
+    def test_limit_plus_one_refused(self, run, kwargs, message):
+        with pytest.raises(spectra.SpectraError) as exc:
             run(**kwargs)
+        assert str(exc.value) == message
         scenarios._workspace.assert_not_called()
 
 
@@ -380,10 +384,19 @@ class TestCli:
             assert [*csv.DictReader(fh)][0]["matched"] == "1"
 
     def test_list(self, capsys):
+        # each id with the first line of its function's docstring, a sentence
         assert _run_cli(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in SCENARIOS:
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        for line, (name, run) in zip(lines, SCENARIOS.items(), strict=True):
+            summary = inspect.getdoc(run).splitlines()[0]
+            assert line.split(None, 1) == [name, summary]
+            assert summary.endswith(".")
+        # width-vs-NL runs the rate-vs-NL scan, and says so
+        assert lines[0].split(None, 1)[1] == lines[1].split(None, 1)[1]
+        # the scenario's own --help opens with the same line
+        with pytest.raises(SystemExit):
+            _run_cli(["hom-study", "--help"])
+        assert inspect.getdoc(run_hom_study).splitlines()[0] in capsys.readouterr().out
 
     def test_run_writes_bundle(self, tmp_path):
         out = tmp_path / "run1"
@@ -693,7 +706,7 @@ class TestCli:
         assert code == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "numeric"
-        assert "at most 100000 permutations" in err["message"]
+        assert err["message"] == "permutations must be at most 100000, got 100001"
         assert not (tmp_path / "scan.csv").exists()
 
     def test_non_monotone_chirp_is_a_domain_error(self, tmp_path, capsys):
@@ -718,6 +731,24 @@ class TestCli:
         assert "'cpps_none'" in err["message"]
         assert "tau_span" in err["message"]
         assert not (tmp_path / "traces.csv").exists()
+
+    @pytest.mark.parametrize("args, reason, named", [
+        (["spatial-study", "--n-theta", "2"], "span too narrow", ["n_theta = 2"]),
+        (["hom-study", "--tau-points", "2", "--grid-points", "257"], "no dip",
+         ["tau_points = 2", "tau_span = 1e-13 s"]),
+        (["rate-vs-NL", "--grid-points", "2"], "span too narrow", ["grid_points = 2"]),
+    ], ids=["n_theta", "tau_points", "grid_points"])
+    def test_unresolved_width_names_its_grid(self, tmp_path, capsys, args, reason,
+                                             named):
+        # a grid of two samples passes the count floor but resolves no width:
+        # the refusal keeps its reason and names the parameters of that grid
+        code = _run_cli(args + ["--out-dir", str(tmp_path)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "numeric"
+        assert reason in err["message"]
+        assert all(name in err["message"] for name in named)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scenario, config", [
         ("sigma-zeta-match", {"target": 5}),

@@ -44,6 +44,17 @@ class TestGrid:
             AngularGrid(np.zeros((2, 2)), np.array([0.0]),
                         np.array([0.0]), np.array([cfg.omega_s0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["theta_s", "theta_i", "phi_i", "omega_s"])
+    def test_non_finite_field_rejected(self, cfg, field, bad):
+        # NaN fails the sign and pump-frequency comparisons, so only a
+        # finiteness check refuses it; the message names the field
+        arrays = dict(theta_s=[0.0, 0.01], theta_i=[0.0, 0.02], phi_i=[0.0, np.pi],
+                      omega_s=[0.9 * cfg.omega_s0, cfg.omega_s0])
+        arrays[field] = [arrays[field][0], bad]
+        with pytest.raises(SpatialError, match=f"{field} must be finite"):
+            AngularGrid(**arrays)
+
 
 class TestAngularDensity:
     def test_shape_and_convergence(self, cfg, model, rps, agrid):

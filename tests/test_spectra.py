@@ -4,9 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import fab_error_mean_f2
+from conftest import examples, fab_error_mean_f2
 
 from randpoled import spectra
 from randpoled import (ProcessConfig, RandomSource, StructureSpec,
@@ -15,6 +17,7 @@ from randpoled import (ProcessConfig, RandomSource, StructureSpec,
 from randpoled.dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
 from randpoled.phasematch import BoundaryPlan, avg_f2_rps, f_exact
 from randpoled.scenarios import _BASE_ROWS, _ROW_STREAMS, _workspace
+from randpoled.structures import StructureError, _check_redraw_rate
 from randpoled.spectra import (CHI2_EFFECTIVE, SpectraError, SpectralGrid,
                                SpectralSlice, _cw_slice, _f2,
                                extractor_rate, extractor_width,
@@ -342,6 +345,56 @@ class TestFabricationErrorMean:
                               np.sqrt(2.0) * sigma_er)
             # measured at 0.5e-14 to 1.5e-14 of the peak
             assert np.max(np.abs(got - want)) <= 1e-13 * want.max(), sigma_er
+
+    @staticmethod
+    def _largest_accepted(gaps) -> float:
+        """The largest sigma_er whose redraw share on gaps passes the redraw
+        gate, to 50 bisection steps."""
+        lo, hi = 0.0, float(np.max(gaps))
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            try:
+                _check_redraw_rate(gaps, mid)
+                lo = mid
+            except StructureError:
+                hi = mid
+        return lo
+
+    @given(law=st.sampled_from(["rps", "fab-error-cpps", "fab-error-rps"]),
+           n_domains=st.integers(50, 700), points=st.integers(257, 1025),
+           span=st.floats(0.35, 0.6), share=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=examples(10), deadline=None)
+    def test_ensemble_rate_mean_is_the_exact_mean(self, law, n_domains, points, span,
+                                                  share, seed):
+        # ensemble_run's rate mean over 300 layouts of one draw law lies within
+        # 4 standard errors of the exact mean.  The spread is a share of the
+        # law's accepted range: up to l0/3 for rps (above it generate warns),
+        # up to the redraw gate for fabrication error.  Above a floor share,
+        # since at zero spread the standard error vanishes.
+        ws = _workspace(297.0, points, span)
+        if law == "rps":
+            # an rps layout is fabrication error of spread sigma/sqrt(2) on
+            # the ideal layout, as in test_full_end_weights_give_the_rps_mean
+            spec = StructureSpec("rps", n_domains, ws.l0, sigma=share * ws.l0 / 3.0)
+            base = StructureSpec("ideal", n_domains, ws.l0).generate(None)
+            sigma_er = spec.sigma / np.sqrt(2.0)
+            draw = lambda i: spec.generate(RandomSource(seed, i))  # noqa: E731
+        else:
+            kind, kw = (("chirped", {"zeta": 2.5e6}) if law == "fab-error-cpps"
+                        else ("rps", {"sigma": 2.1e-6}))
+            base = StructureSpec(kind, n_domains, ws.l0, **kw).generate(
+                RandomSource(seed, 0))
+            sigma_er = share * self._largest_accepted(base.domain_lengths)
+            draw = lambda i: apply_fabrication_error(  # noqa: E731
+                base, sigma_er, RandomSource(seed, 1 + i))
+        rate = ensemble_run(draw, {"rate": extractor_rate}, 300, ws.cfg, ws.model,
+                            ws.grid)["rate"]
+        *_, dk_tot, g = _cw_slice(ws.cfg, ws.model, ws.grid.omega_s)
+        exact = extractor_rate(ws.grid.omega_s, np.abs(g) ** 2
+                               * fab_error_mean_f2(base, sigma_er, dk_tot, 0.5))
+        sem = np.sqrt(rate.variance / rate.realizations)
+        assert abs(rate.mean - exact) <= 4.0 * sem, (rate.mean - exact) / sem
 
 
 class TestMatching:
