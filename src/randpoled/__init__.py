@@ -10,10 +10,10 @@ ensemble averages cross-checked against Monte Carlo sampling.
 
 __version__ = "0.1.0"
 
-from .dispersion import DispersionError, DispersionModel, omega_from_wavelength
-from .structures import (PolingStructure, RandomSource, StructureError,
-                         StructureSpec, apply_fabrication_error,
-                         shuffle_segments)
+from .errors import DomainError
+from .dispersion import DispersionModel, omega_from_wavelength
+from .structures import (PolingStructure, RandomSource, StructureSpec,
+                         apply_fabrication_error, shuffle_segments)
 from .phasematch import avg_f2_rps, f_chirp, f_exact, xcorr_rps
 from .spectra import (EnsembleStats, ProcessConfig, SpectralGrid,
                       SpectralSlice, ensemble_run, fwhm, joint_density,

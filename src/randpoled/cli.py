@@ -5,8 +5,8 @@ Parameters come from an optional JSON config file plus flags (flags
 win).  Each run writes one CSV per result table and a metadata.json
 that re-parses into an equivalent run configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/domain error,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 a refusal of the model
+(DomainError), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,14 +21,9 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .dispersion import DispersionError
+from .errors import DomainError
 from .io import atomic_write_files, json_text, table_to_csv
-from .phasematch import PhasematchError
 from .scenarios import SCENARIOS
-from .spatial import SpatialError
-from .spectra import SpectraError
-from .structures import StructureError
-from .temporal import TemporalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,8 +101,8 @@ def _validate_params(scenario: str, raw: dict) -> dict:
     params = {}
     for key, value in raw.items():
         if key not in defaults:
-            hint = difflib.get_close_matches(key, list(defaults) + list(_RESERVED),
-                                             n=1)
+            hint = difflib.get_close_matches(
+                key, [k for k in (*defaults, *_RESERVED) if k != key], n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(
                 f"unknown parameter {key!r} for scenario {scenario!r}{suffix}")
@@ -133,6 +128,8 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
                 f"{exc.msg}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+    if not isinstance(data.get("parameters", {}), dict):
+        raise ConfigError("config key 'parameters' must be a JSON object")
     raw_params = dict(data.get("parameters", {}))
     for key, value in data.items():
         if key not in _RESERVED:
@@ -156,6 +153,8 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         seed = _coerce(data.get("seed", 0) if seed is None else seed, 0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid seed: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"invalid seed: {seed} is negative")
     out_dir = overrides.get("out_dir") or data.get("out_dir") \
         or os.environ.get(OUT_DIR_ENV) or "."
     return RunConfig(scenario=scenario, seed=int(seed), out_dir=str(out_dir),
@@ -170,8 +169,7 @@ def run(config: RunConfig) -> int:
           file=sys.stderr)
     try:
         result = func(seed=config.seed, **config.params)
-    except (StructureError, DispersionError, PhasematchError, SpectraError,
-            TemporalError, SpatialError) as exc:
+    except DomainError as exc:
         _emit_error("numeric", str(exc))
         return EXIT_NUMERIC
     files = {f"{name}.csv": table_to_csv(table)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 # speed of light in vacuum, m/s (exact, SI)
 SPEED_OF_LIGHT = 299792458.0
 
@@ -28,10 +30,6 @@ BAND_MAX = 4.0e-6
 # degrees Celsius through f = (T - 24.5)(T + 570.82).
 JUNDT_A = (5.35583, 0.100473, 0.20692, 100.0, 11.34927, 1.5334e-2)
 JUNDT_B = (4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5)
-
-
-class DispersionError(ValueError):
-    """Raised for out-of-band frequencies or unmatchable processes."""
 
 
 def omega_from_wavelength(lam: float) -> float:
@@ -56,19 +54,19 @@ class DispersionModel:
 
     def __post_init__(self):
         if not 0.0 < self.temperature < np.inf:
-            raise DispersionError(f"temperature must be a positive finite number of "
-                                  f"kelvin, got {self.temperature!r}")
+            raise DomainError(f"temperature must be a positive finite number of "
+                              f"kelvin, got {self.temperature!r}")
 
     def refractive_index(self, omega):
         """Extraordinary refractive index at angular frequency omega.
 
-        Raises DispersionError if the vacuum wavelength falls outside
+        Raises DomainError if the vacuum wavelength falls outside
         the supported band.
         """
         omega = np.asarray(omega, dtype=float)
         lam = wavelength_from_omega(omega)
         if np.any(lam < BAND_MIN) or np.any(lam > BAND_MAX):
-            raise DispersionError(
+            raise DomainError(
                 "wavelength outside supported band "
                 f"[{BAND_MIN * 1e6:.1f}, {BAND_MAX * 1e6:.1f}] um"
             )
@@ -104,7 +102,7 @@ class DispersionModel:
         """Basic domain length l0 = pi / dk0 at the design frequencies."""
         dk0 = self.collinear_mismatch(omega_s0, omega_i0)
         if dk0 <= 0.0:
-            raise DispersionError(
+            raise DomainError(
                 "nonpositive collinear mismatch: process not "
                 "quasi-phase-matchable with first-order poling"
             )

@@ -22,6 +22,7 @@ import functools
 import numpy as np
 
 from ._fresnel import _fresnel
+from .errors import DomainError
 from .structures import PolingStructure
 
 # Relative threshold at which removable singularities switch to series
@@ -49,10 +50,6 @@ _LAG_TERMS = 1 << 16
 # bounds their (nodes x N_L) and (n_dk x N_L) work arrays; spatial's
 # correlated_area takes its (theta_i x omega x phi_i) grid in blocks as big.
 _BLOCK = 4096
-
-
-class PhasematchError(ValueError):
-    """Raised for invalid phase-matching arguments."""
 
 
 def _detuned(delta_k, l0: float):
@@ -156,7 +153,7 @@ def _boundary_sum(z, w, dk, plan: BoundaryPlan | None = None):
     if plan is None:
         plan = BoundaryPlan(dk)
     elif plan.dk is not dk and not np.array_equal(plan.dk, dk, equal_nan=True):
-        raise PhasematchError("boundary-sum plan built on another dk grid")
+        raise DomainError("boundary-sum plan built on another dk grid")
     zc, half = 0.5 * (z[0] + z[-1]), 0.5 * (z[-1] - z[0])
     h, a, beta, blocks = plan.nodes(half)
     y = z - zc
@@ -270,7 +267,7 @@ def f2_chirp(delta_k, n_domains: int, l0: float, zeta: float):
 def _chirp_fresnel(delta_k, n_domains: int, l0: float, zeta: float):
     """(scalar?, dk, dk_tot, dk_tot zeta', r, dC, dS) of f_chirp's Fresnel form."""
     if zeta == 0.0:
-        raise PhasematchError("zeta = 0: use the ideal-structure formulas")
+        raise DomainError("zeta = 0: use the ideal-structure formulas")
     scalar, dk, dk_tot = _detuned(delta_k, l0)
     rate = dk_tot * (zeta / (np.pi / l0))
     r = np.sqrt(np.abs(rate)) * l0

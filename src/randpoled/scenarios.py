@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
-from .spectra import (ProcessConfig, SpectraError, SpectralGrid,
-                      ensemble_run, extractor_rate, extractor_width, fwhm,
-                      joint_density, match_parameter)
-from .structures import (RandomSource, StructureError, StructureSpec,
-                         apply_fabrication_error, shuffle_segments)
-from .temporal import (TemporalError, entanglement_time, hom_trace,
-                       sumfreq_ensemble_mc, sumfreq_trace)
+from .errors import DomainError
+from .spectra import (ProcessConfig, SpectralGrid, ensemble_run, extractor_rate,
+                      extractor_width, fwhm, joint_density, match_parameter)
+from .structures import (RandomSource, StructureSpec, apply_fabrication_error,
+                         shuffle_segments)
+from .temporal import (entanglement_time, hom_trace, sumfreq_ensemble_mc,
+                       sumfreq_trace)
 from .spatial import AngularGrid, correlated_area, correlated_width_scan
 
 
@@ -61,16 +61,16 @@ def _check_counts(floor: int, ceiling: float = np.inf, **counts):
     and histogram layouts, 1 for a mean's layouts) or above ceiling (its streams)."""
     for name, n in counts.items():
         if n < floor:
-            raise SpectraError(f"{name} must be at least {floor}, got {n}")
+            raise DomainError(f"{name} must be at least {floor}, got {n}")
         if n > ceiling:
-            raise SpectraError(f"{name} must be at most {ceiling}, got {n}")
+            raise DomainError(f"{name} must be at most {ceiling}, got {n}")
 
 
 def _delays(tau_span: float, tau_points: int) -> np.ndarray:
     """tau_points >= 2 delays on [-tau_span, tau_span], tau_span > 0."""
     _check_counts(2, tau_points=tau_points)
     if not tau_span > 0:
-        raise SpectraError(f"tau_span must be positive, got {tau_span:g}")
+        raise DomainError(f"tau_span must be positive, got {tau_span:g}")
     return np.linspace(-tau_span, tau_span, tau_points)
 
 
@@ -94,12 +94,12 @@ def _scan_means(draw, count: int, ws: Workspace):
 
 
 def _width(what: str, grid: str, extract, *args):
-    """extract(*args), a width or a scan of widths; a refusal keeps its reason
+    """extract(*args), a width, a scan or a match of widths; a refusal keeps its reason
     and names what was measured and the parameters that set its grid."""
     try:
         return extract(*args)
-    except (SpectraError, TemporalError) as exc:
-        raise type(exc)(f"{what}: {exc} (grid set by {grid})") from exc
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc} (grid set by {grid})") from exc
 
 
 def _trace_table(tau, traces: dict) -> Table:
@@ -133,15 +133,23 @@ def run_sigma_zeta_match(seed: int = 0,
                          grid_points: int = 1025,
                          temperature: float = 297.0) -> ScenarioResult:
     """Disorder-to-chirp transformation curve at matched width or rate."""
+    observables = {"equal-width": extractor_width, "equal-rate": extractor_rate}
+    if target not in observables:
+        raise DomainError(f"unknown matching target {target!r}; "
+                          f"expected one of {', '.join(observables)}")
     # matching probes strongly disordered spectra whose wings extend far
     # beyond the default span, so use a wider one
     ws = _workspace(temperature, grid_points, span=0.6)
     template = StructureSpec("rps", n_domains, ws.l0)
+    for zeta in zeta_values:  # a too-strong chirp is refused before the grid is blamed
+        StructureSpec("chirped", n_domains, ws.l0, zeta=float(zeta))
+    matched = _width(f"{target} match", f"grid_points = {grid_points}",
+                     match_parameter, observables[target], zeta_values, ws.cfg,
+                     ws.model, ws.grid, template)
     # an unmatched row's nan rate_rps makes its ratio nan
     rows = tuple((e["zeta"], e["sigma"], e["observable_chirp"], e["rate_rps"],
                   e["rate_chirp"], e["rate_rps"] / e["rate_chirp"], int(e["matched"]))
-                 for e in match_parameter(target, zeta_values, ws.cfg, ws.model,
-                                          ws.grid, template))
+                 for e in matched)
     table = Table(("zeta", "sigma", "observable_chirp", "rate_rps",
                    "rate_chirp", "rate_ratio", "matched"), rows)
     return ScenarioResult({"match": table}, {})
@@ -316,8 +324,8 @@ def run_fab_error_scan(seed: int = 0,
              "rps": StructureSpec("rps", n_domains, ws.l0, sigma=sigma)}
     unknown = [name for name in bases if name not in specs]
     if unknown:
-        raise StructureError(f"unknown fab-error base {unknown[0]!r}; "
-                             f"expected one of {', '.join(specs)}")
+        raise DomainError(f"unknown fab-error base {unknown[0]!r}; "
+                          f"expected one of {', '.join(specs)}")
     base_structures = {name: spec.generate(RandomSource(seed, k))
                        for k, (name, spec) in enumerate(specs.items())
                        if name in bases}

@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionModel
+from .errors import DomainError
 from .phasematch import _BLOCK
 from .spectra import ProcessConfig, _cw_slice, _f2, fwhm
-
-
-class SpatialError(ValueError):
-    """Raised for invalid angular grids or sources."""
 
 
 @dataclass(frozen=True)
@@ -38,13 +35,13 @@ class AngularGrid:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
-                raise SpatialError(f"{name} must be one-dimensional")
+                raise DomainError(f"{name} must be one-dimensional")
             if not np.isfinite(arr).all():
-                raise SpatialError(f"{name} must be finite")
+                raise DomainError(f"{name} must be finite")
         if np.any(self.theta_s < 0) or np.any(self.theta_i < 0):
-            raise SpatialError("radial angles must be nonnegative")
+            raise DomainError("radial angles must be nonnegative")
         if np.any(self.omega_s >= ProcessConfig.omega_p0):
-            raise SpatialError("frequency grid extends past the pump frequency")
+            raise DomainError("frequency grid extends past the pump frequency")
 
     @classmethod
     def on_axis(cls, cfg: ProcessConfig, model: DispersionModel, omega_s,

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._brent import _brentq
 from .dispersion import SPEED_OF_LIGHT, DispersionModel, omega_from_wavelength
+from .errors import DomainError
 from .phasematch import BoundaryPlan, avg_f2_rps, f2_chirp, f_chirp, f_exact, xcorr_rps
 from .structures import PolingStructure, StructureSpec
 
@@ -26,10 +27,6 @@ from .structures import PolingStructure, StructureSpec
 # effective nonlinear coefficient, m/V: rates are relative (see above)
 CHI2_EFFECTIVE = 1e-12
 PUMP_WAVELENGTH = 775e-9  # m, the cw pump's vacuum wavelength
-
-
-class SpectraError(ValueError):
-    """Raised for invalid grids, sources, or failed width searches."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class ProcessConfig:
 
     def __post_init__(self):
         if not 0.0 < self.pump_width < np.inf:
-            raise SpectraError("pump width must be positive and finite")
+            raise DomainError("pump width must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,14 +53,14 @@ class SpectralGrid:
         w = np.asarray(self.omega_s, dtype=float)
         object.__setattr__(self, "omega_s", w)
         if w.ndim != 1 or w.size < 2:
-            raise SpectraError("grid needs at least two samples")
+            raise DomainError("grid needs at least two samples")
         steps = np.diff(w)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise SpectraError("grid must be uniform and increasing")
+            raise DomainError("grid must be uniform and increasing")
         if w[0] <= 0:
-            raise SpectraError("grid frequencies must be positive")
+            raise DomainError("grid frequencies must be positive")
         if w[-1] >= ProcessConfig.omega_p0:
-            raise SpectraError("grid extends past the pump frequency (idler <= 0)")
+            raise DomainError("grid extends past the pump frequency (idler <= 0)")
 
     @classmethod
     def default(cls, omega_s0: float, n: int = 4096, span: float = 0.35):
@@ -85,9 +82,9 @@ class SpectralSlice:
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.omega_s.shape:
-            raise SpectraError("values and grid shapes differ")
+            raise DomainError("values and grid shapes differ")
         if not np.all(np.isfinite(v)):
-            raise SpectraError("amplitude contains non-finite values")
+            raise DomainError("amplitude contains non-finite values")
 
     @property
     def omega_i(self) -> np.ndarray:
@@ -132,8 +129,8 @@ def _amplitude(source, dk_tot):
     if isinstance(source, PolingStructure):
         return f_exact(source, dk_tot)
     if not isinstance(source, StructureSpec) or source.kind == "rps":
-        raise SpectraError("amplitude requires an explicit structure or a "
-                           "deterministic spec")
+        raise DomainError("amplitude requires an explicit structure or a "
+                          "deterministic spec")
     if not source.zeta:
         return f_exact(source.generate(None), dk_tot)
     delta_k = np.asarray(dk_tot, dtype=float) - np.pi / source.l0
@@ -187,12 +184,12 @@ def fwhm(x, y) -> float:
     y = np.asarray(y, dtype=float)
     peak = y.max()
     if not (peak > 0 and np.isfinite(x).all() and np.isfinite(y).all()):
-        raise SpectraError("fwhm needs finite values and a positive maximum")
+        raise DomainError("fwhm needs finite values and a positive maximum")
     half = 0.5 * peak
     above = np.nonzero(y >= half)[0]
     i0, i1 = above[0], above[-1]
     if i0 == 0 or i1 == y.size - 1:
-        raise SpectraError("span too narrow: half maximum not crossed inside grid")
+        raise DomainError("span too narrow: half maximum not crossed inside grid")
     x_lo = x[i0 - 1] + (half - y[i0 - 1]) / (y[i0] - y[i0 - 1]) * (x[i0] - x[i0 - 1])
     x_hi = x[i1] + (half - y[i1]) / (y[i1 + 1] - y[i1]) * (x[i1 + 1] - x[i1])
     return float(x_hi - x_lo)
@@ -230,13 +227,13 @@ def ensemble_run(draw, extractors: dict, realizations: int, cfg: ProcessConfig,
     """Every extractor applied to the exact density of each of the layouts
     draw(0) .. draw(realizations - 1), reduced to EnsembleStats.
 
-    An extraction that raises a domain error (ValueError) is recorded as NaN
-    and counted; the run fails above 1% failures of one extractor.  Moments
-    and ``values`` cover the finite values in index order (one realization:
-    NaN variance), so results are bit-reproducible.
+    An extraction that raises DomainError is recorded as NaN and counted
+    (any other error propagates); the run fails above 1% failures of one
+    extractor.  Moments and ``values`` cover the finite values in index order
+    (one realization: NaN variance), so results are bit-reproducible.
     """
     if realizations < 1:
-        raise SpectraError("need at least one realization")
+        raise DomainError("need at least one realization")
     failures = dict.fromkeys(extractors, 0)
 
     def observe(g, f):
@@ -245,7 +242,7 @@ def ensemble_run(draw, extractors: dict, realizations: int, cfg: ProcessConfig,
         for name, extract in extractors.items():
             try:
                 row.append(extract(grid.omega_s, density))
-            except ValueError:
+            except DomainError:
                 failures[name] += 1
                 row.append(np.nan)
         return row
@@ -256,7 +253,7 @@ def ensemble_run(draw, extractors: dict, realizations: int, cfg: ProcessConfig,
     for name, vals in zip(extractors, results):
         good = vals[np.isfinite(vals)]
         if failures[name] > 0.01 * realizations:
-            raise SpectraError(
+            raise DomainError(
                 f"extractor {name!r} failed on {failures[name]}/{realizations} "
                 "realizations"
             )
@@ -273,10 +270,11 @@ def ensemble_run(draw, extractors: dict, realizations: int, cfg: ProcessConfig,
     return stats
 
 
-def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
+def match_parameter(observable, zeta_grid, cfg: ProcessConfig,
                     model: DispersionModel, grid: SpectralGrid,
                     template: StructureSpec):
-    """Map chirp values to the disorder sigma giving equal width or rate.
+    """Map chirp values to the disorder sigma giving an equal observable,
+    observable(omega_s, density): extractor_width or extractor_rate.
 
     For each zeta the ensemble-mean observable of the random family is
     root-found (Brent's method within a bracket located on a log grid from
@@ -288,9 +286,6 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     observable_rps, rate_chirp, rate_rps (the pair rates of the chirped
     and the matched densities) and matched.
     """
-    if target not in ("equal-width", "equal-rate"):
-        raise SpectraError(f"unknown matching target {target!r}")
-    observable = extractor_width if target == "equal-width" else extractor_rate
     rows = []
     probes = np.geomspace(5e-8, 8e-6, 25)
     *_, dk_tot, g = _cw_slice(cfg, model, grid.omega_s)
@@ -305,7 +300,7 @@ def match_parameter(target: str, zeta_grid, cfg: ProcessConfig,
     for k, p in enumerate(probes):
         try:
             probe_vals[k] = observable(grid.omega_s, density("rps", sigma=p))
-        except SpectraError:
+        except DomainError:
             # off-grid observable (e.g. width beyond the span): the
             # probe is unusable but neighbors may still bracket
             continue

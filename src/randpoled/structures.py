@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 # Monotonicity repair must stay rare or the boundary law is distorted.
 MAX_REJECTION_RATE = 1e-3
-
-
-class StructureError(ValueError):
-    """Raised for invalid structure parameters or generation failures."""
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,13 @@ class PolingStructure:
         b = np.asarray(self.boundaries, dtype=float)
         object.__setattr__(self, "boundaries", b)
         if b.ndim != 1 or b.size < 2:
-            raise StructureError("need at least two boundaries")
+            raise DomainError("need at least two boundaries")
         if not math.isfinite(b[-1] - b[0]):
-            raise StructureError("boundaries must be finite")
+            raise DomainError("boundaries must be finite")
         # NaN is not > 0, and increasing steps between finite ends are finite
         bad = np.nonzero(~(np.diff(b) > 0.0))[0]
         if bad.size:
-            raise StructureError(
+            raise DomainError(
                 f"boundaries not strictly increasing at index {bad[0] + 1}"
             )
 
@@ -109,19 +107,19 @@ class StructureSpec:
 
     def __post_init__(self):
         if self.kind not in ("ideal", "rps", "chirped"):
-            raise StructureError(f"unknown structure kind {self.kind!r}")
+            raise DomainError(f"unknown structure kind {self.kind!r}")
         if not 1 <= self.n_domains < math.inf:
-            raise StructureError("n_domains must be >= 1 and finite")
+            raise DomainError("n_domains must be >= 1 and finite")
         if not 0.0 < self.l0 < math.inf:
-            raise StructureError("l0 must be positive and finite")
+            raise DomainError("l0 must be positive and finite")
         if not 0.0 <= self.sigma < math.inf:
-            raise StructureError("sigma must be >= 0 and finite")
+            raise DomainError("sigma must be >= 0 and finite")
         if not math.isfinite(self.zeta):
-            raise StructureError("zeta must be finite")
+            raise DomainError("zeta must be finite")
         if self.sigma and self.kind != "rps":
-            raise StructureError(f"sigma applies to rps specs, not {self.kind!r}")
+            raise DomainError(f"sigma applies to rps specs, not {self.kind!r}")
         if self.zeta and self.kind != "chirped":
-            raise StructureError(f"zeta applies to chirped specs, not {self.kind!r}")
+            raise DomainError(f"zeta applies to chirped specs, not {self.kind!r}")
         if self.zeta:  # the closed forms describe only layouts generate accepts
             self.generate(None)
 
@@ -148,7 +146,7 @@ class StructureSpec:
             z = z + self.zeta / (np.pi / l0) * (np.arange(n + 1) - n / 2.0) ** 2 * l0 ** 2
             bad = np.nonzero(np.diff(z) <= 0.0)[0]
             if bad.size:
-                raise StructureError(
+                raise DomainError(
                     f"chirp too strong: boundaries not monotone at index {bad[0] + 1}"
                 )
         return PolingStructure(z)
@@ -162,7 +160,7 @@ def _check_redraw_rate(gap, scale: float) -> float:
         x = np.ravel(gap) / (scale * np.sqrt(2.0))
     rate = math.fsum(map(math.erfc, x[x < 8.0].tolist())) / (2 * x.size)
     if rate > MAX_REJECTION_RATE:
-        raise StructureError(
+        raise DomainError(
             f"expected redraw rate {rate:.3g} exceeds {MAX_REJECTION_RATE}"
         )
     return rate
@@ -201,7 +199,7 @@ def apply_fabrication_error(s: PolingStructure, sigma_er: float,
     rate exceeds MAX_REJECTION_RATE is refused, unless ``_law_checked``.
     """
     if not 0.0 <= sigma_er < math.inf:
-        raise StructureError("sigma_er must be >= 0 and finite")
+        raise DomainError("sigma_er must be >= 0 and finite")
     if sigma_er == 0.0:
         return s
     if not _law_checked:
@@ -221,7 +219,7 @@ def shuffle_segments(s: PolingStructure, d: int,
     domain lengths are preserved exactly.
     """
     if not 1 <= d <= s.n_domains:
-        raise StructureError("segment size d must satisfy 1 <= d <= n_domains")
+        raise DomainError("segment size d must satisfy 1 <= d <= n_domains")
     order = rng.generator().permutation(-(-s.n_domains // d))
     # domain indices run by run in the new order; a short final run is cut
     idx = (order[:, None] * d + np.arange(d)).ravel()

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (ProcessConfig, SpectraError, SpectralGrid, SpectralSlice, _cw_slice,
+from .errors import DomainError
+from .spectra import (ProcessConfig, SpectralGrid, SpectralSlice, _cw_slice,
                       _f2, _xcorr, fwhm, map_realizations, two_photon_amplitude)
 from .structures import StructureSpec
 
@@ -38,10 +39,6 @@ _MIRROR_TOL = 1e-12  # grid asymmetry about omega_s0, per unit omega_s0, that ex
 _PHASE_TOL = 1e-12
 WEIGHT_FLOOR = 1e-3  # fraction of peak |Phi|^2 below which phase is meaningless
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden section's shrink factor
-
-
-class TemporalError(ValueError):
-    """Raised for empty spectra, missing dips, or degenerate fits."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,8 @@ def _check_mirror_grid(omega_s: np.ndarray) -> None:
     does not reverse, to _MIRROR_TOL of omega_s0."""
     omega_s0 = ProcessConfig.omega_s0
     if np.max(np.abs(omega_s + omega_s[::-1] - 2.0 * omega_s0)) > _MIRROR_TOL * omega_s0:
-        raise TemporalError("exchange-symmetric traces need a grid symmetric "
-                            "about omega_s0")
+        raise DomainError("exchange-symmetric traces need a grid symmetric "
+                          "about omega_s0")
 
 
 def _hom_weights(source, cfg: ProcessConfig, model, grid: SpectralGrid):
@@ -153,7 +150,7 @@ def hom_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
     # summed as the complex tau = 0 row is, so that R_n(0) is exactly 0
     r0 = float(np.real((wq * base).astype(complex).sum()))
     if r0 <= 0:
-        raise TemporalError("empty spectrum: R0 = 0")
+        raise DomainError("empty spectrum: R0 = 0")
     rho = np.real(_oscillatory_sum(tau, 2.0 * (omega_s - cfg.omega_s0), wq * interf)) / r0
     return TemporalTrace(tau, 1.0 - rho)
 
@@ -162,14 +159,14 @@ def entanglement_time(trace: TemporalTrace) -> float:
     """FWHM of the HOM dip 1 - R_n."""
     dip = 1.0 - trace.values
     if dip.max() < 0.1:
-        raise TemporalError("no dip: depth below 0.1")
+        raise DomainError("no dip: depth below 0.1")
     return fwhm(trace.tau, dip)
 
 
 def _area_normalized(tau: np.ndarray, intensity: np.ndarray) -> TemporalTrace:
     area = np.trapezoid(intensity, tau)
     if area <= 0:
-        raise TemporalError("sum-frequency trace has zero area")
+        raise DomainError("sum-frequency trace has zero area")
     return TemporalTrace(tau, intensity / area)
 
 
@@ -194,7 +191,7 @@ def sumfreq_trace(source, cfg: ProcessConfig, model, grid: SpectralGrid,
     """
     if isinstance(source, StructureSpec) and source.kind == "rps":
         if compensation != "none":
-            raise TemporalError(
+            raise DomainError(
                 "analytic ensembles support compensation='none' only; "
                 "use sumfreq_ensemble_mc"
             )
@@ -239,7 +236,7 @@ def sumfreq_ensemble_mc(draw, cfg: ProcessConfig, model, grid: SpectralGrid,
     """Monte Carlo ensemble mean of the sum-frequency traces of the layouts
     draw(0) .. draw(realizations - 1)."""
     if realizations < 1:
-        raise TemporalError("need at least one realization")
+        raise DomainError("need at least one realization")
 
     def observe(g, f):
         slice_ = SpectralSlice(grid, g * f)
@@ -261,10 +258,10 @@ def fit_quadratic_phase(slice_: SpectralSlice):
     weights = np.abs(slice_.values) ** 2
     peak = weights.max()
     if peak <= 0:
-        raise TemporalError("zero amplitude everywhere")
+        raise DomainError("zero amplitude everywhere")
     idx = np.nonzero(weights >= WEIGHT_FLOOR * peak)[0]
     if idx.size < 3:
-        raise TemporalError("degenerate fit: fewer than three weighted samples")
+        raise DomainError("degenerate fit: fewer than three weighted samples")
     runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
     phase = np.concatenate([np.unwrap(np.angle(slice_.values[r])) for r in runs])
     x = slice_.grid.omega_s[idx] - ProcessConfig.omega_s0
@@ -318,7 +315,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
     if mode == "ideal":
         return SpectralSlice(slice_.grid, np.abs(slice_.values))
     if mode != "quadratic":
-        raise TemporalError(f"unknown compensation mode {mode!r}")
+        raise DomainError(f"unknown compensation mode {mode!r}")
     c0, c1, c2 = fit_quadratic_phase(slice_)
     tau = np.linspace(-500e-15, 500e-15, 4096)  # width probes over +-500 fs
 
@@ -326,7 +323,7 @@ def compensate(slice_: SpectralSlice, mode: str) -> SpectralSlice:
         trace = _slice_trace(_apply_phase(slice_, c0, c1, curv), tau)
         try:
             return fwhm(trace.tau, trace.values)
-        except SpectraError:  # wider than the window: never the narrowest
+        except DomainError:  # wider than the window: never the narrowest
             return math.inf
 
     weights = np.abs(slice_.values) ** 2

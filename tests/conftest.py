@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from randpoled import (DispersionModel, PolingStructure, ProcessConfig,
+from randpoled import (DispersionModel, DomainError, PolingStructure, ProcessConfig,
                        hom_trace, two_photon_amplitude)
 from randpoled import phasematch
-from randpoled.phasematch import PhasematchError, _detuned
+from randpoled.phasematch import _detuned
 from randpoled.spatial import AngularGrid
 from randpoled.spectra import SpectralGrid, SpectralSlice
 
@@ -49,7 +49,7 @@ def f_boundary_sum(s: PolingStructure, dk_total):
     """
     dk = np.asarray(dk_total, dtype=float)
     if np.any(dk == 0.0):
-        raise PhasematchError("boundary sum undefined at zero mismatch; use f_exact")
+        raise DomainError("boundary sum undefined at zero mismatch; use f_exact")
     w = (-1.0) ** np.arange(s.n_domains + 1)
     # looked up on the module, so that a test that patches it reaches it
     out = 2j / dk.ravel() * phasematch._boundary_sum(s.boundaries, w, dk.ravel())

@@ -47,7 +47,7 @@ def matched_sigma(cfg, model):
     grid = SpectralGrid.default(cfg.omega_s0, n=513, span=0.6)
     template = StructureSpec("rps", N_DOMAINS,
                              model.qpm_period(cfg.omega_s0, cfg.omega_s0))
-    row = match_parameter("equal-width", [ZETA_REF], cfg, model, grid,
+    row = match_parameter(extractor_width, [ZETA_REF], cfg, model, grid,
                           template)[0]
     assert row["matched"]
     return row["sigma"]

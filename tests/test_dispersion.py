@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 
-from randpoled import DispersionError, DispersionModel, omega_from_wavelength
+from randpoled import DispersionModel, DomainError, omega_from_wavelength
 from randpoled.dispersion import BAND_MAX, BAND_MIN, wavelength_from_omega
 
 
@@ -36,13 +36,13 @@ class TestRefractiveIndex:
 
     @pytest.mark.parametrize("temperature", [-5.0, 0.0, np.nan, np.inf, -np.inf])
     def test_temperature_must_be_positive_kelvin(self, temperature):
-        with pytest.raises(DispersionError, match="positive finite number of kelvin"):
+        with pytest.raises(DomainError, match="positive finite number of kelvin"):
             DispersionModel(temperature=temperature)
 
     def test_out_of_band_rejected(self, model):
-        with pytest.raises(DispersionError):
+        with pytest.raises(DomainError, match="wavelength outside supported band"):
             model.refractive_index(omega_from_wavelength(0.3e-6))
-        with pytest.raises(DispersionError):
+        with pytest.raises(DomainError, match="wavelength outside supported band"):
             model.refractive_index(omega_from_wavelength(5e-6))
 
     def test_array_input(self, model):

@@ -9,13 +9,12 @@ from conftest import avg_f2_rps_asymptotic, examples, f_boundary_sum
 
 from scipy import special
 
-from randpoled import (RandomSource, StructureSpec, apply_fabrication_error,
+from randpoled import (DomainError, RandomSource, StructureSpec, apply_fabrication_error,
                        avg_f2_rps, f_chirp, f_exact, shuffle_segments,
                        xcorr_rps)
 from randpoled import phasematch
-from randpoled.phasematch import PhasematchError, f2_chirp
-from randpoled.spectra import SpectraError, SpectralGrid, _amplitude, _cw_slice, _f2
-from randpoled.structures import StructureError
+from randpoled.phasematch import f2_chirp
+from randpoled.spectra import SpectralGrid, _amplitude, _cw_slice, _f2
 
 L0 = 9.489154805833549e-06
 DK0 = np.pi / L0
@@ -69,7 +68,7 @@ class TestFExact:
         assert np.max(np.abs(fb - fe)) < 3.0 / (0.8 * DK0)
 
     def test_boundary_sum_rejects_zero(self):
-        with pytest.raises(PhasematchError):
+        with pytest.raises(DomainError, match="boundary sum undefined at zero mismatch"):
             f_boundary_sum(_ideal(4), 0.0)
 
 
@@ -127,7 +126,7 @@ class TestChebyshevKernel:
                                 sigma_um, seed):
         try:
             s = _layout(kind, n_domains, sigma_um * 1e-6, seed)
-        except StructureError:
+        except DomainError:
             # the generator rejects some draws by design (too many
             # overlapping boundaries); the kernel has nothing to sum there
             assume(False)
@@ -196,7 +195,7 @@ class TestChebyshevKernel:
     def test_plan_of_another_grid_rejected(self, scenario_dk):
         s = _layout("rps", 700, 2.1e-6, 0)
         plan = phasematch.BoundaryPlan(scenario_dk[(257, 0.6)])
-        with pytest.raises(PhasematchError, match="another dk grid"):
+        with pytest.raises(DomainError, match="another dk grid"):
             f_exact(s, scenario_dk[(513, 0.35)], plan)
 
     @pytest.mark.parametrize("n_points", [11, 41])
@@ -320,10 +319,10 @@ class TestResponse:
         rps = StructureSpec("rps", 50, L0, sigma=1e-6)
         assert np.array_equal(_f2(rps, dk), avg_f2_rps(dk - DK0, 50, L0, 1e-6))
         for source in (rps, "rps", None, s.boundaries):
-            with pytest.raises(SpectraError, match="explicit structure"):
+            with pytest.raises(DomainError, match="explicit structure"):
                 _amplitude(source, dk)
         for source in ("rps", None, s.boundaries):
-            with pytest.raises(SpectraError, match="explicit structure"):
+            with pytest.raises(DomainError, match="explicit structure"):
                 _f2(source, dk)
 
     @pytest.mark.parametrize("spec,seam,closed_form", [
@@ -441,9 +440,9 @@ class TestChirp:
         assert np.max(np.abs(closed / direct - 1.0)) < 0.02
 
     def test_zero_chirp_rejected(self):
-        with pytest.raises(PhasematchError):
+        with pytest.raises(DomainError, match="zeta = 0: use the ideal-structure formulas"):
             f_chirp(0.0, 700, L0, 0.0)
-        with pytest.raises(PhasematchError):
+        with pytest.raises(DomainError, match="zeta = 0: use the ideal-structure formulas"):
             f2_chirp(0.0, 700, L0, 0.0)
 
     @pytest.mark.parametrize("zeta", [2.5e6, -1e6])
@@ -483,7 +482,7 @@ def complex_erf(z):
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag ** 2 - z.real ** 2 > ERF_IM_MAX ** 2):
-        raise PhasematchError(
+        raise DomainError(
             f"complex_erf overflow: Im(z)^2 - Re(z)^2 > {ERF_IM_MAX ** 2}")
     out = special.erf(z)
     return complex(out) if out.ndim == 0 else out
@@ -574,7 +573,7 @@ class TestComplexErf:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_overflow_guard(self):
-        with pytest.raises(PhasematchError):
+        with pytest.raises(DomainError, match="complex_erf overflow"):
             complex_erf(30j)
 
     def test_ray_arguments_allowed(self):

@@ -17,6 +17,7 @@ and the acceptance criteria build.
 """
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -173,3 +174,35 @@ def test_only_spectra_maps_a_source_to_its_model():
     assert sorted(users - {"phasematch"}) == ["__init__", "spectra"]
     # temporal keeps trace math: it neither reaches phasematch nor draws layouts
     assert sorted(_names(SRC / "temporal.py") & {"phasematch", "RandomSource"}) == []
+
+
+def test_one_domain_error_type():
+    # cli.run maps a DomainError to exit 3 and cli's ConfigError to exit 2: a
+    # refusal of any other type would end in a traceback. _brent keeps the
+    # ValueError and RuntimeError of the scipy routine it replaces
+    classes = {}  # name -> (module.name, the names of its bases)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (f"{path.stem}.{node.name}",
+                                      [ast.unparse(b).split(".")[-1] for b in node.bases])
+
+    def is_exception(name):
+        if name in classes:
+            return any(map(is_exception, classes[name][1]))
+        obj = getattr(builtins, name, None)
+        return isinstance(obj, type) and issubclass(obj, BaseException)
+
+    assert sorted(qual for name, (qual, _) in classes.items() if is_exception(name)) == [
+        "cli.ConfigError", "errors.DomainError"]
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("_brent.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a bare raise re-raises the error being handled
+            if isinstance(node, ast.Raise) and node.exc is not None and not (
+                    isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) == "DomainError"):
+                foreign.append(f"{path.name}:{node.lineno}")
+    assert foreign == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from randpoled import cli, scenarios, spatial, spectra, structures
+from randpoled import DomainError, cli, scenarios, spatial, spectra, structures
 from randpoled.dispersion import DispersionModel
 from randpoled.scenarios import (SCENARIOS, _skew_kurtosis, _workspace,
                                  run_fab_error_scan, run_histogram_study,
@@ -274,7 +274,7 @@ class TestScanEngine:
             density = np.abs(g) ** 2 * np.abs(f) ** 2
             try:
                 width = extractor_width(ws.grid.omega_s, density)
-            except spectra.SpectraError:
+            except DomainError:
                 width = np.nan
             return width, extractor_rate(ws.grid.omega_s, density)
 
@@ -319,7 +319,7 @@ class TestStreamLimits:
 
     @pytest.mark.parametrize("run,kwargs,message", REFUSED, ids=IDS)
     def test_limit_plus_one_refused(self, run, kwargs, message):
-        with pytest.raises(spectra.SpectraError) as exc:
+        with pytest.raises(DomainError) as exc:
             run(**kwargs)
         assert str(exc.value) == message
         scenarios._workspace.assert_not_called()
@@ -443,6 +443,11 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "config"
         assert "sigmas" in err["message"]
+        # a top-level key inside "parameters" is not offered itself as the hint
+        cfgfile.write_text(json.dumps({"parameters": {"seed": 3}}))
+        assert _run_cli(["rate-vs-NL", "--config", str(cfgfile)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["message"] == "unknown parameter 'seed' for scenario 'rate-vs-NL'"
 
     def test_config_naming_another_scenario_refused(self, tmp_path, capsys):
         # the command may not silently replace the config's scenario (this would
@@ -585,6 +590,25 @@ class TestCli:
             cfg = cli.parse_config(str(cfgfile), {})
             assert cfg.seed == 2 and isinstance(cfg.seed, int)
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--seed", "-1"], {}), ([], {"seed": -1}),
+        ([], {"parameters": [1, 2]}), ([], {"parameters": None}),
+    ], ids=["seed_flag", "seed_config", "parameters_list", "parameters_null"])
+    def test_negative_seed_or_non_object_parameters_refused(self, tmp_path, capsys,
+                                                            flags, config):
+        # a negative seed would fail inside numpy's generator, a parameters
+        # value that is not an object inside dict(): both are config errors
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = _run_cli(["hom-study", *flags, "--config", str(cfgfile),
+                         "--out-dir", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert next(iter(config), "seed") in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [
         {"seed": True},
         {"parameters": {"grid_points": True}},
@@ -709,15 +733,31 @@ class TestCli:
         assert err["message"] == "permutations must be at most 100000, got 100001"
         assert not (tmp_path / "scan.csv").exists()
 
-    def test_non_monotone_chirp_is_a_domain_error(self, tmp_path, capsys):
-        # the closed forms would give this crystal a spectrum; its layout
-        # does not exist, as segment-scan's generate already says
-        code = _run_cli(["spatial-study", "--zeta=6e7", "--out-dir", str(tmp_path)])
+    def test_unknown_match_target_refused_before_the_grid(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(scenarios, "_workspace", mock.Mock(side_effect=_Started))
+        code = _run_cli(["sigma-zeta-match", "--target", "equal-phase",
+                         "--out-dir", str(tmp_path)])
         assert code == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "numeric"
-        assert err["message"] == "chirp too strong: boundaries not monotone at index 1"
-        assert not (tmp_path / "correlated_area.csv").exists()
+        assert err["message"] == ("unknown matching target 'equal-phase'; "
+                                  "expected one of equal-width, equal-rate")
+        assert list(tmp_path.iterdir()) == []
+        scenarios._workspace.assert_not_called()
+
+    def test_non_monotone_chirp_is_a_domain_error(self, tmp_path, capsys):
+        # the closed forms would give this crystal a spectrum; its layout
+        # does not exist, as segment-scan's generate already says.  The
+        # sigma-zeta-match refusal comes before the matching, so it names no grid
+        for args in (["spatial-study", "--zeta=6e7"],
+                     ["sigma-zeta-match", "--zeta-values", "1e6,6e7"]):
+            code = _run_cli(args + ["--out-dir", str(tmp_path)])
+            assert code == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "numeric"
+            assert err["message"] == "chirp too strong: boundaries not monotone at index 1"
+            assert list(tmp_path.iterdir()) == []
 
     def test_sumfreq_trace_past_the_window_names_it(self, tmp_path, capsys):
         # the uncompensated trace at zeta = -4e6 is ~670 fs wide, against the
@@ -737,7 +777,9 @@ class TestCli:
         (["hom-study", "--tau-points", "2", "--grid-points", "257"], "no dip",
          ["tau_points = 2", "tau_span = 1e-13 s"]),
         (["rate-vs-NL", "--grid-points", "2"], "span too narrow", ["grid_points = 2"]),
-    ], ids=["n_theta", "tau_points", "grid_points"])
+        (["sigma-zeta-match", "--grid-points", "2"], "span too narrow",
+         ["equal-width", "grid_points = 2"]),
+    ], ids=["n_theta", "tau_points", "grid_points", "match_grid_points"])
     def test_unresolved_width_names_its_grid(self, tmp_path, capsys, args, reason,
                                              named):
         # a grid of two samples passes the count floor but resolves no width:

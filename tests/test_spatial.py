@@ -5,9 +5,8 @@ import pytest
 
 from conftest import angular_grid
 
-from randpoled import RandomSource, StructureSpec, spatial
-from randpoled.spatial import (AngularGrid, SpatialError,
-                               angular_spectral_density, correlated_area,
+from randpoled import DomainError, RandomSource, StructureSpec, spatial
+from randpoled.spatial import (AngularGrid, angular_spectral_density, correlated_area,
                                correlated_width_scan)
 from randpoled.dispersion import SPEED_OF_LIGHT
 from randpoled.spectra import CHI2_EFFECTIVE, _cw_slice, _f2
@@ -37,10 +36,10 @@ class TestGrid:
         assert g.theta_s[0] == 0.0 and g.theta_s[-1] == 0.05
 
     def test_validation(self, cfg):
-        with pytest.raises(SpatialError):
+        with pytest.raises(DomainError, match="radial angles must be nonnegative"):
             AngularGrid(np.array([-0.01, 0.0]), np.array([0.0]),
                         np.array([0.0]), np.array([cfg.omega_s0]))
-        with pytest.raises(SpatialError):
+        with pytest.raises(DomainError, match="theta_s must be one-dimensional"):
             AngularGrid(np.zeros((2, 2)), np.array([0.0]),
                         np.array([0.0]), np.array([cfg.omega_s0]))
 
@@ -52,7 +51,7 @@ class TestGrid:
         arrays = dict(theta_s=[0.0, 0.01], theta_i=[0.0, 0.02], phi_i=[0.0, np.pi],
                       omega_s=[0.9 * cfg.omega_s0, cfg.omega_s0])
         arrays[field] = [arrays[field][0], bad]
-        with pytest.raises(SpatialError, match=f"{field} must be finite"):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
             AngularGrid(**arrays)
 
 
@@ -92,7 +91,7 @@ class TestAngularDensity:
         assert center < 0.7 * col.max()
 
     def test_frequency_past_pump_rejected(self, cfg):
-        with pytest.raises(SpatialError):
+        with pytest.raises(DomainError, match="frequency grid extends past the pump frequency"):
             AngularGrid(np.array([0.0, 0.01]), np.array([0.0, 0.01]),
                         np.array([0.0]),
                         np.array([0.5 * cfg.omega_p0, 1.5 * cfg.omega_p0]))

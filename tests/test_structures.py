@@ -10,7 +10,7 @@ from conftest import examples
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from randpoled import (PolingStructure, RandomSource, StructureError,
+from randpoled import (DomainError, PolingStructure, RandomSource,
                        StructureSpec, apply_fabrication_error, shuffle_segments,
                        structures)
 from randpoled.structures import MAX_REJECTION_RATE, _check_redraw_rate
@@ -41,11 +41,11 @@ class TestPolingStructure:
         assert s.boundaries[-1] == pytest.approx(0.0)
 
     def test_nonmonotone_rejected(self):
-        with pytest.raises(StructureError, match="index 2"):
+        with pytest.raises(DomainError, match="index 2"):
             PolingStructure(np.array([0.0, 1.0, 0.5, 2.0]))
 
     def test_too_few_boundaries(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="need at least two boundaries"):
             PolingStructure(np.array([0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -56,7 +56,7 @@ class TestPolingStructure:
         # inner one as a step that does not increase
         b = np.array([0.0, 1.0, 2.0, 3.0])
         b[where] = bad
-        with pytest.raises(StructureError, match=message):
+        with pytest.raises(DomainError, match=message):
             PolingStructure(b)
 
 
@@ -76,7 +76,7 @@ class TestGenerators:
 
     def test_rps_excessive_sigma_fails(self):
         # sigma comparable to l0 drives the rejection rate over the cap
-        with pytest.warns(UserWarning), pytest.raises(StructureError):
+        with pytest.warns(UserWarning), pytest.raises(DomainError, match="expected redraw rate"):
             StructureSpec("rps", 5000, L0, sigma=3 * L0).generate(RandomSource(1))
 
     def test_large_sigma_warns_past_l0_over_3(self):
@@ -110,7 +110,7 @@ class TestGenerators:
         assert np.allclose(s.domain_lengths, L0)
 
     def test_chirp_too_strong_names_index(self):
-        with pytest.raises(StructureError, match="index 1"):
+        with pytest.raises(DomainError, match="index 1"):
             StructureSpec("chirped", 700, L0, zeta=5e9).generate(None)
 
     @pytest.mark.parametrize("n", [2, 700])
@@ -120,9 +120,9 @@ class TestGenerators:
         limit = np.pi / (L0 ** 2 * (n - 1))
         StructureSpec("chirped", n, L0, zeta=0.99 * limit)
         StructureSpec("chirped", n, L0, zeta=-0.99 * limit)
-        with pytest.raises(StructureError, match="monotone at index 1$"):
+        with pytest.raises(DomainError, match="monotone at index 1$"):
             StructureSpec("chirped", n, L0, zeta=1.01 * limit)
-        with pytest.raises(StructureError, match="chirp too strong"):
+        with pytest.raises(DomainError, match="chirp too strong"):
             StructureSpec("chirped", n, L0, zeta=-1.01 * limit)
 
     def test_spec_generate_dispatch(self):
@@ -133,13 +133,13 @@ class TestGenerators:
             assert s.n_domains == 50
 
     def test_spec_validation(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="unknown structure kind 'fibonacci'"):
             StructureSpec("fibonacci", 10, L0)
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="n_domains must be >= 1"):
             StructureSpec("rps", 0, L0)
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="l0 must be positive"):
             StructureSpec("rps", 10, -1.0)
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="sigma must be >= 0"):
             StructureSpec("rps", 10, L0, sigma=-1e-6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -149,7 +149,7 @@ class TestGenerators:
         # must be finite as well (a NaN chirp would give NaN boundaries)
         kw = {"kind": "chirped" if field == "zeta" else "rps", "n_domains": 700,
               "l0": L0, field: bad}
-        with pytest.raises(StructureError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             StructureSpec(**kw)
 
     @pytest.mark.parametrize("kind,field", [("ideal", "sigma"), ("chirped", "sigma"),
@@ -157,7 +157,7 @@ class TestGenerators:
     def test_spec_refuses_foreign_field(self, kind, field):
         # a field the family does not read would be ignored without notice
         value = {"sigma": 2e-6, "zeta": 2.5e6}[field]
-        with pytest.raises(StructureError, match=field):
+        with pytest.raises(DomainError, match=field):
             StructureSpec(kind, 700, L0, **{field: value})
         StructureSpec(kind, 700, L0, **{field: 0.0})
 
@@ -170,12 +170,12 @@ class TestRedrawGate:
     @pytest.mark.parametrize("n", [2, 63, 700])
     def test_law_over_cap_raises_at_every_size(self, kind, sigma, n):
         for seed in range(5):
-            with pytest.raises(StructureError, match="redraw rate"):
+            with pytest.raises(DomainError, match="redraw rate"):
                 StructureSpec(kind, n, L0, sigma=sigma).generate(RandomSource(seed))
 
     @pytest.mark.parametrize("sigma_er", [pytest.param(3.1e-6, id="length-3.1e-06")])
     def test_fabrication_law_over_cap_raises(self, sigma_er):
-        with pytest.raises(StructureError, match="redraw rate"):
+        with pytest.raises(DomainError, match="redraw rate"):
             apply_fabrication_error(StructureSpec("ideal", 2, L0).generate(None),
                                     sigma_er, RandomSource(0))
 
@@ -216,7 +216,7 @@ class TestRedrawRate:
             try:
                 _check_redraw_rate(gap, scale)
                 refused.append(False)
-            except StructureError:
+            except DomainError:
                 refused.append(True)
             assert refused[-1] == (self._ndtr_rate(gap, scale) > MAX_REJECTION_RATE)
         assert 0 < sum(refused) < len(refused)
@@ -285,7 +285,7 @@ class TestFabricationError:
     @pytest.mark.parametrize("sigma_er", [np.nan, np.inf])
     def test_non_finite_error_rejected(self, sigma_er):
         s = StructureSpec("ideal", 100, L0).generate(None)
-        with pytest.raises(StructureError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             apply_fabrication_error(s, sigma_er, RandomSource(0))
 
     def test_length_mode_accumulates(self):
@@ -333,9 +333,9 @@ class TestShuffle:
 
     def test_invalid_d(self):
         s = StructureSpec("ideal", 10, L0).generate(None)
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="segment size d must satisfy 1 <= d <= n_domains"):
             shuffle_segments(s, 0, RandomSource(0))
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="segment size d must satisfy 1 <= d <= n_domains"):
             shuffle_segments(s, 11, RandomSource(0))
 
 
